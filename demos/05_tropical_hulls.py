@@ -17,6 +17,7 @@ from idemkit import (
     check_convexity_equivalence,
     combine,
     hull_member,
+    hull_members,
     index_space,
 )
 from idemkit.convexity import bounding_grid, density_weights, residual_weights
@@ -52,5 +53,6 @@ print("algebra law:", check_algebra(gens2, N))
 grid = bounding_grid(gens, per_axis=11)
 print("grid size:", grid.shape, "equivalence:", check_convexity_equivalence(gens, grid))
 
-members = sum(hull_member(q, gens) for q in grid)
+# one batched residuation decides membership for the whole grid
+members = int(hull_members(grid, gens).sum())
 print(f"{members} of {len(grid)} grid points lie in the hull")

@@ -27,11 +27,13 @@ from .capacities import (
 from .convexity import (
     GeneratorSet,
     barycenter,
+    barycenter_members,
     bounding_grid,
     check_algebra,
     check_convexity_equivalence,
     combine,
     hull_member,
+    hull_members,
     index_space,
 )
 from .isomorphism import (

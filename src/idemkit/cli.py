@@ -35,7 +35,7 @@ from .documents import (
 from .isomorphism import density_exp, density_log
 from .laws import SUITES, run_all, run_suite
 from .measures import MaxTimesDensity
-from .semiring import format_score
+from .semiring import default_tolerance, format_score
 
 DENSITY_KINDS = ("maxplus", "maxtimes", "possibility")
 
@@ -225,6 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # checked up front: the law suites count a raising check as a failed
+        # law, so a bad IDEMKIT_TOLERANCE would otherwise read as violations
+        default_tolerance()
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,7 +5,9 @@ by its generators, since a finite point set is essentially never closed under
 the continuum of admissible combinations.  Membership in the generated hull
 is decided by residuation: the greatest admissible weight vector is the only
 candidate that can ever reproduce a point, because combinations are monotone
-in every weight.
+in every weight.  Membership is decided for a batch of points at once: the
+candidates of every point come from one broadcast over (point, generator,
+coordinate), and the single-point functions pass a batch of one row.
 
 The barycenter map takes a normalized weight vector (a max-plus density over
 the generators) to the point whose coordinates are the induced measures of
@@ -63,23 +65,43 @@ def as_point(value, dimension: int | None = None) -> np.ndarray:
     return p
 
 
+def _as_grid(points, dimension: int) -> np.ndarray:
+    """Validate a batch of points: a 2-d array of finite coordinates, one row
+    per point, each of the given dimension."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != dimension:
+        raise ValueError(
+            f"grid points must match the generator dimension {dimension}, got shape {pts.shape}"
+        )
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("grid coordinates must be finite")
+    return pts
+
+
+def _check_weights(lam: np.ndarray) -> np.ndarray:
+    # value checks on weight vectors held in the last axis
+    if np.any(np.isnan(lam)) or np.any(lam == np.inf):
+        raise ValueError("weights must be scores (finite or -inf)")
+    if np.any(lam > 0.0):
+        raise ValueError("weights must be non-positive")
+    peaks = lam.max(axis=-1)
+    if np.any(peaks != 0.0):
+        raise ValueError(f"max weight is {np.min(peaks)!r}, expected 0")
+    return lam
+
+
 def as_weight_vector(weights, count: int) -> np.ndarray:
     """Validate weights: one per generator, each in [-inf, 0], peak exactly 0."""
     lam = np.asarray(weights, dtype=float)
     if lam.ndim != 1 or lam.size != count:
         raise ValueError(f"expected {count} weights, got shape {lam.shape}")
-    if np.any(np.isnan(lam)) or np.any(lam == np.inf):
-        raise ValueError("weights must be scores (finite or -inf)")
-    if np.any(lam > 0.0):
-        raise ValueError("weights must be non-positive")
-    if lam.max() != 0.0:
-        raise ValueError(f"max weight is {lam.max()!r}, expected 0")
-    return lam
+    return _check_weights(lam)
 
 
 def _max_combination(points: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    # shared by combine and barycenter so the two are bitwise identical
-    return np.max(points + lam[:, None], axis=0)
+    # shared by combine and barycenter so the two are bitwise identical; a
+    # (m, k) batch of weight rows gives an (m, d) batch of points
+    return np.max(points + lam[..., :, None], axis=-2)
 
 
 def combine(gens: GeneratorSet, lam) -> np.ndarray:
@@ -96,24 +118,40 @@ def barycenter(gens: GeneratorSet, weights) -> np.ndarray:
 
 
 def residual_weights(p: np.ndarray, gens: GeneratorSet) -> np.ndarray:
-    """Greatest admissible weights: lam_i = min(0, min_t(p_t - x_it))."""
-    return np.minimum(0.0, np.min(p[None, :] - gens.points, axis=1))
+    """Greatest admissible weights: lam_i = min(0, min_t(p_t - x_it)).
+
+    A batch of points, one per row, gives one row of weights per point."""
+    return np.minimum(0.0, np.min(p[..., None, :] - gens.points, axis=-1))
 
 
-def hull_member(point, gens: GeneratorSet, tol: float | None = None) -> bool:
-    """Membership in the generated hull.
+def _members(points, gens: GeneratorSet, tol: float | None, route) -> np.ndarray:
+    """Residuation verdicts for each row of an (m, d) array.  Rows whose
+    candidate peaks below -tol are out; route turns the remaining candidates,
+    shifted to peak 0, into the weights that are combined and compared."""
+    tol = resolve_tolerance(tol)
+    pts = _as_grid(points, gens.dimension)
+    lam = residual_weights(pts, gens)
+    peak = lam.max(axis=1, keepdims=True)
+    live = peak[:, 0] >= -tol
+    weights = _check_weights(route(lam[live] - peak[live]))
+    member = np.zeros(len(pts), dtype=bool)
+    member[live] = np.max(np.abs(_max_combination(gens.points, weights) - pts[live]), axis=1) <= tol
+    return member
+
+
+def hull_members(points, gens: GeneratorSet, tol: float | None = None) -> np.ndarray:
+    """Membership in the generated hull for each row of an (m, d) array.
 
     Combinations are monotone in each weight, so the residuation candidate
     succeeds iff any admissible weight vector does; if even its peak sits
     below 0 no normalized combination can dominate the point.
     """
-    tol = resolve_tolerance(tol)
-    p = as_point(point, gens.dimension)
-    lam = residual_weights(p, gens)
-    peak = lam.max()
-    if peak < -tol:
-        return False
-    return bool(np.max(np.abs(combine(gens, lam - peak) - p)) <= tol)
+    return _members(points, gens, tol, lambda lam: lam)
+
+
+def hull_member(point, gens: GeneratorSet, tol: float | None = None) -> bool:
+    """Membership of one point in the generated hull."""
+    return bool(hull_members(as_point(point, gens.dimension)[None, :], gens, tol)[0])
 
 
 def index_space(count: int, prefix: str = "g") -> FiniteSpace:
@@ -126,20 +164,23 @@ def density_weights(f: MaxPlusDensity) -> np.ndarray:
     return np.array([f.weights[p] for p in f.space.points])
 
 
+def barycenter_members(points, gens: GeneratorSet, tol: float | None = None) -> np.ndarray:
+    """Membership decided through the barycenter route for each row of an
+    (m, d) array: does some weight density land on the point?  Uses the same
+    residuation candidates but walks each one through the density type and
+    the barycenter map."""
+    space = index_space(len(gens))
+
+    def through_densities(lam):
+        dens = [MaxPlusDensity(space, dict(zip(space.points, row.tolist()))) for row in lam]
+        return np.array([density_weights(f) for f in dens]).reshape(-1, len(gens))
+
+    return _members(points, gens, tol, through_densities)
+
+
 def barycenter_member(point, gens: GeneratorSet, tol: float | None = None) -> bool:
-    """Membership decided through the barycenter route: does some weight
-    density land on the point?  Uses the same residuation candidate but
-    walks it through the density type and the barycenter map."""
-    tol = resolve_tolerance(tol)
-    p = as_point(point, gens.dimension)
-    lam = residual_weights(p, gens)
-    peak = lam.max()
-    if peak < -tol:
-        return False
-    dens = MaxPlusDensity(
-        index_space(len(gens)), {f"g{i}": v for i, v in enumerate(lam - peak)}
-    )
-    return bool(np.max(np.abs(barycenter(gens, density_weights(dens)) - p)) <= tol)
+    """Barycenter reachability of one point."""
+    return bool(barycenter_members(as_point(point, gens.dimension)[None, :], gens, tol)[0])
 
 
 def check_algebra(gens: GeneratorSet, N: MetaDensity, tol: float | None = None) -> bool:
@@ -164,11 +205,9 @@ def check_convexity_equivalence(
 ) -> bool:
     """Hull membership and barycenter reachability give the same verdict on
     every probe point."""
-    pts = np.asarray(grid, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != gens.dimension:
-        raise ValueError("grid points must match the generator dimension")
-    return all(
-        hull_member(p, gens, tol) == barycenter_member(p, gens, tol) for p in pts
+    tol = resolve_tolerance(tol)
+    return bool(
+        np.array_equal(hull_members(grid, gens, tol), barycenter_members(grid, gens, tol))
     )
 
 

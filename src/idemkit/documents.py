@@ -147,6 +147,9 @@ def meta_from_doc(doc, space: FiniteSpace | None = None):
 
 
 def capacity_to_doc(c: Capacity) -> dict:
+    for label in c.space.points:
+        if "|" in label:
+            raise ValueError(f"label {label!r} contains '|', the subset-key separator")
     sets = {}
     for mask in range(len(c.table)):
         key = "|".join(sorted(bits_members(c.space, mask)))

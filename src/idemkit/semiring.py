@@ -24,9 +24,20 @@ TOLERANCE_ENV_VAR = "IDEMKIT_TOLERANCE"
 
 
 def default_tolerance() -> float:
-    """Library-wide comparison tolerance, overridable via IDEMKIT_TOLERANCE."""
+    """Library-wide comparison tolerance, overridable via IDEMKIT_TOLERANCE.
+
+    The variable is read on every call, so a change at run time takes effect;
+    a value that is not a finite non-negative number raises ValueError."""
     raw = os.environ.get(TOLERANCE_ENV_VAR)
-    return float(raw) if raw else DEFAULT_TOLERANCE
+    if not raw:
+        return DEFAULT_TOLERANCE
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"{TOLERANCE_ENV_VAR} must be a number, got {raw!r}") from None
+    if not math.isfinite(value) or value < 0.0:
+        raise ValueError(f"{TOLERANCE_ENV_VAR} must be finite and non-negative, got {raw!r}")
+    return value
 
 
 def resolve_tolerance(tol: float | None) -> float:

@@ -221,6 +221,12 @@ def test_laws_json_reports_are_byte_identical(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
+def test_bad_tolerance_env_is_an_input_error(monkeypatch, capsys):
+    monkeypatch.setenv("IDEMKIT_TOLERANCE", "-1")
+    assert main(["laws", "--suite", "convexity", "--trials", "3"]) == 2
+    assert "IDEMKIT_TOLERANCE" in capsys.readouterr().err
+
+
 def test_missing_file_is_an_input_error(capsys):
     rc = main(["integrate", "--space", "/does/not/exist.json",
                "--capacity", "{}", "--function", "{}"])

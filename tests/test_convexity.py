@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
+from idemkit import convexity
 from idemkit.convexity import (
     GeneratorSet,
     as_weight_vector,
     barycenter,
     barycenter_member,
+    barycenter_members,
     bounding_grid,
     check_algebra,
     check_convexity_equivalence,
     combine,
     density_weights,
     hull_member,
+    hull_members,
     index_space,
     residual_weights,
 )
@@ -187,6 +190,60 @@ def test_convexity_equivalence_random_grids():
         gens = random_generator_set(rng, 2 if i % 2 else 3)
         grid = bounding_grid(gens, per_axis=5)
         assert check_convexity_equivalence(gens, grid)
+
+
+def _member_by_point(p, gens, tol=1e-9):
+    # per-point residuation: the reference the batched functions must match
+    lam = residual_weights(p, gens)
+    peak = lam.max()
+    if peak < -tol:
+        return False
+    return bool(np.max(np.abs(combine(gens, lam - peak) - p)) <= tol)
+
+
+def test_batched_membership_matches_per_point_residuation():
+    verdicts = set()
+    for i in range(40):
+        rng = trial_stream(409, i)
+        gens = random_generator_set(rng, 2 if i % 2 else 3)
+        exact = np.stack(
+            [combine(gens, random_weight_vector(rng, len(gens))) for _ in range(20)]
+        )
+        probes = np.concatenate([bounding_grid(gens, per_axis=7), exact, exact + 1e-6])
+        expected = np.array([_member_by_point(p, gens) for p in probes])
+        assert expected[-40:-20].all()
+        assert np.array_equal(hull_members(probes, gens), expected)
+        assert np.array_equal(barycenter_members(probes, gens), expected)
+        verdicts.update(expected.tolist())
+    assert verdicts == {True, False}
+
+
+def test_batched_membership_validates_the_grid():
+    empty = np.empty((0, 2))
+    assert hull_members(empty, GENS).shape == (0,)
+    assert barycenter_members(empty, GENS).shape == (0,)
+    for bad in (np.zeros((3, 3)), np.array([[np.nan, 0.0]]), np.array([1.0, 3.0])):
+        with pytest.raises(ValueError):
+            hull_members(bad, GENS)
+        with pytest.raises(ValueError):
+            barycenter_members(bad, GENS)
+        with pytest.raises(ValueError):
+            check_convexity_equivalence(GENS, bad)
+
+
+def test_convexity_equivalence_catches_a_corrupted_barycenter_route(monkeypatch):
+    grid = bounding_grid(GENS, per_axis=5)
+    assert check_convexity_equivalence(GENS, grid)
+    honest = convexity.density_weights
+
+    def drop_last_weight(f):
+        w = honest(f)
+        if w[-1] < 0.0:
+            w[-1] = BOTTOM
+        return w
+
+    monkeypatch.setattr(convexity, "density_weights", drop_last_weight)
+    assert not check_convexity_equivalence(GENS, grid)
 
 
 def test_bounding_grid_shape():

@@ -115,6 +115,13 @@ def test_capacity_document_requires_all_subsets():
         capacity_from_doc(bad, ABC)
 
 
+def test_capacity_document_rejects_separator_in_labels():
+    space = FiniteSpace(("a|b", "a", "b"))
+    c = capacity_from_profile(PossibilityProfile(space, {"a|b": 1.0, "a": 0.5, "b": 0.1}))
+    with pytest.raises(ValueError, match=r"'a\|b'"):
+        capacity_to_doc(c)
+
+
 def test_possibility_round_trip():
     pi = PossibilityProfile(ABC, {"a": 1.0, "b": 0.5, "c": 0.0})
     back = possibility_from_doc(possibility_to_doc(pi))

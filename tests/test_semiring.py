@@ -134,3 +134,12 @@ def test_tolerance_env_override(monkeypatch):
     assert score_eq(1.0, 1.4)
     monkeypatch.delenv("IDEMKIT_TOLERANCE")
     assert default_tolerance() == 1e-9
+
+
+@pytest.mark.parametrize("raw", ["-1", "nan", "inf", "abc"])
+def test_tolerance_env_rejects_bad_values(monkeypatch, raw):
+    monkeypatch.setenv("IDEMKIT_TOLERANCE", raw)
+    with pytest.raises(ValueError, match="IDEMKIT_TOLERANCE"):
+        default_tolerance()
+    with pytest.raises(ValueError, match="IDEMKIT_TOLERANCE"):
+        score_eq(1.0, 1.0)
