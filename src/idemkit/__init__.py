@@ -45,10 +45,15 @@ from .isomorphism import (
 )
 from .laws import RunReport, run_all, run_suite, suite_names
 from .measures import (
+    MAXPLUS,
+    MAXTIMES,
+    Density,
     MaxPlusDensity,
     MaxTimesDensity,
+    Meta,
     MetaDensity,
     MetaTimesDensity,
+    Side,
     ThirdLevel,
     ThirdLevelTimes,
     check_associativity,
@@ -65,6 +70,7 @@ from .measures import (
     meta_pushforward,
     multiply,
     multiply_times,
+    normalize,
     normalize_maxplus,
     normalize_maxtimes,
     pushforward,

@@ -3,7 +3,10 @@
 A capacity is a monotone set function stored as a full table over all
 subsets, indexed by bitmask in the space's point order.  Possibility
 capacities are maxitive and therefore determined by their singleton values,
-so they are stored as profiles and expanded on demand.
+so they are stored as profiles and expanded on demand.  A profile is a
+max-times density (values in [0, 1], peak 1), and the possibility monad is
+the max-times monad of idemkit.measures: its meta type and multiplication
+are that monad's, fixed to profiles.
 
 The max-plus integral of phi against a capacity is the maximum over
 thresholds t of log(c(level set at t)) + t.  The supremum over all real t is
@@ -19,10 +22,10 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .measures import MaxTimesDensity, MetaTimesDensity, multiply
 from .seeding import trial_stream
 from .semiring import (
     BOTTOM,
-    check_unit,
     exp_bridge,
     log_bridge,
     resolve_tolerance,
@@ -93,95 +96,43 @@ class Capacity:
         return {p: float(self.table[1 << i]) for i, p in enumerate(self.space.points)}
 
 
-@dataclass(frozen=True, eq=False)
-class PossibilityProfile:
-    """Maxitive capacity stored by its singleton values; peak 1."""
-
-    space: FiniteSpace
-    singletons: dict[str, float]
-
-    def __post_init__(self):
-        extra = set(self.singletons) - set(self.space.points)
-        if extra:
-            raise ValueError(f"singleton values for unknown points: {sorted(extra)}")
-        vals = {}
-        for p in self.space.points:
-            if p not in self.singletons:
-                raise ValueError(f"missing singleton value for point {p!r}")
-            vals[p] = check_unit(self.singletons[p])
-        if abs(max(vals.values()) - 1.0) > TABLE_SLACK:
-            raise ValueError(f"peak singleton value is {max(vals.values())!r}, expected 1")
-        object.__setattr__(self, "singletons", vals)
-
-    def __call__(self, point: str) -> float:
-        return self.singletons[point]
-
-
-@dataclass(frozen=True, eq=False)
-class MetaPossibility:
-    """Finitely supported possibility capacity over possibility capacities:
-    pairs (profile, weight in [0,1]) with peak weight 1."""
-
-    support: tuple[tuple[PossibilityProfile, float], ...]
-
-    def __post_init__(self):
-        kept = []
-        for pi, w in self.support:
-            w = check_unit(w)
-            if w == 0.0:
-                continue
-            kept.append((pi, w))
-        if not kept:
-            raise ValueError("empty support after dropping zero weights")
-        space = kept[0][0].space
-        if any(pi.space != space for pi, _ in kept):
-            raise ValueError("support profiles live on different spaces")
-        merged: list = []
-        for pi, w in kept:
-            for k, (other, v) in enumerate(merged):
-                if _profile_close(pi, other):
-                    if w > v:
-                        merged[k] = (other, w)
-                    break
-            else:
-                merged.append((pi, w))
-        if abs(max(w for _, w in merged) - 1.0) > TABLE_SLACK:
-            raise ValueError("peak support weight must be 1")
-        object.__setattr__(self, "support", tuple(merged))
+class PossibilityProfile(MaxTimesDensity):
+    """Maxitive capacity stored by its singleton values, which is exactly a
+    max-times density: values in [0, 1] with peak 1."""
 
     @property
-    def space(self) -> FiniteSpace:
-        return self.support[0][0].space
+    def singletons(self) -> dict[str, float]:
+        return self.weights
 
 
-def _profile_close(a: PossibilityProfile, b: PossibilityProfile, tol: float | None = None) -> bool:
-    if a.space != b.space:
-        return False
-    tol = resolve_tolerance(tol)
-    return all(abs(a.singletons[p] - b.singletons[p]) <= tol for p in a.space.points)
+class MetaPossibility(MetaTimesDensity):
+    """Possibility capacity over possibility capacities: the max-times meta
+    density over profiles."""
+
+    entry = PossibilityProfile
+
+
+def _maxitive_table(values) -> np.ndarray:
+    """The maxitive table whose singleton values are `values`, in point order."""
+    n = len(values)
+    table = np.zeros(1 << n)
+    idx = np.arange(1 << n)
+    for i, v in enumerate(values):
+        hit = (idx >> i & 1) == 1
+        table[hit] = np.maximum(table[hit], v)
+    return table
 
 
 def capacity_from_profile(pi: PossibilityProfile) -> Capacity:
     """Expand a profile to its full maxitive table."""
-    n = len(pi.space)
-    table = np.zeros(1 << n)
-    idx = np.arange(1 << n)
-    for i, p in enumerate(pi.space.points):
-        hit = (idx >> i & 1) == 1
-        table[hit] = np.maximum(table[hit], pi.singletons[p])
-    return Capacity(pi.space, table)
+    return Capacity(pi.space, _maxitive_table([pi.weights[p] for p in pi.space.points]))
 
 
 def is_possibility(c: Capacity, tol: float | None = None) -> bool:
     """True iff the table is maxitive, i.e. equals the expansion of its own
     singleton restriction."""
     tol = resolve_tolerance(tol)
-    n = len(c.space)
-    rebuilt = np.zeros(1 << n)
-    idx = np.arange(1 << n)
-    for i in range(n):
-        hit = (idx >> i & 1) == 1
-        rebuilt[hit] = np.maximum(rebuilt[hit], c.table[1 << i])
+    rebuilt = _maxitive_table(c.table[1 << np.arange(len(c.space))])
     return bool(np.all(np.abs(rebuilt - c.table) <= tol))
 
 
@@ -236,7 +187,7 @@ def possibility_integral(pi: PossibilityProfile, phi: RealFunction) -> float:
     """Singleton form of the integral: max over points of phi(x) + log(pi(x))."""
     if pi.space != phi.space:
         raise ValueError("profile and function live on different spaces")
-    return max(phi.values[p] + log_bridge(w) for p, w in pi.singletons.items())
+    return max(phi.values[p] + log_bridge(w) for p, w in pi.weights.items())
 
 
 def check_repr(pi: PossibilityProfile, phi: RealFunction, tol: float | None = None) -> bool:
@@ -378,18 +329,9 @@ def check_characterization(
 # ---------------------------------------------------------------------------
 # possibility monad multiplication
 
-
-def possibility_mult(C: MetaPossibility) -> PossibilityProfile:
-    """Collapse a possibility capacity over possibility capacities to one
-    profile: rho(x) = max over support pairs of weight * profile(x).
-
-    The induced capacity of any subset F then equals the threshold sweep
-    max over t in (0,1] of (max of weights whose profile gives F at least t)
-    times t, because each sweep candidate is maximized at t = that profile's
-    value on F.
-    """
-    space = C.space
-    sing = {
-        x: max(w * pi.singletons[x] for pi, w in C.support) for x in space.points
-    }
-    return PossibilityProfile(space, sing)
+# The possibility monad is the max-times monad: collapsing C gives the
+# profile rho(x) = max over support pairs of weight * profile(x).  The
+# induced capacity of any subset F then equals the threshold sweep max over
+# t in (0,1] of (max of weights whose profile gives F at least t) times t,
+# because each sweep candidate is maximized at t = that profile's value on F.
+possibility_mult = multiply

@@ -13,7 +13,6 @@ import json
 import sys
 
 from .capacities import (
-    PossibilityProfile,
     capacity_from_profile,
     maxplus_integral,
     possibility_integral,
@@ -34,7 +33,7 @@ from .documents import (
 )
 from .isomorphism import density_exp, density_log
 from .laws import SUITES, run_all, run_suite
-from .measures import MaxTimesDensity
+from .measures import MAXPLUS
 from .semiring import default_tolerance, format_score
 
 DENSITY_KINDS = ("maxplus", "maxtimes", "possibility")
@@ -104,27 +103,19 @@ def cmd_barycenter(args) -> int:
 
 
 def _convert_value(src: str, dst: str, doc):
-    # a possibility profile and a max-times density carry identical data, so
-    # everything routes through the max-times form
+    # a possibility profile is a max-times density, so a profile needs no copy
     if src == "possibility":
-        profile = possibility_from_doc(doc)
-        times = MaxTimesDensity(profile.space, profile.singletons)
+        dens = possibility_from_doc(doc)
     else:
         dens = density_from_doc(doc)
-        got = "maxtimes" if isinstance(dens, MaxTimesDensity) else "maxplus"
-        if got != src:
-            raise ValueError(f"input document has kind {got!r}, not {src!r}")
-        if src == "maxplus":
-            if dst == "maxplus":
-                return density_to_doc(dens)
-            times = density_exp(dens)
-        else:
-            times = dens
+        if dens.side.kind != src:
+            raise ValueError(f"input document has kind {dens.side.kind!r}, not {src!r}")
     if dst == "maxplus":
-        return density_to_doc(density_log(times))
+        return density_to_doc(dens if dens.side is MAXPLUS else density_log(dens))
+    times = density_exp(dens) if dens.side is MAXPLUS else dens
     if dst == "maxtimes":
         return density_to_doc(times)
-    return possibility_to_doc(PossibilityProfile(times.space, times.weights))
+    return possibility_to_doc(times)
 
 
 def cmd_convert(args) -> int:

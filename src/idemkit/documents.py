@@ -15,7 +15,7 @@ import numpy as np
 
 from .capacities import Capacity, PossibilityProfile, bits_members, subset_bits
 from .convexity import GeneratorSet
-from .measures import MaxPlusDensity, MaxTimesDensity, MetaDensity, MetaTimesDensity
+from .measures import DENSITIES, MAXPLUS, METAS, Density, MaxTimesDensity, Meta
 from .semiring import BOTTOM, is_bottom
 from .spaces import FiniteSpace, RealFunction, SubsetMask, UnitFunction
 
@@ -94,9 +94,8 @@ def subset_from_doc(doc, space: FiniteSpace) -> SubsetMask:
     return SubsetMask(space, frozenset(str(m) for m in members))
 
 
-def density_to_doc(f: MaxPlusDensity | MaxTimesDensity) -> dict:
-    kind = "maxplus" if isinstance(f, MaxPlusDensity) else "maxtimes"
-    return {"kind": kind, "values": {p: encode_score(w) for p, w in f.weights.items()}}
+def density_to_doc(f: Density) -> dict:
+    return {"kind": f.side.kind, "values": {p: encode_score(w) for p, w in f.weights.items()}}
 
 
 def _space_from_keys(vals: dict) -> FiniteSpace:
@@ -113,14 +112,15 @@ def density_from_doc(doc, space: FiniteSpace | None = None):
         raise ValueError("density document needs a 'values' object")
     if space is None:
         space = _space_from_keys(vals)
-    if kind == "maxplus":
-        return MaxPlusDensity(space, {str(k): decode_score(v) for k, v in vals.items()})
-    if kind == "maxtimes":
-        return MaxTimesDensity(space, {str(k): decode_number(v) for k, v in vals.items()})
-    raise ValueError(f"unknown density kind: {kind!r}")
+    cls = DENSITIES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown density kind: {kind!r}")
+    # bottom is a token of its own only on the max-plus side
+    decode = decode_score if cls.side is MAXPLUS else decode_number
+    return cls(space, {str(k): decode(v) for k, v in vals.items()})
 
 
-def meta_to_doc(F: MetaDensity | MetaTimesDensity) -> dict:
+def meta_to_doc(F: Meta) -> dict:
     return {
         "support": [
             {"density": density_to_doc(f), "weight": encode_score(w)} for f, w in F.support
@@ -138,12 +138,11 @@ def meta_from_doc(doc, space: FiniteSpace | None = None):
     for entry in entries:
         entry = _require_mapping(entry, "support entry")
         dens = density_from_doc(entry.get("density"), space)
-        kinds.add(type(dens))
+        kinds.add(dens.side.kind)
         pairs.append((dens, decode_score(entry.get("weight"))))
     if len(kinds) != 1:
         raise ValueError("support mixes maxplus and maxtimes densities")
-    cls = MetaDensity if kinds.pop() is MaxPlusDensity else MetaTimesDensity
-    return cls(tuple(pairs))
+    return METAS[kinds.pop()](tuple(pairs))
 
 
 def capacity_to_doc(c: Capacity) -> dict:
@@ -181,8 +180,9 @@ def capacity_from_doc(doc, space: FiniteSpace) -> Capacity:
     return Capacity(space, table)
 
 
-def possibility_to_doc(pi: PossibilityProfile) -> dict:
-    return {"kind": "possibility", "singletons": dict(pi.singletons)}
+def possibility_to_doc(pi: MaxTimesDensity) -> dict:
+    """Any max-times density, a profile included, written as a profile."""
+    return {"kind": "possibility", "singletons": dict(pi.weights)}
 
 
 def possibility_from_doc(doc, space: FiniteSpace | None = None) -> PossibilityProfile:

@@ -10,17 +10,15 @@ from __future__ import annotations
 
 from .measures import (
     DEFAULT_PROBE_BOUND,
+    MAXTIMES,
     MaxPlusDensity,
     MaxTimesDensity,
     MetaDensity,
     MetaTimesDensity,
     density_close,
     dirac,
-    dirac_times,
     measure_multiplication,
     multiply,
-    multiply_times,
-    times_close,
 )
 from .semiring import exp_bridge, log_bridge
 
@@ -54,12 +52,12 @@ def check_l_morphism(F: MetaDensity, tol: float | None = None) -> bool:
     """exp of the multiplied meta equals the multiplication of its exp image,
     and exp sends every unit to the times unit."""
     left = density_exp(multiply(F))
-    right = multiply_times(meta_exp(F))
-    if not times_close(left, right, tol):
+    right = multiply(meta_exp(F))
+    if not density_close(left, right, tol):
         return False
     space = F.space
     return all(
-        times_close(density_exp(dirac(x, space)), dirac_times(x, space), tol)
+        density_close(density_exp(dirac(x, space)), dirac(x, space, MAXTIMES), tol)
         for x in space.points
     )
 

@@ -61,28 +61,18 @@ from .generate import (
 )
 from .isomorphism import check_l_morphism, check_s_morphism, density_exp, density_log
 from .measures import (
-    MaxPlusDensity,
-    MaxTimesDensity,
-    MetaDensity,
-    MetaTimesDensity,
-    ThirdLevel,
-    ThirdLevelTimes,
+    Density,
+    Meta,
     check_associativity,
-    check_associativity_times,
     check_unit_laws,
-    check_unit_laws_times,
     density_close,
     density_from_functional,
     dirac,
     eval_measure,
     meta_pushforward,
     multiply,
-    multiply_times,
-    normalize_maxplus,
-    normalize_maxtimes,
+    normalize,
     pushforward,
-    pushforward_times,
-    times_close,
 )
 from .seeding import trial_stream
 from .semiring import is_bottom, resolve_tolerance, score_eq
@@ -174,139 +164,57 @@ def _minimize(value, fails: Callable, shrinks: Callable):
 # shrinking
 
 
-def _density_shrinks(f: MaxPlusDensity) -> Iterator[MaxPlusDensity]:
+def _density_shrinks(f: Density) -> Iterator[Density]:
     pts = f.space.points
     if len(pts) <= 1:
         return
+    bottom = f.side.bottom
     for drop in pts:
         rest = {p: w for p, w in f.weights.items() if p != drop}
-        if all(is_bottom(w) for w in rest.values()):
+        if all(w == bottom for w in rest.values()):
             continue
-        yield normalize_maxplus(FiniteSpace(tuple(p for p in pts if p != drop)), rest)
+        yield normalize(FiniteSpace(tuple(p for p in pts if p != drop)), rest, f.side)
 
 
-def _times_density_shrinks(f: MaxTimesDensity) -> Iterator[MaxTimesDensity]:
-    pts = f.space.points
-    if len(pts) <= 1:
-        return
-    for drop in pts:
-        rest = {p: w for p, w in f.weights.items() if p != drop}
-        if max(rest.values()) <= 0.0:
-            continue
-        yield normalize_maxtimes(FiniteSpace(tuple(p for p in pts if p != drop)), rest)
+def _restrict(x: Density | Meta, smaller: FiniteSpace):
+    """A density, or every density inside a meta at any depth, restricted to
+    a smaller space and renormalized."""
+    if isinstance(x, Density):
+        return normalize(smaller, {p: x.weights[p] for p in smaller.points}, x.side)
+    return type(x)(tuple((_restrict(e, smaller), w) for e, w in x.support))
 
 
-def _restrict_plus(f: MaxPlusDensity, smaller: FiniteSpace) -> MaxPlusDensity:
-    return normalize_maxplus(smaller, {p: f.weights[p] for p in smaller.points})
-
-
-def _restrict_times(f: MaxTimesDensity, smaller: FiniteSpace) -> MaxTimesDensity:
-    return normalize_maxtimes(smaller, {p: f.weights[p] for p in smaller.points})
-
-
-def _meta_shrinks(F: MetaDensity) -> Iterator[MetaDensity]:
+def _meta_shrinks(F: Meta) -> Iterator[Meta]:
+    """Shrinks of a meta of any depth, in order: drop one support entry and
+    renormalize the rest; shrink one entry that is itself a meta; drop one
+    point of the space everywhere."""
     sup = F.support
     if len(sup) > 1:
+        residual = F.side.residual
         for i in range(len(sup)):
             rest = [pair for k, pair in enumerate(sup) if k != i]
             peak = max(w for _, w in rest)
             try:
-                yield MetaDensity(tuple((f, w - peak) for f, w in rest))
+                yield type(F)(tuple((e, residual(w, peak)) for e, w in rest))
             except ValueError:
                 continue
+    if issubclass(F.entry, Meta):
+        for i, (inner, _) in enumerate(sup):
+            for cand in _meta_shrinks(inner):
+                try:
+                    yield type(F)(tuple((cand if k == i else e, w) for k, (e, w) in enumerate(sup)))
+                except ValueError:
+                    continue
     pts = F.space.points
     if len(pts) > 1:
         for drop in pts:
-            smaller = FiniteSpace(tuple(p for p in pts if p != drop))
             try:
-                yield MetaDensity(tuple((_restrict_plus(f, smaller), w) for f, w in sup))
+                yield _restrict(F, FiniteSpace(tuple(p for p in pts if p != drop)))
             except ValueError:
                 continue
 
 
-def _meta_times_shrinks(F: MetaTimesDensity) -> Iterator[MetaTimesDensity]:
-    sup = F.support
-    if len(sup) > 1:
-        for i in range(len(sup)):
-            rest = [pair for k, pair in enumerate(sup) if k != i]
-            peak = max(w for _, w in rest)
-            try:
-                yield MetaTimesDensity(tuple((f, w / peak) for f, w in rest))
-            except ValueError:
-                continue
-    pts = F.space.points
-    if len(pts) > 1:
-        for drop in pts:
-            smaller = FiniteSpace(tuple(p for p in pts if p != drop))
-            try:
-                yield MetaTimesDensity(tuple((_restrict_times(f, smaller), w) for f, w in sup))
-            except ValueError:
-                continue
-
-
-def _third_shrinks(G: ThirdLevel) -> Iterator[ThirdLevel]:
-    sup = G.support
-    if len(sup) > 1:
-        for i in range(len(sup)):
-            rest = [pair for k, pair in enumerate(sup) if k != i]
-            peak = max(w for _, w in rest)
-            try:
-                yield ThirdLevel(tuple((m, w - peak) for m, w in rest))
-            except ValueError:
-                continue
-    for i, (meta, _) in enumerate(sup):
-        for cand in _meta_shrinks(meta):
-            pairs = tuple((cand if k == i else m, w) for k, (m, w) in enumerate(sup))
-            try:
-                yield ThirdLevel(pairs)
-            except ValueError:
-                continue
-    pts = G.space.points
-    if len(pts) > 1:
-        for drop in pts:
-            smaller = FiniteSpace(tuple(p for p in pts if p != drop))
-            try:
-                yield ThirdLevel(
-                    tuple(
-                        (MetaDensity(tuple((_restrict_plus(f, smaller), w) for f, w in m.support)), W)
-                        for m, W in sup
-                    )
-                )
-            except ValueError:
-                continue
-
-
-def _third_times_shrinks(G: ThirdLevelTimes) -> Iterator[ThirdLevelTimes]:
-    sup = G.support
-    if len(sup) > 1:
-        for i in range(len(sup)):
-            rest = [pair for k, pair in enumerate(sup) if k != i]
-            peak = max(w for _, w in rest)
-            try:
-                yield ThirdLevelTimes(tuple((m, w / peak) for m, w in rest))
-            except ValueError:
-                continue
-    pts = G.space.points
-    if len(pts) > 1:
-        for drop in pts:
-            smaller = FiniteSpace(tuple(p for p in pts if p != drop))
-            try:
-                yield ThirdLevelTimes(
-                    tuple(
-                        (
-                            MetaTimesDensity(
-                                tuple((_restrict_times(f, smaller), w) for f, w in m.support)
-                            ),
-                            W,
-                        )
-                        for m, W in sup
-                    )
-                )
-            except ValueError:
-                continue
-
-
-def _third_to_doc(G: ThirdLevel | ThirdLevelTimes) -> dict:
+def _third_to_doc(G: Meta) -> dict:
     return {
         "support": [
             {"meta": meta_to_doc(m), "weight": w if not is_bottom(w) else "-inf"}
@@ -338,25 +246,18 @@ def _run(name: str, trials: int, seed: int, tag: int, trial_fn) -> RunReport:
 
 def suite_unit(trials=500, seed=0, max_space=5, mutate=None, tol=None) -> RunReport:
     mult = _resolve_mutation(mutate, multiply)
-    mult_t = _resolve_mutation(mutate, multiply_times)
+
+    def fails(d):
+        return not _holds(lambda: check_unit_laws(d, tol, multiply_fn=mult))
 
     def trial(rng):
         space = random_space(rng, max_space)
         f = random_maxplus_density(rng, space)
         g = random_maxtimes_density(rng, space)
-
-        def plus_fails(d):
-            return not _holds(lambda: check_unit_laws(d, tol, multiply_fn=mult))
-
-        def times_fails(d):
-            return not _holds(lambda: check_unit_laws_times(d, tol, multiply_fn=mult_t))
-
-        if plus_fails(f):
-            small = _minimize(f, plus_fails, _density_shrinks)
-            return "unit laws fail for a max-plus density", density_to_doc(small)
-        if times_fails(g):
-            small = _minimize(g, times_fails, _times_density_shrinks)
-            return "unit laws fail for a max-times density", density_to_doc(small)
+        for side, d in (("max-plus", f), ("max-times", g)):
+            if fails(d):
+                small = _minimize(d, fails, _density_shrinks)
+                return f"unit laws fail for a {side} density", density_to_doc(small)
         return None
 
     return _run("unit", trials, seed, 10, trial)
@@ -364,25 +265,18 @@ def suite_unit(trials=500, seed=0, max_space=5, mutate=None, tol=None) -> RunRep
 
 def suite_assoc(trials=500, seed=0, max_space=5, mutate=None, tol=None) -> RunReport:
     mult = _resolve_mutation(mutate, multiply)
-    mult_t = _resolve_mutation(mutate, multiply_times)
+
+    def fails(x):
+        return not _holds(lambda: check_associativity(x, tol, multiply_fn=mult))
 
     def trial(rng):
         space = random_space(rng, max_space)
         G = random_third(rng, space)
         H = random_third_times(rng, space)
-
-        def plus_fails(x):
-            return not _holds(lambda: check_associativity(x, tol, multiply_fn=mult))
-
-        def times_fails(x):
-            return not _holds(lambda: check_associativity_times(x, tol, multiply_fn=mult_t))
-
-        if plus_fails(G):
-            small = _minimize(G, plus_fails, _third_shrinks)
-            return "associativity fails for the max-plus multiplication", _third_to_doc(small)
-        if times_fails(H):
-            small = _minimize(H, times_fails, _third_times_shrinks)
-            return "associativity fails for the max-times multiplication", _third_to_doc(small)
+        for side, x in (("max-plus", G), ("max-times", H)):
+            if fails(x):
+                small = _minimize(x, fails, _meta_shrinks)
+                return f"associativity fails for the {side} multiplication", _third_to_doc(small)
         return None
 
     return _run("assoc", trials, seed, 11, trial)
@@ -434,15 +328,15 @@ def suite_functor(trials=500, seed=0, max_space=5, mutate=None, tol=None) -> Run
         }
         if not density_close(pushforward(PointMap.identity(X), f), f, 1e-12):
             return "identity pushforward changes a density", witness
-        if not times_close(pushforward_times(PointMap.identity(X), g), g, 1e-12):
+        if not density_close(pushforward(PointMap.identity(X), g), g, 1e-12):
             return "identity pushforward changes a max-times density", witness
         composed = pushforward(compose_maps(k, h), f)
         staged = pushforward(k, pushforward(h, f))
         if not density_close(composed, staged, 1e-12):
             return "pushforward does not respect composition", witness
-        composed_t = pushforward_times(compose_maps(k, h), g)
-        staged_t = pushforward_times(k, pushforward_times(h, g))
-        if not times_close(composed_t, staged_t, 1e-12):
+        composed_t = pushforward(compose_maps(k, h), g)
+        staged_t = pushforward(k, pushforward(h, g))
+        if not density_close(composed_t, staged_t, 1e-12):
             return "max-times pushforward does not respect composition", witness
         x = X.points[int(rng.integers(0, len(X)))]
         if not density_close(pushforward(h, dirac(x, X)), dirac(h.assignment[x], Y), 1e-12):

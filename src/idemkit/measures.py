@@ -1,24 +1,31 @@
 """Normalized densities, their measure functionals, and the two monad structures.
 
-A max-plus density peaks at 0 and doubles as a finite-support measure: its
-functional sends phi to max(f(x) + phi(x)).  The max-times counterpart peaks
-at 1 and multiplies instead of adding.  Meta densities (finitely supported
-densities over densities) carry the monad multiplications, and a third
-nesting level feeds the associativity checks.
+Both monads are one construction over two isomorphic idempotent semirings,
+so the code is written once and a `Side` record names the semiring:
+MAXPLUS (bottom -inf, peak 0, tensor +) or MAXTIMES (bottom 0, peak 1,
+tensor *).  A density peaks at its side's peak and doubles as a
+finite-support measure: its functional sends phi to max(f(x) (x) phi(x)).
+Meta densities (finitely supported densities over densities) carry the monad
+multiplications, and a third nesting level feeds the associativity checks.
+The public classes only fix a side and an entry type, and every operation
+reads the side off its argument; the *_times names are aliases kept for
+callers.
 
 Constructors reject unnormalized input instead of silently renormalizing;
-the explicit normalize_* helpers shift (or scale) by the peak.  Weights at
-bottom (or 0 on the times side) are dropped from meta supports, and support
-entries equal within tolerance are merged by taking the larger weight.
+normalize divides out the peak explicitly (shifting on the max-plus side,
+scaling on the max-times side).  Bottom-weight entries are dropped from
+meta supports, and support entries equal within tolerance are merged by
+taking the larger weight.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, ClassVar, Mapping
 
-from .semiring import BOTTOM, check_score, check_unit, is_bottom, resolve_tolerance
-from .spaces import FiniteSpace, PointMap, RealFunction, UnitFunction, validate_map
+from .semiring import BOTTOM, resolve_tolerance
+from .spaces import FiniteSpace, PointMap, RealFunction, validate_map
 
 # slack on the times side, where division by the peak cannot stay exact
 TIMES_NORM_SLACK = 1e-12
@@ -26,30 +33,60 @@ TIMES_NORM_SLACK = 1e-12
 DEFAULT_PROBE_BOUND = 64.0
 
 
+@dataclass(frozen=True)
+class Side:
+    """One of the two isomorphic semirings weights live in.  Both add by
+    max; `otimes` is the multiplication and `residual` divides by a weight
+    (used to normalize by the peak).  A weight lies in [bottom, peak], and a
+    normalized density attains the peak to within `slack`.
+
+    One scalar closeness serves both sides: weights are equal or within the
+    tolerance, so on the max-plus side bottom only ever matches bottom."""
+
+    kind: str  # the document kind tag
+    bottom: float
+    peak: float
+    otimes: Callable[[float, float], float]
+    residual: Callable[[float, float], float]
+    slack: float
+
+    def check(self, w) -> float:
+        w = float(w)
+        if not self.bottom <= w <= self.peak:  # also rejects NaN
+            raise ValueError(f"weight {w!r} outside [{self.bottom}, {self.peak}]")
+        return w
+
+
+MAXPLUS = Side("maxplus", BOTTOM, 0.0, operator.add, operator.sub, 0.0)
+MAXTIMES = Side("maxtimes", 0.0, 1.0, operator.mul, operator.truediv, TIMES_NORM_SLACK)
+
+
 @dataclass(frozen=True, eq=False)
-class MaxPlusDensity:
-    """Weights in [-inf, 0] with peak exactly 0; values at bottom mark points
-    outside the support."""
+class Density:
+    """A weight in [bottom, peak] for every point of the space, attaining the
+    peak; weights at bottom mark points outside the support."""
 
     space: FiniteSpace
     weights: dict[str, float]
+    side: ClassVar[Side]
 
     def __post_init__(self):
-        vals = {}
-        extra = set(self.weights) - set(self.space.points)
+        side, weights = self.side, self.weights
+        extra = weights.keys() - self.space.label_set
         if extra:
             raise ValueError(f"weights given for unknown points: {sorted(extra)}")
+        vals = {}
         for p in self.space.points:
-            if p not in self.weights:
+            if p not in weights:
                 raise ValueError(f"missing weight for point {p!r}")
-            w = check_score(self.weights[p])
-            if w > 0.0:
-                raise ValueError(f"positive weight {w!r} at point {p!r}")
-            vals[p] = w
-        if max(vals.values()) != 0.0:
+            try:
+                vals[p] = side.check(weights[p])
+            except ValueError as exc:
+                raise ValueError(f"{exc} at point {p!r}") from None
+        peak = max(vals.values())
+        if abs(peak - side.peak) > side.slack:
             raise ValueError(
-                f"peak weight is {max(vals.values())!r}, expected exactly 0 "
-                "(use normalize_maxplus)"
+                f"peak weight is {peak!r}, expected {side.peak!r} (use normalize)"
             )
         object.__setattr__(self, "weights", vals)
 
@@ -57,262 +94,156 @@ class MaxPlusDensity:
         return self.weights[point]
 
     def support(self) -> tuple[str, ...]:
-        return tuple(p for p in self.space.points if not is_bottom(self.weights[p]))
+        bottom = self.side.bottom
+        return tuple(p for p in self.space.points if self.weights[p] != bottom)
 
 
-@dataclass(frozen=True, eq=False)
-class MaxTimesDensity:
-    """Weights in [0, 1] with peak 1 (within a 1e-12 slack; canonical
+class MaxPlusDensity(Density):
+    """Weights in [-inf, 0] with peak exactly 0."""
+
+    side = MAXPLUS
+
+
+class MaxTimesDensity(Density):
+    """Weights in [0, 1] with peak 1 (within TIMES_NORM_SLACK; canonical
     constructors produce an exact 1)."""
 
-    space: FiniteSpace
-    weights: dict[str, float]
-
-    def __post_init__(self):
-        vals = {}
-        extra = set(self.weights) - set(self.space.points)
-        if extra:
-            raise ValueError(f"weights given for unknown points: {sorted(extra)}")
-        for p in self.space.points:
-            if p not in self.weights:
-                raise ValueError(f"missing weight for point {p!r}")
-            vals[p] = check_unit(self.weights[p])
-        peak = max(vals.values())
-        if abs(peak - 1.0) > TIMES_NORM_SLACK:
-            raise ValueError(f"peak weight is {peak!r}, expected 1 (use normalize_maxtimes)")
-        object.__setattr__(self, "weights", vals)
-
-    def __call__(self, point: str) -> float:
-        return self.weights[point]
-
-    def support(self) -> tuple[str, ...]:
-        return tuple(p for p in self.space.points if self.weights[p] > 0.0)
+    side = MAXTIMES
 
 
-def normalize_maxplus(space: FiniteSpace, weights: Mapping[str, float]) -> MaxPlusDensity:
-    """Shift weights so the peak becomes exactly 0."""
-    finite = [check_score(w) for w in weights.values() if not is_bottom(w)]
-    if not finite:
-        raise ValueError("cannot normalize: every weight is bottom")
-    peak = max(finite)
-    return MaxPlusDensity(space, {p: float(w) - peak for p, w in weights.items()})
-
-
-def normalize_maxtimes(space: FiniteSpace, weights: Mapping[str, float]) -> MaxTimesDensity:
-    """Scale weights so the peak becomes exactly 1."""
-    peak = max(float(w) for w in weights.values())
-    if peak <= 0.0:
-        raise ValueError("cannot normalize: every weight is 0")
-    return MaxTimesDensity(space, {p: float(w) / peak for p, w in weights.items()})
-
-
-def density_close(
-    f: MaxPlusDensity, g: MaxPlusDensity, tol: float | None = None
-) -> bool:
-    """Same space, identical bottom pattern, finite weights within tolerance."""
-    if f.space != g.space:
-        return False
-    tol = resolve_tolerance(tol)
-    for p in f.space.points:
-        a, b = f.weights[p], g.weights[p]
-        if is_bottom(a) or is_bottom(b):
-            if not (is_bottom(a) and is_bottom(b)):
+def _close(a, b, tol: float) -> bool:
+    """Equality within a resolved tolerance.  Densities: same space and every
+    weight equal or within tol.  Metas: the supports match pairwise, close
+    entries with close weights."""
+    if isinstance(a, Density):
+        if a.space != b.space:
+            return False
+        bw = b.weights
+        for p, v in a.weights.items():
+            u = bw[p]
+            if v != u and abs(v - u) > tol:
                 return False
-        elif abs(a - b) > tol:
+        return True
+    if len(a.support) != len(b.support):
+        return False
+    taken = [False] * len(b.support)
+    for x, w in a.support:
+        for k, (y, v) in enumerate(b.support):
+            if not taken[k] and abs(w - v) <= tol and _close(x, y, tol):
+                taken[k] = True
+                break
+        else:
             return False
     return True
 
 
-def times_close(
-    f: MaxTimesDensity, g: MaxTimesDensity, tol: float | None = None
-) -> bool:
-    if f.space != g.space:
-        return False
-    tol = resolve_tolerance(tol)
-    return all(abs(f.weights[p] - g.weights[p]) <= tol for p in f.space.points)
-
-
-def _merged_support(pairs, close):
-    """Merge support entries whose carriers coincide, keeping the max weight."""
-    merged: list = []
-    for item, w in pairs:
-        for k, (other, v) in enumerate(merged):
-            if close(item, other):
-                if w > v:
-                    merged[k] = (other, w)
-                break
-        else:
-            merged.append((item, w))
-    return merged
+def density_close(f: Density, g: Density, tol: float | None = None) -> bool:
+    """Same space, identical bottom pattern, other weights within tolerance."""
+    return _close(f, g, resolve_tolerance(tol))
 
 
 @dataclass(frozen=True, eq=False)
-class MetaDensity:
-    """Finitely supported density over densities: pairs (density, weight <= 0)
-    sharing one space, peak weight exactly 0, bottom-weight entries dropped."""
+class Meta:
+    """Finitely supported density over `entry` values sharing one space:
+    pairs (entry, weight in [bottom, peak]) with the peak weight attained.
+    Bottom-weight pairs are dropped and pairs whose entries are close merge,
+    keeping the larger weight."""
 
-    support: tuple[tuple[MaxPlusDensity, float], ...]
+    support: tuple[tuple[object, float], ...]
+    side: ClassVar[Side]
+    entry: ClassVar[type]
 
     def __post_init__(self):
+        side, entry = self.side, self.entry
         kept = []
-        for f, w in self.support:
-            w = check_score(w)
-            if is_bottom(w):
+        for item, w in self.support:
+            w = side.check(w)
+            if w == side.bottom:
                 continue
-            if w > 0.0:
-                raise ValueError(f"positive support weight {w!r}")
-            if not isinstance(f, MaxPlusDensity):
-                raise ValueError("support entries must be MaxPlusDensity values")
-            kept.append((f, w))
+            if not isinstance(item, entry):
+                raise ValueError(f"support entries must be {entry.__name__} values")
+            kept.append((item, w))
         if not kept:
             raise ValueError("empty support after dropping bottom weights")
         space = kept[0][0].space
-        if any(f.space != space for f, _ in kept):
-            raise ValueError("support densities live on different spaces")
-        kept = _merged_support(kept, density_close)
-        if max(w for _, w in kept) != 0.0:
-            raise ValueError("peak support weight must be exactly 0")
-        object.__setattr__(self, "support", tuple(kept))
+        if any(item.space != space for item, _ in kept):
+            raise ValueError("support entries live on different spaces")
+        tol = resolve_tolerance(None)
+        merged: list = []
+        for item, w in kept:
+            for k, (other, v) in enumerate(merged):
+                if _close(item, other, tol):
+                    if w > v:
+                        merged[k] = (other, w)
+                    break
+            else:
+                merged.append((item, w))
+        peak = max(w for _, w in merged)
+        if abs(peak - side.peak) > side.slack:
+            raise ValueError(f"peak support weight is {peak!r}, expected {side.peak!r}")
+        object.__setattr__(self, "support", tuple(merged))
 
     @property
     def space(self) -> FiniteSpace:
         return self.support[0][0].space
 
 
-@dataclass(frozen=True, eq=False)
-class MetaTimesDensity:
-    """Max-times counterpart: pairs (density, weight in [0,1]), peak weight 1,
-    zero-weight entries dropped."""
+class MetaDensity(Meta):
+    """Max-plus densities weighted in [-inf, 0], peak weight exactly 0."""
 
-    support: tuple[tuple[MaxTimesDensity, float], ...]
-
-    def __post_init__(self):
-        kept = []
-        for f, w in self.support:
-            w = check_unit(w)
-            if w == 0.0:
-                continue
-            if not isinstance(f, MaxTimesDensity):
-                raise ValueError("support entries must be MaxTimesDensity values")
-            kept.append((f, w))
-        if not kept:
-            raise ValueError("empty support after dropping zero weights")
-        space = kept[0][0].space
-        if any(f.space != space for f, _ in kept):
-            raise ValueError("support densities live on different spaces")
-        kept = _merged_support(kept, times_close)
-        if abs(max(w for _, w in kept) - 1.0) > TIMES_NORM_SLACK:
-            raise ValueError("peak support weight must be 1")
-        object.__setattr__(self, "support", tuple(kept))
-
-    @property
-    def space(self) -> FiniteSpace:
-        return self.support[0][0].space
+    side, entry = MAXPLUS, MaxPlusDensity
 
 
-def meta_close(a: MetaDensity, b: MetaDensity, tol: float | None = None) -> bool:
+class MetaTimesDensity(Meta):
+    """Max-times densities weighted in [0, 1], peak weight 1."""
+
+    side, entry = MAXTIMES, MaxTimesDensity
+
+
+class ThirdLevel(Meta):
+    """One more nesting: meta densities weighted in [-inf, 0], peak exactly 0."""
+
+    side, entry = MAXPLUS, MetaDensity
+
+
+class ThirdLevelTimes(Meta):
+    """Meta max-times densities weighted in [0, 1], peak weight 1."""
+
+    side, entry = MAXTIMES, MetaTimesDensity
+
+
+def meta_close(a: Meta, b: Meta, tol: float | None = None) -> bool:
     """Supports match pairwise: same carriers within tolerance, close weights."""
-    if len(a.support) != len(b.support):
-        return False
-    tol = resolve_tolerance(tol)
-    taken = [False] * len(b.support)
-    for f, w in a.support:
-        for k, (g, v) in enumerate(b.support):
-            if not taken[k] and abs(w - v) <= tol and density_close(f, g, tol):
-                taken[k] = True
-                break
-        else:
-            return False
-    return True
+    return _close(a, b, resolve_tolerance(tol))
 
 
-def meta_times_close(a: MetaTimesDensity, b: MetaTimesDensity, tol: float | None = None) -> bool:
-    if len(a.support) != len(b.support):
-        return False
-    tol = resolve_tolerance(tol)
-    taken = [False] * len(b.support)
-    for f, w in a.support:
-        for k, (g, v) in enumerate(b.support):
-            if not taken[k] and abs(w - v) <= tol and times_close(f, g, tol):
-                taken[k] = True
-                break
-        else:
-            return False
-    return True
+# the classes of each side, by document kind tag
+DENSITIES = {cls.side.kind: cls for cls in (MaxPlusDensity, MaxTimesDensity)}
+METAS = {cls.side.kind: cls for cls in (MetaDensity, MetaTimesDensity)}
 
 
-@dataclass(frozen=True, eq=False)
-class ThirdLevel:
-    """One more nesting: pairs (meta density, weight <= 0), peak exactly 0."""
-
-    support: tuple[tuple[MetaDensity, float], ...]
-
-    def __post_init__(self):
-        kept = []
-        for m, w in self.support:
-            w = check_score(w)
-            if is_bottom(w):
-                continue
-            if w > 0.0:
-                raise ValueError(f"positive support weight {w!r}")
-            kept.append((m, w))
-        if not kept:
-            raise ValueError("empty support after dropping bottom weights")
-        space = kept[0][0].space
-        if any(m.space != space for m, _ in kept):
-            raise ValueError("support metas live on different spaces")
-        kept = _merged_support(kept, meta_close)
-        if max(w for _, w in kept) != 0.0:
-            raise ValueError("peak support weight must be exactly 0")
-        object.__setattr__(self, "support", tuple(kept))
-
-    @property
-    def space(self) -> FiniteSpace:
-        return self.support[0][0].space
-
-
-@dataclass(frozen=True, eq=False)
-class ThirdLevelTimes:
-    support: tuple[tuple[MetaTimesDensity, float], ...]
-
-    def __post_init__(self):
-        kept = []
-        for m, w in self.support:
-            w = check_unit(w)
-            if w == 0.0:
-                continue
-            kept.append((m, w))
-        if not kept:
-            raise ValueError("empty support after dropping zero weights")
-        space = kept[0][0].space
-        if any(m.space != space for m, _ in kept):
-            raise ValueError("support metas live on different spaces")
-        kept = _merged_support(kept, meta_times_close)
-        if abs(max(w for _, w in kept) - 1.0) > TIMES_NORM_SLACK:
-            raise ValueError("peak support weight must be 1")
-        object.__setattr__(self, "support", tuple(kept))
-
-    @property
-    def space(self) -> FiniteSpace:
-        return self.support[0][0].space
+def normalize(space: FiniteSpace, weights: Mapping[str, float], side: Side = MAXPLUS) -> Density:
+    """Divide the peak out of the weights (subtract it on the max-plus side,
+    divide by it on the max-times side) so the peak lands exactly on the
+    side's peak."""
+    peak = max(float(w) for w in weights.values())
+    if not peak > side.bottom:
+        raise ValueError(f"cannot normalize: every weight is {side.bottom!r}")
+    residual = side.residual
+    return DENSITIES[side.kind](space, {p: residual(float(w), peak) for p, w in weights.items()})
 
 
 # ---------------------------------------------------------------------------
 # measure functionals
 
 
-def eval_measure(f: MaxPlusDensity, phi: RealFunction) -> float:
-    """The measure of phi under the density f: max(f(x) + phi(x))."""
+def eval_measure(f: Density, phi) -> float:
+    """The measure of phi under the density f: max(f(x) (x) phi(x)), that is
+    max(f(x) + phi(x)) on the max-plus side and max(f(x) * phi(x)) on the
+    max-times side (phi then a UnitFunction)."""
     if f.space != phi.space:
         raise ValueError("density and function live on different spaces")
-    return max(w + phi.values[p] for p, w in f.weights.items())
-
-
-def eval_measure_times(g: MaxTimesDensity, phi: UnitFunction) -> float:
-    """Max-times measure of phi: max(g(x) * phi(x))."""
-    if g.space != phi.space:
-        raise ValueError("density and function live on different spaces")
-    return max(w * phi.values[p] for p, w in g.weights.items())
+    return max(map(f.side.otimes, f.weights.values(), map(phi.values.__getitem__, f.weights)))
 
 
 def probe_function(space: FiniteSpace, x: str, bound: float) -> RealFunction:
@@ -349,76 +280,47 @@ def density_from_functional(
 # units, pushforwards, multiplications
 
 
-def dirac(x: str, space: FiniteSpace) -> MaxPlusDensity:
-    """Unit of the max-plus monad: weight 0 at x, bottom elsewhere."""
+def dirac(x: str, space: FiniteSpace, side: Side = MAXPLUS) -> Density:
+    """Unit of the monad: the peak weight at x, bottom elsewhere."""
     if x not in space:
         raise ValueError(f"unknown point {x!r}")
-    return MaxPlusDensity(space, {p: 0.0 if p == x else BOTTOM for p in space.points})
+    return DENSITIES[side.kind](
+        space, {p: side.peak if p == x else side.bottom for p in space.points}
+    )
 
 
-def dirac_times(x: str, space: FiniteSpace) -> MaxTimesDensity:
-    """Unit of the max-times monad: weight 1 at x, 0 elsewhere."""
-    if x not in space:
-        raise ValueError(f"unknown point {x!r}")
-    return MaxTimesDensity(space, {p: 1.0 if p == x else 0.0 for p in space.points})
-
-
-def pushforward(g: PointMap, f: MaxPlusDensity) -> MaxPlusDensity:
+def pushforward(g: PointMap, f: Density) -> Density:
     """Functor action: weight at y is the max of f over the fiber of y
     (empty fiber gives bottom)."""
     if not validate_map(g):
         raise ValueError("invalid point map")
     if f.space != g.source:
         raise ValueError("density does not live on the source of the map")
-    weights = {y: BOTTOM for y in g.target.points}
+    weights = dict.fromkeys(g.target.points, f.side.bottom)
     for x, w in f.weights.items():
         y = g.assignment[x]
         if w > weights[y]:
             weights[y] = w
-    return MaxPlusDensity(g.target, weights)
+    return type(f)(g.target, weights)
 
 
-def pushforward_times(g: PointMap, f: MaxTimesDensity) -> MaxTimesDensity:
-    """Max-times functor action; an empty fiber gives 0."""
-    if not validate_map(g):
-        raise ValueError("invalid point map")
-    if f.space != g.source:
-        raise ValueError("density does not live on the source of the map")
-    weights = {y: 0.0 for y in g.target.points}
-    for x, w in f.weights.items():
-        y = g.assignment[x]
-        if w > weights[y]:
-            weights[y] = w
-    return MaxTimesDensity(g.target, weights)
-
-
-def meta_pushforward(g: PointMap, F: MetaDensity) -> MetaDensity:
+def meta_pushforward(g: PointMap, F: Meta) -> Meta:
     """Induced action on meta densities: push every support density forward;
     colliding images merge by max weight."""
-    return MetaDensity(tuple((pushforward(g, f), w) for f, w in F.support))
+    return type(F)(tuple((pushforward(g, f), w) for f, w in F.support))
 
 
-def multiply(F: MetaDensity) -> MaxPlusDensity:
-    """Monad multiplication: weight at x is max over support pairs of
-    density(x) + pair weight."""
-    weights = {x: BOTTOM for x in F.space.points}
+def multiply(F: Meta) -> Density:
+    """Monad multiplication: weight at x is the max over support pairs of
+    density(x) (x) pair weight."""
+    otimes = F.side.otimes
+    weights = dict.fromkeys(F.space.points, F.side.bottom)
     for f, w in F.support:
         for x, fx in f.weights.items():
-            cand = fx + w
+            cand = otimes(fx, w)
             if cand > weights[x]:
                 weights[x] = cand
-    return MaxPlusDensity(F.space, weights)
-
-
-def multiply_times(F: MetaTimesDensity) -> MaxTimesDensity:
-    """Max-times monad multiplication: per-point max of density(x) * weight."""
-    weights = {x: 0.0 for x in F.space.points}
-    for f, w in F.support:
-        for x, fx in f.weights.items():
-            cand = fx * w
-            if cand > weights[x]:
-                weights[x] = cand
-    return MaxTimesDensity(F.space, weights)
+    return F.entry(F.space, weights)
 
 
 def measure_multiplication(
@@ -443,50 +345,33 @@ def measure_multiplication(
 
 
 def check_unit_laws(
-    f: MaxPlusDensity,
+    f: Density,
     tol: float | None = None,
-    multiply_fn: Callable[[MetaDensity], MaxPlusDensity] = multiply,
+    multiply_fn: Callable[[Meta], Density] = multiply,
 ) -> bool:
     """Multiplication absorbs the unit on both sides and returns f."""
-    via_unit = multiply_fn(MetaDensity(((f, 0.0),)))
-    pairs = tuple((dirac(x, f.space), w) for x, w in f.weights.items() if not is_bottom(w))
-    via_functor = multiply_fn(MetaDensity(pairs))
-    return density_close(via_unit, f, tol) and density_close(via_functor, f, tol)
+    tol = resolve_tolerance(tol)
+    side = f.side
+    meta = METAS[side.kind]
+    via_unit = multiply_fn(meta(((f, side.peak),)))
+    pairs = tuple(
+        (dirac(x, f.space, side), w) for x, w in f.weights.items() if w != side.bottom
+    )
+    via_functor = multiply_fn(meta(pairs))
+    return _close(via_unit, f, tol) and _close(via_functor, f, tol)
 
 
-def check_unit_laws_times(
-    g: MaxTimesDensity,
-    tol: float | None = None,
-    multiply_fn: Callable[[MetaTimesDensity], MaxTimesDensity] = multiply_times,
-) -> bool:
-    via_unit = multiply_fn(MetaTimesDensity(((g, 1.0),)))
-    pairs = tuple((dirac_times(x, g.space), w) for x, w in g.weights.items() if w > 0.0)
-    via_functor = multiply_fn(MetaTimesDensity(pairs))
-    return times_close(via_unit, g, tol) and times_close(via_functor, g, tol)
-
-
-def flatten_outer(G: ThirdLevel) -> MetaDensity:
+def flatten_outer(G: Meta) -> Meta:
     """Multiplication one level up: the combined weight of a density is the
-    max over metas of (its weight there) + (the meta's weight in G)."""
-    pairs = []
-    for meta, W in G.support:
-        for f, w in meta.support:
-            pairs.append((f, w + W))
-    return MetaDensity(tuple(pairs))
-
-
-def flatten_outer_times(G: ThirdLevelTimes) -> MetaTimesDensity:
-    pairs = []
-    for meta, W in G.support:
-        for f, w in meta.support:
-            pairs.append((f, w * W))
-    return MetaTimesDensity(tuple(pairs))
+    max over metas of (its weight there) (x) (the meta's weight in G)."""
+    otimes = G.side.otimes
+    return G.entry(tuple((f, otimes(w, W)) for meta, W in G.support for f, w in meta.support))
 
 
 def check_associativity(
-    G: ThirdLevel,
+    G: Meta,
     tol: float | None = None,
-    multiply_fn: Callable[[MetaDensity], MaxPlusDensity] = multiply,
+    multiply_fn: Callable[[Meta], Density] = multiply,
 ) -> bool:
     """Both ways of collapsing a third-level element agree.
 
@@ -495,17 +380,33 @@ def check_associativity(
     the result.  The two composites are computed independently.
     """
     path_a = multiply_fn(flatten_outer(G))
-    collapsed = MetaDensity(tuple((multiply_fn(m), W) for m, W in G.support))
+    collapsed = G.entry(tuple((multiply_fn(m), W) for m, W in G.support))
     path_b = multiply_fn(collapsed)
     return density_close(path_a, path_b, tol)
 
 
-def check_associativity_times(
-    G: ThirdLevelTimes,
-    tol: float | None = None,
-    multiply_fn: Callable[[MetaTimesDensity], MaxTimesDensity] = multiply_times,
-) -> bool:
-    path_a = multiply_fn(flatten_outer_times(G))
-    collapsed = MetaTimesDensity(tuple((multiply_fn(m), W) for m, W in G.support))
-    path_b = multiply_fn(collapsed)
-    return times_close(path_a, path_b, tol)
+# The per-side names of the operations above.  Those that take a density or
+# a meta read the side off it and are plain aliases; the others fix a side.
+normalize_maxplus = normalize
+times_close = density_close
+meta_times_close = meta_close
+eval_measure_times = eval_measure
+pushforward_times = pushforward
+flatten_outer_times = flatten_outer
+check_unit_laws_times = check_unit_laws
+check_associativity_times = check_associativity
+
+
+def normalize_maxtimes(space: FiniteSpace, weights: Mapping[str, float]) -> MaxTimesDensity:
+    return normalize(space, weights, MAXTIMES)
+
+
+def dirac_times(x: str, space: FiniteSpace) -> MaxTimesDensity:
+    return dirac(x, space, MAXTIMES)
+
+
+def multiply_times(F: MetaTimesDensity) -> MaxTimesDensity:
+    """multiply under its max-times name.  A function of its own rather than
+    an alias, so that the span tracer in perfbench/, which names a function
+    by the last module attribute bound to it, still sees `multiply`."""
+    return multiply(F)

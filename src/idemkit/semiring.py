@@ -41,7 +41,17 @@ def default_tolerance() -> float:
 
 
 def resolve_tolerance(tol: float | None) -> float:
-    return default_tolerance() if tol is None else float(tol)
+    """The tolerance to compare with: the library default for None, else
+    `tol` itself, which must be a finite non-negative number."""
+    if tol is None:
+        return default_tolerance()
+    try:
+        value = float(tol)
+    except (TypeError, ValueError):
+        raise ValueError(f"tol must be a number, got {tol!r}") from None
+    if not math.isfinite(value) or value < 0.0:
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+    return value
 
 
 def is_bottom(a: float) -> bool:
@@ -90,9 +100,10 @@ def log_bridge(u: float) -> float:
 
 def score_eq(a: float, b: float, tol: float | None = None) -> bool:
     """Equality up to tolerance; bottom only ever equals bottom."""
+    tol = resolve_tolerance(tol)
     if is_bottom(a) or is_bottom(b):
         return is_bottom(a) and is_bottom(b)
-    return abs(a - b) <= resolve_tolerance(tol)
+    return abs(a - b) <= tol
 
 
 def format_score(a: float, digits: int = 9) -> str:

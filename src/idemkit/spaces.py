@@ -18,7 +18,8 @@ COMONOTONE_SLACK = 1e-12
 @dataclass(frozen=True, eq=False)
 class FiniteSpace:
     """Ordered distinct labels.  Identity is the label set; the order only
-    fixes iteration for deterministic reports, never a result."""
+    fixes iteration for deterministic reports, never a result.  The label
+    set is kept as `label_set`, so membership and equality cost no scan."""
 
     points: tuple[str, ...]
 
@@ -26,17 +27,19 @@ class FiniteSpace:
         pts = tuple(str(p) for p in self.points)
         if not pts:
             raise ValueError("a space needs at least one point")
-        if len(set(pts)) != len(pts):
+        labels = frozenset(pts)
+        if len(labels) != len(pts):
             raise ValueError(f"duplicate point labels: {pts!r}")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "label_set", labels)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteSpace):
             return NotImplemented
-        return set(self.points) == set(other.points)
+        return self.label_set == other.label_set
 
     def __hash__(self):
-        return hash(frozenset(self.points))
+        return hash(self.label_set)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -45,7 +48,10 @@ class FiniteSpace:
         return iter(self.points)
 
     def __contains__(self, label) -> bool:
-        return label in self.points
+        try:
+            return label in self.label_set
+        except TypeError:  # an unhashable label is in no space
+            return False
 
 
 def _total_values(space: FiniteSpace, values: Mapping[str, float]) -> dict[str, float]:

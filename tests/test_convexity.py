@@ -231,6 +231,17 @@ def test_batched_membership_validates_the_grid():
             check_convexity_equivalence(GENS, bad)
 
 
+@pytest.mark.parametrize("tol", [-1, float("nan"), float("inf")])
+def test_membership_rejects_a_bad_explicit_tolerance(tol):
+    assert hull_member([1.0, 3.0], GENS, tol=0.0)
+    with pytest.raises(ValueError, match="tol"):
+        hull_member([1.0, 3.0], GENS, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        barycenter_member([1.0, 3.0], GENS, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        check_convexity_equivalence(GENS, bounding_grid(GENS, per_axis=3), tol)
+
+
 def test_convexity_equivalence_catches_a_corrupted_barycenter_route(monkeypatch):
     grid = bounding_grid(GENS, per_axis=5)
     assert check_convexity_equivalence(GENS, grid)

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,8 @@ from idemkit.semiring import BOTTOM
 from idemkit.spaces import FiniteSpace
 
 AB = FiniteSpace(("a", "b"))
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_every_suite_passes_a_short_run():
@@ -95,3 +100,30 @@ def test_trial_streams_are_stable_and_disjoint():
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
     assert not np.array_equal(a, e)
+
+
+def _inner_densities(witness):
+    return sum(len(entry["meta"]["support"]) for entry in witness["support"])
+
+
+def test_drop_weight_witnesses_match_the_recorded_ones():
+    # recorded at 100 trials, seed 0, while each side had its own shrinkers;
+    # since then the max-times third level also shrinks its inner metas, as
+    # the max-plus one always did, so only max-times assoc witnesses may move
+    recorded = json.loads((DATA / "drop_weight_seed0_100.json").read_text())
+    unit = run_suite("unit", trials=100, seed=0, mutate="drop-weight")
+    assert unit.to_doc() == recorded["unit"]
+
+    failures = run_suite("assoc", trials=100, seed=0, mutate="drop-weight").to_doc()["failures"]
+    assert [[f["trial"], f["description"]] for f in failures] == recorded["assoc"]["failures"]
+    plus = [f for f in failures if "max-plus" in f["description"]]
+    assert plus == recorded["assoc"]["maxplus_failures"]
+    before = recorded["assoc"]["maxtimes_inner_densities"]
+    after = {
+        str(f["trial"]): _inner_densities(f["witness"])
+        for f in failures
+        if "max-times" in f["description"]
+    }
+    assert after.keys() == before.keys()
+    assert all(after[t] <= before[t] for t in before)
+    assert sum(after.values()) < sum(before.values())

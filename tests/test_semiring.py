@@ -11,6 +11,7 @@ from idemkit.semiring import (
     log_bridge,
     oplus,
     otimes,
+    resolve_tolerance,
     score_eq,
 )
 
@@ -143,3 +144,20 @@ def test_tolerance_env_rejects_bad_values(monkeypatch, raw):
         default_tolerance()
     with pytest.raises(ValueError, match="IDEMKIT_TOLERANCE"):
         score_eq(1.0, 1.0)
+
+
+@pytest.mark.parametrize("tol", [-1, -1e-12, float("nan"), float("inf"), float("-inf"), "abc"])
+def test_explicit_tolerance_rejects_bad_values(tol):
+    with pytest.raises(ValueError, match="tol"):
+        resolve_tolerance(tol)
+    with pytest.raises(ValueError, match="tol"):
+        score_eq(1.0, 1.0, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        score_eq(BOTTOM, BOTTOM, tol=tol)
+
+
+def test_explicit_tolerance_is_used_as_given():
+    assert resolve_tolerance(0) == 0.0
+    assert resolve_tolerance(0.5) == 0.5
+    assert score_eq(1.0, 1.4, tol=0.5)
+    assert not score_eq(1.0, 1.0 + 1e-12, tol=0.0)
