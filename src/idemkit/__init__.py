@@ -90,6 +90,7 @@ from .semiring import (
 from .spaces import (
     FiniteSpace,
     PointMap,
+    Probe,
     RealFunction,
     SubsetMask,
     UnitFunction,

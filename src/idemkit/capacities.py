@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .measures import MaxTimesDensity, MetaTimesDensity, multiply
+from .measures import MaxTimesDensity, MetaTimesDensity, check_probe_bound, multiply
 from .seeding import trial_stream
 from .semiring import (
     BOTTOM,
@@ -46,8 +46,8 @@ def subset_bits(space: FiniteSpace, members: Iterable[str]) -> int:
     mask = 0
     for label in members:
         try:
-            mask |= 1 << space.points.index(label)
-        except ValueError:
+            mask |= 1 << space.index[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise ValueError(f"unknown point {label!r}") from None
     return mask
 
@@ -220,8 +220,7 @@ def recover_capacity(
     recovered exactly for functionals produced by integral_functional; a
     monotonicity violation in the result signals a non-conforming oracle.
     """
-    if bound <= 0.0:
-        raise ValueError("probe bound must be positive")
+    check_probe_bound(bound)
     n = len(space)
     if n > MAX_TABLE_POINTS:
         raise ValueError(f"capacity tables support at most {MAX_TABLE_POINTS} points")

@@ -184,10 +184,12 @@ def _restrict(x: Density | Meta, smaller: FiniteSpace):
     return type(x)(tuple((_restrict(e, smaller), w) for e, w in x.support))
 
 
-def _meta_shrinks(F: Meta) -> Iterator[Meta]:
+def _meta_shrinks(F: Meta, keep_space: bool = False) -> Iterator[Meta]:
     """Shrinks of a meta of any depth, in order: drop one support entry and
     renormalize the rest; shrink one entry that is itself a meta; drop one
-    point of the space everywhere."""
+    point of the space everywhere.  With keep_space the last kind is left
+    out: an entry shrunk beside other entries must stay on their space, or
+    the enclosing constructor rejects it."""
     sup = F.support
     if len(sup) > 1:
         residual = F.side.residual
@@ -199,14 +201,15 @@ def _meta_shrinks(F: Meta) -> Iterator[Meta]:
             except ValueError:
                 continue
     if issubclass(F.entry, Meta):
+        inner_keeps_space = keep_space or len(sup) > 1
         for i, (inner, _) in enumerate(sup):
-            for cand in _meta_shrinks(inner):
+            for cand in _meta_shrinks(inner, inner_keeps_space):
                 try:
                     yield type(F)(tuple((cand if k == i else e, w) for k, (e, w) in enumerate(sup)))
                 except ValueError:
                     continue
     pts = F.space.points
-    if len(pts) > 1:
+    if len(pts) > 1 and not keep_space:
         for drop in pts:
             try:
                 yield _restrict(F, FiniteSpace(tuple(p for p in pts if p != drop)))

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping
+
+import numpy as np
 
 # absorbs rounding of equal values when a product of differences sits at zero
 COMONOTONE_SLACK = 1e-12
@@ -19,7 +22,8 @@ COMONOTONE_SLACK = 1e-12
 class FiniteSpace:
     """Ordered distinct labels.  Identity is the label set; the order only
     fixes iteration for deterministic reports, never a result.  The label
-    set is kept as `label_set`, so membership and equality cost no scan."""
+    set is kept as `label_set`, so membership and equality cost no scan,
+    and `index` maps each label to its position in `points`."""
 
     points: tuple[str, ...]
 
@@ -32,8 +36,11 @@ class FiniteSpace:
             raise ValueError(f"duplicate point labels: {pts!r}")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "label_set", labels)
+        object.__setattr__(self, "index", {p: i for i, p in enumerate(pts)})
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, FiniteSpace):
             return NotImplemented
         return self.label_set == other.label_set
@@ -86,6 +93,38 @@ class RealFunction:
     @classmethod
     def constant(cls, space: FiniteSpace, value: float) -> "RealFunction":
         return cls(space, {p: value for p in space.points})
+
+
+class Probe(RealFunction):
+    """A real function held as a float vector in `space.points` order, so
+    that it can be evaluated with numpy reductions.  The label dict
+    `values` is built on first read.  The probe takes the array over: a
+    float64 array is kept without a copy and marked read-only."""
+
+    def __init__(self, space: FiniteSpace, vector):
+        vec = np.asarray(vector, dtype=float)
+        n = len(space)
+        if vec.ndim != 1 or len(vec) > n:
+            raise ValueError(
+                f"a probe on {n} points needs a 1-d vector of {n} values, got shape {vec.shape}"
+            )
+        if len(vec) < n:
+            raise ValueError(f"missing value for point {space.points[len(vec)]!r}")
+        finite = np.isfinite(vec)
+        if np.count_nonzero(finite) != n:
+            i = int(finite.argmin())
+            raise ValueError(f"non-finite value {float(vec[i])!r} at point {space.points[i]!r}")
+        vec.setflags(write=False)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "vector", vec)
+
+    @cached_property
+    def values(self) -> dict[str, float]:
+        return dict(zip(self.space.points, self.vector.tolist()))
+
+    @classmethod
+    def constant(cls, space: FiniteSpace, value: float) -> "Probe":
+        return cls(space, np.full(len(space), float(value)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -169,6 +169,13 @@ def test_recover_capacity_zero_entries_floor():
         recover_capacity(integral_functional(c), AB, -1.0)
 
 
+def test_recover_capacity_rejects_bad_bound():
+    c = Capacity(AB, np.array([0.0, 0.5, 0.5, 1.0]))
+    for bound in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="bound"):
+            recover_capacity(integral_functional(c), AB, bound)
+
+
 def test_check_characterization_accepts_integrals():
     for i in range(10):
         rng = trial_stream(305, i)
@@ -278,3 +285,5 @@ def test_subset_bits_order():
     assert subset_bits(ABC, ["c", "a"]) == 5
     with pytest.raises(ValueError):
         subset_bits(ABC, ["z"])
+    with pytest.raises(ValueError, match="unknown point"):
+        subset_bits(ABC, [["a"]])

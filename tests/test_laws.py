@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from idemkit import laws
 from idemkit.laws import (
     SUITES,
     drop_weight,
@@ -11,7 +12,7 @@ from idemkit.laws import (
     run_suite,
     suite_names,
 )
-from idemkit.measures import MaxPlusDensity, MetaDensity, multiply
+from idemkit.measures import MaxPlusDensity, MetaDensity, ThirdLevel, multiply
 from idemkit.seeding import trial_stream
 from idemkit.semiring import BOTTOM
 from idemkit.spaces import FiniteSpace
@@ -127,3 +128,32 @@ def test_drop_weight_witnesses_match_the_recorded_ones():
     assert after.keys() == before.keys()
     assert all(after[t] <= before[t] for t in before)
     assert sum(after.values()) < sum(before.values())
+
+
+def test_inner_metas_beside_other_entries_are_not_restricted(monkeypatch):
+    # an inner meta shrunk by dropping a point would leave its siblings'
+    # space, so the shrinker only tries that when the meta stands alone
+    abc = FiniteSpace(("a", "b", "c"))
+    m1 = MetaDensity(((MaxPlusDensity(abc, {"a": 0.0, "b": -1.0, "c": -2.0}), 0.0),))
+    m2 = MetaDensity(((MaxPlusDensity(abc, {"a": -2.0, "b": 0.0, "c": -1.0}), 0.0),))
+    restricted = []
+    real = laws._restrict
+
+    def counting(x, smaller):
+        restricted.append(type(x))
+        return real(x, smaller)
+
+    monkeypatch.setattr(laws, "_restrict", counting)
+    pair = ThirdLevel(((m1, 0.0), (m2, -1.0)))
+    candidates = list(laws._meta_shrinks(pair))
+    # two entry drops, then the third level's own three point drops, each
+    # restricting both inner metas
+    assert [len(c.space) for c in candidates] == [3, 3, 2, 2, 2]
+    assert restricted.count(MetaDensity) == 6
+
+    restricted.clear()
+    alone = ThirdLevel(((m1, 0.0),))
+    candidates = list(laws._meta_shrinks(alone))
+    # the inner meta's three point drops come first, then the outer ones
+    assert [len(c.space) for c in candidates] == [2] * 6
+    assert restricted.count(MetaDensity) == 6

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from idemkit.generate import (
@@ -33,6 +35,7 @@ from idemkit.measures import (
     multiply_times,
     normalize_maxplus,
     normalize_maxtimes,
+    probe_function,
     pushforward,
     pushforward_times,
     times_close,
@@ -41,6 +44,7 @@ from idemkit.semiring import BOTTOM, is_bottom
 from idemkit.spaces import (
     FiniteSpace,
     PointMap,
+    Probe,
     RealFunction,
     UnitFunction,
     compose_maps,
@@ -102,6 +106,47 @@ def test_eval_measure_space_mismatch():
         eval_measure(f, RealFunction.constant(ABC, 0.0))
 
 
+def _dict_reduction(f, values):
+    return max(f.side.otimes(w, values[p]) for p, w in f.weights.items())
+
+
+def test_eval_measure_on_a_probe_equals_the_dict_reduction():
+    values = {"a": 2.0, "b": -64.0, "c": 0.5}
+    cab = FiniteSpace(("c", "a", "b"))
+    for weights in (
+        {"a": 0.0, "b": -1.0, "c": BOTTOM},
+        {"a": BOTTOM, "b": 0.0, "c": BOTTOM},
+        {"a": -0.25, "b": BOTTOM, "c": 0.0},
+    ):
+        f = MaxPlusDensity(ABC, weights)
+        expected = _dict_reduction(f, values)
+        assert eval_measure(f, RealFunction(ABC, values)) == expected
+        assert eval_measure(f, Probe(ABC, [values[p] for p in ABC.points])) == expected
+        # same labels listed in another order: the probe is read by label
+        assert eval_measure(f, Probe(cab, [values[p] for p in cab.points])) == expected
+    g = MaxTimesDensity(ABC, {"a": 1.0, "b": 0.0, "c": 0.5})
+    unit = {"a": 0.25, "b": 1.0, "c": 0.75}
+    assert eval_measure(g, Probe(cab, [unit[p] for p in cab.points])) == _dict_reduction(g, unit)
+    for i in range(30):
+        rng = trial_stream(310, i)
+        space = random_space(rng, 6)
+        f = random_maxplus_density(rng, space)
+        phi = random_real_function(rng, space)
+        backwards = FiniteSpace(space.points[::-1])
+        expected = eval_measure(f, phi)
+        assert expected == _dict_reduction(f, phi.values)
+        assert eval_measure(f, Probe(space, [phi(p) for p in space.points])) == expected
+        assert eval_measure(f, Probe(backwards, [phi(p) for p in backwards.points])) == expected
+
+
+def test_probe_function_is_a_probe():
+    phi = probe_function(ABC, "b", 10.0)
+    assert isinstance(phi, Probe)
+    assert phi.values == {"a": -10.0, "b": 0.0, "c": -10.0}
+    with pytest.raises(ValueError):
+        probe_function(ABC, "z", 10.0)
+
+
 def test_eval_measure_is_an_idempotent_measure():
     # normalization, translation, and max-preservation on random instances
     for i in range(200):
@@ -153,6 +198,9 @@ def test_density_from_functional_examples():
 def test_density_from_functional_rejects_bad_bound():
     with pytest.raises(ValueError):
         density_from_functional(lambda phi: 0.0, AB, 0.0)
+    for bound in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="bound"):
+            density_from_functional(lambda phi: 0.0, AB, bound)
 
 
 def test_dirac_examples():

@@ -1,8 +1,12 @@
+import math
+
+import numpy as np
 import pytest
 
 from idemkit.spaces import (
     FiniteSpace,
     PointMap,
+    Probe,
     RealFunction,
     SubsetMask,
     UnitFunction,
@@ -28,6 +32,44 @@ def test_space_identity_is_the_label_set():
     assert FiniteSpace(("a", "b")) == FiniteSpace(("b", "a"))
     assert FiniteSpace(("a", "b")) != FiniteSpace(("a", "c"))
     assert hash(FiniteSpace(("a", "b"))) == hash(FiniteSpace(("b", "a")))
+
+
+def test_space_index_maps_each_label_to_its_position():
+    assert ABC.index == {"a": 0, "b": 1, "c": 2}
+    cab = FiniteSpace(("c", "a", "b"))
+    assert cab.index == {"c": 0, "a": 1, "b": 2}
+    assert all(cab.points[i] == p for p, i in cab.index.items())
+    assert cab == ABC and ABC == ABC
+
+
+def test_probe_values_are_its_label_dict():
+    phi = Probe(ABC, np.array([0.5, -2.0, 3.0]))
+    assert isinstance(phi, RealFunction)
+    assert phi.values == {"a": 0.5, "b": -2.0, "c": 3.0}
+    assert list(phi.values) == list(ABC.points)
+    assert phi("b") == -2.0
+    cab = Probe(FiniteSpace(("c", "a", "b")), [3, 0.5, -2])
+    assert cab.values == {"c": 3.0, "a": 0.5, "b": -2.0}
+    assert Probe.constant(ABC, 1.5).values == RealFunction.constant(ABC, 1.5).values
+
+
+def test_probe_vector_is_read_only():
+    phi = Probe(ABC, np.zeros(3))
+    assert phi.vector.dtype == np.float64
+    with pytest.raises(ValueError):
+        phi.vector[0] = 1.0
+
+
+def test_probe_rejects_a_bad_vector_and_names_the_point():
+    with pytest.raises(ValueError, match="missing value for point 'c'"):
+        Probe(ABC, [0.0, 1.0])
+    with pytest.raises(ValueError, match="3 values"):
+        Probe(ABC, [0.0, 1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="3 values"):
+        Probe(ABC, np.zeros((1, 3)))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"non-finite value {bad!r} at point 'b'"):
+            Probe(ABC, [1.0, bad, bad])
 
 
 def test_real_function_requires_exact_cover():
