@@ -31,7 +31,7 @@ from .semiring import (
     resolve_tolerance,
     score_eq,
 )
-from .spaces import FiniteSpace, RealFunction, SubsetMask
+from .spaces import FiniteSpace, Probe, RealFunction, SubsetMask
 
 # full subset tables grow as 2^n; beyond this the representation is unusable
 MAX_TABLE_POINTS = 20
@@ -39,6 +39,9 @@ MAX_TABLE_POINTS = 20
 TABLE_SLACK = 1e-12
 
 DEFAULT_RECOVERY_BOUND = 40.0
+
+# subsets probed per block by recover_capacity; bounds its extra memory
+RECOVERY_BLOCK = 4096
 
 
 def subset_bits(space: FiniteSpace, members: Iterable[str]) -> int:
@@ -114,12 +117,10 @@ class MetaPossibility(MetaTimesDensity):
 
 def _maxitive_table(values) -> np.ndarray:
     """The maxitive table whose singleton values are `values`, in point order."""
-    n = len(values)
-    table = np.zeros(1 << n)
-    idx = np.arange(1 << n)
+    table = np.zeros(1 << len(values))
     for i, v in enumerate(values):
-        hit = (idx >> i & 1) == 1
-        table[hit] = np.maximum(table[hit], v)
+        # the subsets whose top point is i: those below it, each joined with i
+        table[1 << i : 2 << i] = np.maximum(table[: 1 << i], v)
     return table
 
 
@@ -140,18 +141,29 @@ def is_possibility(c: Capacity, tol: float | None = None) -> bool:
 # integrals
 
 
+def _values_in_point_order(c: Capacity, phi: RealFunction) -> list[float]:
+    """The values of phi as a list in c.space.points order, the order of the
+    table's bitmasks; phi may list the same points in another order."""
+    if isinstance(phi, Probe):
+        vals = phi.vector.tolist()
+        if phi.space is not c.space and phi.space.points != c.space.points:
+            index = phi.space.index
+            vals = [vals[index[p]] for p in c.space.points]
+        return vals
+    return list(map(phi.values.__getitem__, c.space.points))
+
+
 def _level_candidates(c: Capacity, phi: RealFunction):
     """Yield (t, capacity of the level set at t) for every attained value t,
     scanning values downward and growing the mask."""
-    order = sorted(
-        range(len(phi.space)), key=lambda i: phi.values[phi.space.points[i]], reverse=True
-    )
+    vals = _values_in_point_order(c, phi)
+    n = len(vals)
+    order = sorted(range(n), key=vals.__getitem__, reverse=True)
     mask = 0
     k = 0
-    n = len(order)
     while k < n:
-        t = phi.values[phi.space.points[order[k]]]
-        while k < n and phi.values[phi.space.points[order[k]]] == t:
+        t = vals[order[k]]
+        while k < n and vals[order[k]] == t:
             mask |= 1 << order[k]
             k += 1
         yield t, float(c.table[mask])
@@ -219,18 +231,25 @@ def recover_capacity(
     is exp of the clamped probe result.  Entries at least exp(-bound) are
     recovered exactly for functionals produced by integral_functional; a
     monotonicity violation in the result signals a non-conforming oracle.
+
+    The probes are Probe vectors in point order, built from the bitmasks of
+    up to RECOVERY_BLOCK subsets at a time and checked once per block, so
+    the extra memory stays O(RECOVERY_BLOCK * n).  The oracle is still called
+    once per non-empty subset, in increasing mask order.
     """
     check_probe_bound(bound)
     n = len(space)
     if n > MAX_TABLE_POINTS:
         raise ValueError(f"capacity tables support at most {MAX_TABLE_POINTS} points")
     table = np.zeros(1 << n)
-    for mask in range(1, 1 << n):
-        phi = RealFunction(
-            space, {p: 0.0 if mask >> i & 1 else -bound for i, p in enumerate(space.points)}
-        )
-        v = float(oracle(phi))
-        table[mask] = exp_bridge(min(0.0, v))
+    point_bits = 1 << np.arange(n)
+    for start in range(1, 1 << n, RECOVERY_BLOCK):
+        masks = np.arange(start, min(start + RECOVERY_BLOCK, 1 << n))
+        inside = (masks[:, None] & point_bits) != 0
+        probes = Probe.rows(space, np.where(inside, 0.0, -bound))
+        for mask, phi in zip(masks.tolist(), probes):
+            v = float(oracle(phi))
+            table[mask] = exp_bridge(min(0.0, v))
     return Capacity(space, table)
 
 

@@ -185,15 +185,14 @@ def random_third_times(
 
 
 def random_capacity(rng: np.random.Generator, space: FiniteSpace) -> Capacity:
-    """Uniform draws made monotone by an upward sweep, then normalized."""
+    """Uniform draws made monotone, then normalized: each entry becomes the
+    max of the draws over its subsets, built in one pass per point."""
     n = len(space)
     vals = rng.uniform(0.0, 1.0, 1 << n)
-    for mask in range(1, 1 << n):
-        for i in range(n):
-            if mask >> i & 1:
-                below = vals[mask ^ (1 << i)]
-                if below > vals[mask]:
-                    vals[mask] = below
+    for i in range(n):
+        # pairs[:, 1] are the masks with point i, pairs[:, 0] the same masks without it
+        pairs = vals.reshape(-1, 2, 1 << i)
+        np.maximum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
     vals[0] = 0.0
     return Capacity(space, vals / vals[-1])
 

@@ -283,6 +283,7 @@ def check_probe_bound(bound: float) -> None:
 def probe_function(space: FiniteSpace, x: str, bound: float) -> Probe:
     """The recovery probe: 0 at x and -bound elsewhere, as a vector in point
     order, so that eval_measure reduces it in numpy."""
+    check_probe_bound(bound)
     try:
         i = space.index[x]
     except (KeyError, TypeError):  # TypeError: an unhashable label

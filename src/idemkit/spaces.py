@@ -126,6 +126,32 @@ class Probe(RealFunction):
     def constant(cls, space: FiniteSpace, value: float) -> "Probe":
         return cls(space, np.full(len(space), float(value)))
 
+    @classmethod
+    def rows(cls, space: FiniteSpace, matrix) -> list["Probe"]:
+        """One probe per row of an (m, len(space)) block, each a view of it.
+        The block is checked once, with the invariants of the constructor,
+        and taken over like a single probe's vector: marked read-only."""
+        block = np.asarray(matrix, dtype=float)
+        n = len(space)
+        if block.ndim != 2 or block.shape[1] != n:
+            raise ValueError(
+                f"probe rows on {n} points need an (m, {n}) block, got shape {block.shape}"
+            )
+        finite = np.isfinite(block)
+        if not finite.all():
+            r, i = np.argwhere(~finite)[0].tolist()
+            raise ValueError(
+                f"non-finite value {float(block[r, i])!r} at point {space.points[i]!r} in row {r}"
+            )
+        block.setflags(write=False)
+        probes = []
+        for row in block:
+            probe = cls.__new__(cls)
+            object.__setattr__(probe, "space", space)
+            object.__setattr__(probe, "vector", row)
+            probes.append(probe)
+        return probes
+
 
 @dataclass(frozen=True, eq=False)
 class UnitFunction:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from idemkit.capacities import (
+    RECOVERY_BLOCK,
     Capacity,
     MetaPossibility,
     PossibilityProfile,
@@ -30,7 +31,7 @@ from idemkit.generate import (
 )
 from idemkit.laws import sweep_grid, swept_capacity_value
 from idemkit.semiring import BOTTOM
-from idemkit.spaces import FiniteSpace, RealFunction, fn_max, fn_shift
+from idemkit.spaces import FiniteSpace, Probe, RealFunction, fn_max, fn_shift
 
 ABC = FiniteSpace(("a", "b", "c"))
 AB = FiniteSpace(("a", "b"))
@@ -59,6 +60,17 @@ def test_capacity_from_profile_examples():
     assert c.value({"b", "c"}) == 0.5
     assert c.value(set()) == 0.0
     assert c.value({"a", "b", "c"}) == 1.0
+
+
+def test_capacity_from_profile_is_the_subset_max():
+    for n in range(1, 11):
+        rng = trial_stream(310, n)
+        profile = random_possibility_profile(rng, FiniteSpace(tuple(f"p{i}" for i in range(n))))
+        values = [profile.weights[p] for p in profile.space.points]
+        expected = [max([0.0] + [v for i, v in enumerate(values) if m >> i & 1]) for m in range(1 << n)]
+        c = capacity_from_profile(profile)
+        assert c.table.tolist() == expected
+        assert is_possibility(c)
 
 
 def test_capacity_validation():
@@ -110,6 +122,26 @@ def test_maxplus_integral_matches_brute_force_on_random_input():
         c = random_capacity(rng, space)
         phi = random_real_function(rng, space)
         assert brute_integral(c, phi) == pytest.approx(maxplus_integral(c, phi), abs=1e-4)
+
+
+def test_integrals_read_a_function_on_a_reordered_space_by_label():
+    c = Capacity(AB, np.array([0.0, 1.0, 0.25, 1.0]))  # c({a}) = 1, c({b}) = 0.25
+    expected = (math.log(0.25) + 2.0, math.exp(2.0) * 0.25)
+    for space in (AB, FiniteSpace(("b", "a"))):
+        phi = RealFunction(space, {"a": 0.0, "b": 2.0})
+        probe = Probe(space, [phi(p) for p in space.points])
+        for f in (phi, probe):
+            assert maxplus_integral(c, f) == expected[0]
+            assert shilkret_integral(c, f) == expected[1]
+    for i in range(20):
+        rng = trial_stream(309, i)
+        space = random_space(rng, 5)
+        c = random_capacity(rng, space)
+        phi = random_real_function(rng, space)
+        turned = FiniteSpace(space.points[::-1])
+        for f in (RealFunction(turned, phi.values), Probe(turned, [phi(p) for p in turned.points])):
+            assert maxplus_integral(c, f) == maxplus_integral(c, phi)
+            assert shilkret_integral(c, f) == shilkret_integral(c, phi)
 
 
 def test_possibility_integral_examples():
@@ -174,6 +206,47 @@ def test_recover_capacity_rejects_bad_bound():
     for bound in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="bound"):
             recover_capacity(integral_functional(c), AB, bound)
+
+
+def _recover_with_dict_probes(oracle, space, bound):
+    """The recovery loop on label-dict probes, one per non-empty subset."""
+    table = np.zeros(1 << len(space))
+    for mask in range(1, 1 << len(space)):
+        phi = RealFunction(
+            space, {p: 0.0 if mask >> i & 1 else -bound for i, p in enumerate(space.points)}
+        )
+        table[mask] = math.exp(min(0.0, float(oracle(phi))))
+    return table
+
+
+def test_recover_capacity_across_probe_blocks():
+    space = FiniteSpace(tuple(f"p{i}" for i in range(13)))
+    assert 1 << len(space) > RECOVERY_BLOCK
+    c = random_capacity(trial_stream(305, 0), space)
+    oracle = integral_functional(c)
+    recovered = recover_capacity(oracle, space, 40.0)
+    assert np.array_equal(recovered.table, _recover_with_dict_probes(oracle, space, 40.0))
+    assert np.max(np.abs(recovered.table - c.table)) <= 1e-9
+
+    def by_values(phi):
+        return maxplus_integral(c, RealFunction(space, dict(phi.values)))
+
+    assert np.array_equal(recover_capacity(by_values, space, 40.0).table, recovered.table)
+
+
+def test_recover_capacity_calls_the_oracle_once_per_subset_in_mask_order():
+    for n in (1, 4, 13):
+        space = FiniteSpace(tuple(f"p{i}" for i in range(n)))
+        c = random_capacity(trial_stream(306, n), space)
+        seen = []
+
+        def oracle(phi):
+            assert isinstance(phi, Probe) and phi.space is space
+            seen.append(sum(1 << i for i, v in enumerate(phi.vector) if v == 0.0))
+            return maxplus_integral(c, phi)
+
+        recover_capacity(oracle, space, 40.0)
+        assert seen == list(range(1, 1 << n))
 
 
 def test_check_characterization_accepts_integrals():
@@ -278,6 +351,22 @@ def test_meta_possibility_constructor():
         MetaPossibility(((pi1, 0.5),))  # peak weight below 1
     dropped = MetaPossibility(((pi1, 1.0), (PossibilityProfile(AB, {"a": 0.0, "b": 1.0}), 0.0)))
     assert len(dropped.support) == 1
+
+
+def test_random_capacity_is_the_upward_sweep():
+    for n in range(1, 9):
+        space = FiniteSpace(tuple(f"p{i}" for i in range(n)))
+        for seed in range(20):
+            vals = np.random.default_rng(seed).uniform(0.0, 1.0, 1 << n)
+            for mask in range(1, 1 << n):
+                for i in range(n):
+                    if mask >> i & 1:
+                        below = vals[mask ^ (1 << i)]
+                        if below > vals[mask]:
+                            vals[mask] = below
+            vals[0] = 0.0
+            got = random_capacity(np.random.default_rng(seed), space)
+            assert got.table.tobytes() == (vals / vals[-1]).tobytes()
 
 
 def test_subset_bits_order():

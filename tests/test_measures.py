@@ -147,6 +147,12 @@ def test_probe_function_is_a_probe():
         probe_function(ABC, "z", 10.0)
 
 
+def test_probe_function_rejects_bad_bound():
+    for bound in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="bound"):
+            probe_function(ABC, "b", bound)
+
+
 def test_eval_measure_is_an_idempotent_measure():
     # normalization, translation, and max-preservation on random instances
     for i in range(200):

@@ -72,6 +72,30 @@ def test_probe_rejects_a_bad_vector_and_names_the_point():
             Probe(ABC, [1.0, bad, bad])
 
 
+def test_probe_rows_are_read_only_probes_of_each_row():
+    block = np.array([[0.5, -2.0, 3.0], [1.0, 1.0, -1.0]])
+    probes = Probe.rows(ABC, block)
+    assert len(probes) == 2 and all(type(p) is Probe for p in probes)
+    assert probes[0].values == Probe(ABC, [0.5, -2.0, 3.0]).values
+    assert probes[1]("c") == -1.0
+    assert probes[1].vector.base is not None  # a view of the block, not a copy
+    for target in (block, probes[0].vector):
+        with pytest.raises(ValueError):
+            target[0] = 9.0
+    assert Probe.rows(ABC, np.zeros((0, 3))) == []
+
+
+def test_probe_rows_reject_a_bad_block_and_name_the_point():
+    for shape in ((2, 2), (2, 4), (3,), (1, 1, 3)):
+        with pytest.raises(ValueError, match=r"\(m, 3\) block"):
+            Probe.rows(ABC, np.zeros(shape))
+    for bad in (math.nan, math.inf, -math.inf):
+        block = np.zeros((3, 3))
+        block[2, 1] = bad
+        with pytest.raises(ValueError, match=f"non-finite value {bad!r} at point 'b' in row 2"):
+            Probe.rows(ABC, block)
+
+
 def test_real_function_requires_exact_cover():
     with pytest.raises(ValueError):
         RealFunction(ABC, {"a": 1.0, "b": 2.0})
