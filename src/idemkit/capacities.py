@@ -13,10 +13,18 @@ thresholds t of log(c(level set at t)) + t.  The supremum over all real t is
 attained at one of the finitely many values of phi (between consecutive
 values the level set is constant and the candidate grows linearly with t),
 so restricting t to the value set is exact, not an approximation.
+
+integral_functional(c) is that integral as a functional.  It is callable
+on one function, and its `batch` integrates every row of a block in one
+numpy pass to the same floats; recover_capacity reads a capacity back off
+it one block of indicator rows at a time.  maxplus_integral and
+shilkret_integral stay scalar scans, the independent cross-check of the
+batch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -31,7 +39,7 @@ from .semiring import (
     resolve_tolerance,
     score_eq,
 )
-from .spaces import FiniteSpace, Probe, RealFunction, SubsetMask
+from .spaces import FiniteSpace, Probe, RealFunction, SubsetMask, checked_block
 
 # full subset tables grow as 2^n; beyond this the representation is unusable
 MAX_TABLE_POINTS = 20
@@ -73,17 +81,21 @@ class Capacity:
         table = np.asarray(self.table, dtype=float).copy()
         if table.shape != (1 << n,):
             raise ValueError(f"capacity table needs {1 << n} entries, got {table.shape}")
-        if not np.all(np.isfinite(table)) or table.min() < 0.0 or table.max() > 1.0:
+        if not np.isfinite(table).all() or table.min() < 0.0 or table.max() > 1.0:
             raise ValueError("capacity values must lie in [0, 1]")
         if abs(table[0]) > TABLE_SLACK:
             raise ValueError(f"capacity of the empty set is {float(table[0])!r}, expected 0")
         if abs(table[-1] - 1.0) > TABLE_SLACK:
             raise ValueError(f"capacity of the whole space is {float(table[-1])!r}, expected 1")
-        idx = np.arange(1 << n)
         for i in range(n):
-            grown = table[idx | (1 << i)]
-            if np.any(table > grown + TABLE_SLACK):
-                bad = int(np.argmax(table - grown))
+            # pairs[:, 0] are the masks without point i, pairs[:, 1] the same masks with it
+            pairs = table.reshape(-1, 2, 1 << i)
+            lo, hi = pairs[:, 0], pairs[:, 1]
+            if (lo > hi + TABLE_SLACK).any():
+                # lo holds the masks without point i in increasing order, so its
+                # first argmax is the first worst mask, the witness of a full scan
+                j, k = divmod(int(np.argmax(lo - hi)), 1 << i)
+                bad = j << (i + 1) | k
                 raise ValueError(
                     f"capacity not monotone at {bits_members(self.space, bad)!r}"
                 )
@@ -211,13 +223,58 @@ def check_repr(pi: PossibilityProfile, phi: RealFunction, tol: float | None = No
     )
 
 
-def integral_functional(c: Capacity) -> Callable[[RealFunction], float]:
-    """The integral as a functional on functions."""
+class IntegralFunctional:
+    """The max-plus integral against a fixed capacity, as a functional.
 
-    def oracle(phi: RealFunction) -> float:
-        return maxplus_integral(c, phi)
+    Calling it on a function is maxplus_integral.  `batch` integrates every
+    row of a block in one numpy pass, to the same floats: per row it sorts
+    the values downward, takes the cumulative sum of their point bits (the
+    mask of each prefix's level set), keeps only the last position of each
+    tie group, where the prefix is the whole level set, and takes the max of
+    log c(mask) + t.  The logs come from a table built once, on the first
+    batch, with log_bridge, so each entry is the float the scalar path uses.
+    """
 
-    return oracle
+    __slots__ = ("capacity", "_log_table")
+
+    def __init__(self, c: Capacity):
+        self.capacity = c
+        self._log_table = None
+
+    def __call__(self, phi: RealFunction) -> float:
+        return maxplus_integral(self.capacity, phi)
+
+    def batch(self, block, space: FiniteSpace | None = None) -> np.ndarray:
+        """The integral of each row of an (m, n) block.  Its columns follow
+        `space.points`, by default the capacity's own point order; `space`
+        must equal the capacity's space.  The block is checked once: 2-d,
+        n columns, finite values."""
+        c = self.capacity
+        if space is None:
+            space = c.space
+        elif space != c.space:
+            raise ValueError("capacity and function live on different spaces")
+        vals = checked_block(space, block, "integral rows")
+        if space.points != c.space.points:
+            vals = vals[:, [space.index[p] for p in c.space.points]]
+        if self._log_table is None:
+            # log_bridge entry by entry: math.log, and bottom for 0
+            logs = np.full(len(c.table), BOTTOM)
+            nonzero = np.flatnonzero(c.table)
+            logs[nonzero] = list(map(math.log, c.table[nonzero].tolist()))
+            self._log_table = logs
+        order = np.argsort(-vals, axis=1)
+        t = vals[np.arange(len(vals))[:, None], order]
+        cand = self._log_table[np.cumsum(1 << order, axis=1)]
+        cand += t
+        # inside a tie group the prefix is only part of the level set
+        cand[:, :-1][t[:, :-1] == t[:, 1:]] = BOTTOM
+        return cand.max(axis=1)
+
+
+def integral_functional(c: Capacity) -> IntegralFunctional:
+    """The integral as a functional on functions, with a batch form."""
+    return IntegralFunctional(c)
 
 
 def recover_capacity(
@@ -232,24 +289,34 @@ def recover_capacity(
     recovered exactly for functionals produced by integral_functional; a
     monotonicity violation in the result signals a non-conforming oracle.
 
-    The probes are Probe vectors in point order, built from the bitmasks of
-    up to RECOVERY_BLOCK subsets at a time and checked once per block, so
-    the extra memory stays O(RECOVERY_BLOCK * n).  The oracle is still called
-    once per non-empty subset, in increasing mask order.
+    The probes are the rows of blocks of up to RECOVERY_BLOCK subsets, in
+    point order, so the extra memory stays O(RECOVERY_BLOCK * n).  An oracle
+    with a `batch(block, space)` method, such as an IntegralFunctional, gets
+    each block whole and returns one value per row.  Any other oracle is
+    called once per non-empty subset, in increasing mask order, on the
+    block's rows as Probe vectors.
     """
     check_probe_bound(bound)
     n = len(space)
     if n > MAX_TABLE_POINTS:
         raise ValueError(f"capacity tables support at most {MAX_TABLE_POINTS} points")
+    batch = getattr(oracle, "batch", None)
     table = np.zeros(1 << n)
     point_bits = 1 << np.arange(n)
     for start in range(1, 1 << n, RECOVERY_BLOCK):
-        masks = np.arange(start, min(start + RECOVERY_BLOCK, 1 << n))
-        inside = (masks[:, None] & point_bits) != 0
-        probes = Probe.rows(space, np.where(inside, 0.0, -bound))
-        for mask, phi in zip(masks.tolist(), probes):
-            v = float(oracle(phi))
-            table[mask] = exp_bridge(min(0.0, v))
+        stop = min(start + RECOVERY_BLOCK, 1 << n)
+        masks = np.arange(start, stop)
+        block = np.where((masks[:, None] & point_bits) != 0, 0.0, -bound)
+        if batch is None:
+            values = [float(oracle(phi)) for phi in Probe.rows(space, block)]
+        else:
+            values = np.asarray(batch(block, space), dtype=float)
+            if values.shape != masks.shape:
+                raise ValueError(
+                    f"a batch oracle returned shape {values.shape} for {len(masks)} probe rows"
+                )
+            values = values.tolist()
+        table[start:stop] = [exp_bridge(min(0.0, v)) for v in values]
     return Capacity(space, table)
 
 

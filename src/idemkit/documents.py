@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .capacities import Capacity, PossibilityProfile, bits_members, subset_bits
+from .capacities import Capacity, PossibilityProfile, subset_bits
 from .convexity import GeneratorSet
 from .measures import DENSITIES, MAXPLUS, METAS, Density, MaxTimesDensity, Meta
 from .semiring import BOTTOM, is_bottom
@@ -149,10 +149,17 @@ def capacity_to_doc(c: Capacity) -> dict:
     for label in c.space.points:
         if "|" in label:
             raise ValueError(f"label {label!r} contains '|', the subset-key separator")
-    sets = {}
-    for mask in range(len(c.table)):
-        key = "|".join(sorted(bits_members(c.space, mask)))
-        sets[key] = float(c.table[mask])
+    # keys by doubling over the labels in sorted order, so each key lists its
+    # labels sorted; sorted_mask maps a point-order mask to its key's index
+    labels = sorted(c.space.points)
+    keys = [""]
+    for label in labels:
+        keys += [f"{key}|{label}" if key else label for key in keys]
+    rank = {p: r for r, p in enumerate(labels)}
+    sorted_mask = np.zeros(len(c.table), dtype=np.intp)
+    for i, p in enumerate(c.space.points):
+        sorted_mask[1 << i : 2 << i] = sorted_mask[: 1 << i] | 1 << rank[p]
+    sets = dict(zip(map(keys.__getitem__, sorted_mask.tolist()), c.table.tolist()))
     return {"kind": "capacity", "sets": sets}
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, ClassVar, Mapping
 
 import numpy as np
@@ -102,11 +101,15 @@ class Density:
     def __call__(self, point: str) -> float:
         return self.weights[point]
 
-    @cached_property
+    @property
     def vector(self) -> np.ndarray:
-        """The weights in point order, as a read-only float64 array."""
-        vec = np.fromiter(self.weights.values(), float, len(self.weights))
-        vec.setflags(write=False)
+        """The weights in point order, as a read-only float64 array, built on
+        the first read and stored."""
+        vec = self.__dict__.get("_vector")
+        if vec is None:
+            vec = np.fromiter(self.weights.values(), float, len(self.weights))
+            vec.setflags(write=False)
+            object.__setattr__(self, "_vector", vec)
         return vec
 
     def support(self) -> tuple[str, ...]:

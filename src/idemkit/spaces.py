@@ -131,18 +131,7 @@ class Probe(RealFunction):
         """One probe per row of an (m, len(space)) block, each a view of it.
         The block is checked once, with the invariants of the constructor,
         and taken over like a single probe's vector: marked read-only."""
-        block = np.asarray(matrix, dtype=float)
-        n = len(space)
-        if block.ndim != 2 or block.shape[1] != n:
-            raise ValueError(
-                f"probe rows on {n} points need an (m, {n}) block, got shape {block.shape}"
-            )
-        finite = np.isfinite(block)
-        if not finite.all():
-            r, i = np.argwhere(~finite)[0].tolist()
-            raise ValueError(
-                f"non-finite value {float(block[r, i])!r} at point {space.points[i]!r} in row {r}"
-            )
+        block = checked_block(space, matrix, "probe rows")
         block.setflags(write=False)
         probes = []
         for row in block:
@@ -151,6 +140,23 @@ class Probe(RealFunction):
             object.__setattr__(probe, "vector", row)
             probes.append(probe)
         return probes
+
+
+def checked_block(space: FiniteSpace, matrix, what: str) -> np.ndarray:
+    """An (m, len(space)) float block of finite values, one function per row
+    with its columns in `space.points` order.  An error names the first bad
+    row and point; `what` names the caller's rows in a shape error."""
+    block = np.asarray(matrix, dtype=float)
+    n = len(space)
+    if block.ndim != 2 or block.shape[1] != n:
+        raise ValueError(f"{what} on {n} points need an (m, {n}) block, got shape {block.shape}")
+    finite = np.isfinite(block)
+    if not finite.all():
+        r, i = np.argwhere(~finite)[0].tolist()
+        raise ValueError(
+            f"non-finite value {float(block[r, i])!r} at point {space.points[i]!r} in row {r}"
+        )
+    return block
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,6 +8,7 @@ from idemkit.capacities import (
     Capacity,
     MetaPossibility,
     PossibilityProfile,
+    bits_members,
     capacity_from_profile,
     check_characterization,
     check_repr,
@@ -82,6 +83,41 @@ def test_capacity_validation():
         Capacity(AB, [0.0, 0.8, 0.5, 0.7])  # not monotone
     with pytest.raises(ValueError):
         Capacity(FiniteSpace(tuple(f"p{i}" for i in range(21))), [0.0])
+
+
+def _first_monotonicity_witness(space, table):
+    """The witness of the monotonicity check made with one gather per point:
+    the first point i, then the first worst mask in mask order."""
+    idx = np.arange(len(table))
+    for i in range(len(space)):
+        grown = table[idx | (1 << i)]
+        if np.any(table > grown + 1e-12):
+            bad = int(np.argmax(table - grown))
+            return f"capacity not monotone at {bits_members(space, bad)!r}"
+    return None
+
+
+def test_capacity_monotonicity_witness_matches_the_gather_check():
+    raised = 0
+    for n in range(1, 11):
+        space = FiniteSpace(tuple(f"p{i}" for i in range(n)))
+        for k in range(20):
+            rng = trial_stream(610, n * 100 + k)
+            table = rng.uniform(0.0, 1.0, 1 << n)
+            if k % 2:  # mostly monotone: a few dips below a subset
+                table = random_capacity(rng, space).table.copy()
+                dips = rng.integers(1, len(table) - 1, 1 + n // 3) if n > 1 else []
+                table[dips] = table[dips] * rng.uniform(0.0, 1.0, len(dips))
+            table[0], table[-1] = 0.0, 1.0
+            expected = _first_monotonicity_witness(space, table)
+            if expected is None:
+                Capacity(space, table)
+                continue
+            raised += 1
+            with pytest.raises(ValueError) as info:
+                Capacity(space, table)
+            assert str(info.value) == expected
+    assert raised >= 150
 
 
 def test_is_possibility():
@@ -178,6 +214,68 @@ def test_integral_functional_examples():
     assert integral_functional(c)(RealFunction.constant(ABC, 1.0)) == pytest.approx(1.0)
 
 
+def _tied_rows(rng, m, n):
+    """Rows of uniform draws, a third of them drawn from five values so that
+    most have ties, and some holding only 0.0 and -0.0, which tie."""
+    block = rng.uniform(-5.0, 5.0, (m, n))
+    block[::3] = rng.integers(-2, 3, (len(block[::3]), n)) * 0.75
+    block[1::5] = np.where(rng.random((len(block[1::5]), n)) < 0.5, 0.0, -0.0)
+    return block
+
+
+def _jittered_plateaus(rng, space):
+    """A capacity with few distinct values, each entry but the whole space
+    raised by up to 5e-13: monotone only within TABLE_SLACK, so a part of a
+    tie group can have a larger value than the whole group."""
+    table = np.ceil(random_capacity(rng, space).table * 4.0) / 4.0
+    table[1:-1] = np.minimum(table[1:-1] + rng.uniform(0.0, 5e-13, len(table) - 2), 1.0)
+    return Capacity(space, table)
+
+
+def test_integral_batch_matches_the_scalar_integral_row_by_row():
+    for n in range(1, 15):
+        rng = trial_stream(612, n)
+        space = FiniteSpace(tuple(f"p{i}" for i in range(n)))
+        reordered = FiniteSpace(tuple(space.points[i] for i in rng.permutation(n)[::-1]))
+        for c, on in (
+            (random_capacity(rng, space), space),
+            (random_capacity(rng, space), reordered),
+            (_jittered_plateaus(rng, space), space),
+        ):
+            functional = integral_functional(c)
+            block = _tied_rows(rng, 60, n)
+            got = functional.batch(block, on)
+            assert got.shape == (60,)
+            for row, value in zip(block, got.tolist()):
+                phi = RealFunction(on, dict(zip(on.points, row.tolist())))
+                assert repr(value) == repr(maxplus_integral(c, phi))
+            if on is space:
+                assert np.array_equal(functional.batch(block), got)
+
+
+def test_integral_batch_takes_an_empty_block_and_leaves_its_input_alone():
+    c = random_capacity(trial_stream(613, 0), ABC)
+    functional = integral_functional(c)
+    assert functional.batch(np.zeros((0, 3))).shape == (0,)
+    block = np.array([[1.0, 2.0, 2.0]])
+    assert functional.batch(block).tolist() == [maxplus_integral(c, Probe(ABC, block[0]))]
+    block[0, 0] = 3.0  # still writable: batch does not take the block over
+
+
+def test_integral_batch_rejects_a_bad_block_and_names_the_row_and_point():
+    functional = integral_functional(random_capacity(trial_stream(613, 1), ABC))
+    for shape in ((3,), (2, 2), (2, 4), (1, 1, 3)):
+        with pytest.raises(ValueError, match=r"\(m, 3\) block"):
+            functional.batch(np.zeros(shape))
+    for bad in (math.nan, math.inf, -math.inf):
+        block = np.zeros((4, 3))
+        block[2, 1] = bad
+        with pytest.raises(ValueError, match=rf"{bad!r} at point 'b' in row 2"):
+            functional.batch(block)
+    with pytest.raises(ValueError, match="different spaces"):
+        functional.batch(np.zeros((1, 2)), AB)
+
+
 def test_recover_capacity_round_trip():
     c = capacity_from_profile(PossibilityProfile(ABC, WORKED_PROFILE))
     recovered = recover_capacity(integral_functional(c), ABC, 40.0)
@@ -232,6 +330,28 @@ def test_recover_capacity_across_probe_blocks():
         return maxplus_integral(c, RealFunction(space, dict(phi.values)))
 
     assert np.array_equal(recover_capacity(by_values, space, 40.0).table, recovered.table)
+
+
+def test_recover_capacity_from_a_batch_matches_the_per_mask_calls():
+    for n, seed in ((1, 0), (4, 1), (13, 2), (13, 3)):
+        space = FiniteSpace(tuple(f"p{i}" for i in range(n)))
+        reordered = FiniteSpace(space.points[::-1])
+        functional = integral_functional(random_capacity(trial_stream(614, seed), space))
+        for on in (space, reordered):
+            one_by_one = recover_capacity(lambda phi: functional(phi), on, 40.0)
+            assert np.array_equal(recover_capacity(functional, on, 40.0).table, one_by_one.table)
+
+
+def test_recover_capacity_checks_what_a_batch_oracle_returns():
+    class Short:
+        def __call__(self, phi):
+            return 0.0
+
+        def batch(self, block, space):
+            return np.zeros(len(block) - 1)
+
+    with pytest.raises(ValueError, match="shape"):
+        recover_capacity(Short(), ABC, 40.0)
 
 
 def test_recover_capacity_calls_the_oracle_once_per_subset_in_mask_order():

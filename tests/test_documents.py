@@ -5,6 +5,7 @@ import pytest
 
 from idemkit.capacities import PossibilityProfile, capacity_from_profile
 from idemkit.convexity import GeneratorSet
+from idemkit.generate import random_capacity, trial_stream
 from idemkit.documents import (
     capacity_from_doc,
     capacity_to_doc,
@@ -101,6 +102,27 @@ def test_capacity_round_trip():
     assert set(doc["sets"]) == {"", "a", "b", "c", "a|b", "a|c", "b|c", "a|b|c"}
     back = capacity_from_doc(doc, ABC)
     assert np.array_equal(back.table, c.table)
+
+
+def _capacity_doc_by_mask(c):
+    """The capacity document built one mask at a time."""
+    sets = {}
+    for mask in range(len(c.table)):
+        members = [p for i, p in enumerate(c.space.points) if mask >> i & 1]
+        sets["|".join(sorted(members))] = float(c.table[mask])
+    return {"kind": "capacity", "sets": sets}
+
+
+def test_capacity_document_matches_the_per_mask_build_on_a_reordered_space():
+    for n in range(1, 13):
+        rng = trial_stream(611, n)
+        # point order differs from label order, and "p10" sorts before "p2"
+        space = FiniteSpace(tuple(f"p{i}" for i in rng.permutation(n)))
+        assert n == 1 or space.points != tuple(sorted(space.points))
+        c = random_capacity(rng, space)
+        doc = capacity_to_doc(c)
+        assert json.dumps(doc) == json.dumps(_capacity_doc_by_mask(c))
+        assert np.array_equal(capacity_from_doc(doc, space).table, c.table)
 
 
 def test_capacity_document_requires_all_subsets():

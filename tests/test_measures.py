@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from idemkit.generate import (
@@ -60,6 +61,20 @@ ABC = FiniteSpace(("a", "b", "c"))
 
 def plus_density(**weights):
     return MaxPlusDensity(FiniteSpace(tuple(weights)), weights)
+
+
+def test_density_vector_is_a_stored_read_only_array_in_point_order():
+    space = FiniteSpace(("b", "a", "c"))
+    for f in (
+        MaxPlusDensity(space, {"a": 0.0, "b": -1.5, "c": BOTTOM}),
+        MaxTimesDensity(space, {"a": 1.0, "b": 0.25, "c": 0.0}),
+    ):
+        vec = f.vector
+        assert vec.dtype == np.float64
+        assert vec.tolist() == [f.weights[p] for p in space.points]
+        assert f.vector is vec
+        with pytest.raises(ValueError):
+            vec[0] = 0.5
 
 
 def test_density_constructor_rejects_unnormalized():
