@@ -160,19 +160,21 @@ def index_space(count: int, prefix: str = "g") -> FiniteSpace:
 
 
 def density_weights(f: MaxPlusDensity) -> np.ndarray:
-    """Weight vector of a density over an index space, in point order."""
-    return np.array([f.weights[p] for p in f.space.points])
+    """Weight vector of a density over an index space, in point order, as a
+    writable copy."""
+    return np.array(f.vector)
 
 
 def barycenter_members(points, gens: GeneratorSet, tol: float | None = None) -> np.ndarray:
     """Membership decided through the barycenter route for each row of an
     (m, d) array: does some weight density land on the point?  Uses the same
     residuation candidates but walks each one through the density type and
-    the barycenter map."""
+    the barycenter map; the candidates are checked as densities in one
+    block."""
     space = index_space(len(gens))
 
     def through_densities(lam):
-        dens = [MaxPlusDensity(space, dict(zip(space.points, row.tolist()))) for row in lam]
+        dens = MaxPlusDensity.rows(space, lam)
         return np.array([density_weights(f) for f in dens]).reshape(-1, len(gens))
 
     return _members(points, gens, tol, through_densities)

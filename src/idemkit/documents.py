@@ -74,18 +74,6 @@ def function_from_doc(doc, space: FiniteSpace) -> RealFunction:
     return RealFunction(space, {str(k): decode_number(v) for k, v in vals.items()})
 
 
-def unit_function_from_doc(doc, space: FiniteSpace) -> UnitFunction:
-    doc = _require_mapping(doc, "function")
-    vals = doc.get("values")
-    if not isinstance(vals, dict):
-        raise ValueError("function document needs a 'values' object")
-    return UnitFunction(space, {str(k): decode_number(v) for k, v in vals.items()})
-
-
-def subset_to_doc(mask: SubsetMask) -> dict:
-    return {"members": sorted(mask.members)}
-
-
 def subset_from_doc(doc, space: FiniteSpace) -> SubsetMask:
     doc = _require_mapping(doc, "subset")
     members = doc.get("members")

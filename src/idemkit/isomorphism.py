@@ -8,7 +8,12 @@ through independent code paths.
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 from .measures import (
+    ARRAY_MIN_POINTS,
     DEFAULT_PROBE_BOUND,
     MAXTIMES,
     MaxPlusDensity,
@@ -20,12 +25,15 @@ from .measures import (
     measure_multiplication,
     multiply,
 )
-from .semiring import exp_bridge, log_bridge
+from .semiring import BOTTOM, exp_bridge, log_bridge
 
 
 def density_exp(f: MaxPlusDensity) -> MaxTimesDensity:
     """Pointwise exp; the peak at 0 lands exactly on 1."""
-    return MaxTimesDensity(f.space, {p: exp_bridge(w) for p, w in f.weights.items()})
+    if len(f.space) < ARRAY_MIN_POINTS:
+        return MaxTimesDensity(f.space, {p: exp_bridge(w) for p, w in f.weights.items()})
+    # exp_bridge only adds a check for positive weights, which f has none of
+    return MaxTimesDensity.from_vector(f.space, list(map(math.exp, f.vector.tolist())))
 
 
 def density_log(g: MaxTimesDensity) -> MaxPlusDensity:
@@ -34,12 +42,26 @@ def density_log(g: MaxTimesDensity) -> MaxPlusDensity:
     A peak within the 1e-12 slack of 1 logs to a near-zero maximum; the
     result is shifted by that maximum (a move bounded by the slack) so the
     output satisfies the exact peak-0 invariant.
+
+    Both directions map math.exp or math.log over the weights on every size
+    of space, as exp_bridge and log_bridge do: np.log differs from math.log
+    in the last bit on some inputs.
     """
-    weights = {p: log_bridge(w) for p, w in g.weights.items()}
-    peak = max(weights.values())
+    if len(g.space) < ARRAY_MIN_POINTS:
+        weights = {p: log_bridge(w) for p, w in g.weights.items()}
+        peak = max(weights.values())
+        if peak != 0.0:
+            weights = {p: w - peak for p, w in weights.items()}
+        return MaxPlusDensity(g.space, weights)
+    # log_bridge: bottom at the zeros, math.log elsewhere
+    weights = g.vector
+    inside = weights != 0.0
+    logs = np.full(len(weights), BOTTOM)
+    logs[inside] = list(map(math.log, weights[inside].tolist()))
+    peak = logs.max()
     if peak != 0.0:
-        weights = {p: w - peak for p, w in weights.items()}
-    return MaxPlusDensity(g.space, weights)
+        logs -= peak
+    return MaxPlusDensity.from_vector(g.space, logs)
 
 
 def meta_exp(F: MetaDensity) -> MetaTimesDensity:

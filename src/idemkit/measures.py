@@ -11,7 +11,19 @@ The probes that read a density back off its functional are vectors in point
 order (`Probe`), and eval_measure reduces a density against one of them
 with one numpy reduction over the density's weight vector; functions given
 by label dicts keep a plain dict reduction, which is faster on the small
-spaces of the law harness.
+spaces of the law harness.  density_from_functional builds its probes in
+blocks, and an oracle with a `batch` form, such as the one behind
+measure_multiplication, evaluates each block whole.
+
+A density stores a label dict or a weight vector in point order, whichever
+it was built from, and makes the other on first read.  `Density.rows`
+checks a whole block of weight vectors at once.  On spaces of at least
+ARRAY_MIN_POINTS points, multiply is one (x) broadcast and a max over the
+stacked weight vectors, and pushforward one np.maximum.at over the target
+index of each point; both keep the first of equal weights, as their
+label-dict loops do, so even a zero keeps its sign.  On smaller spaces, the
+only ones the law suites draw, the loops are faster, because numpy's cost
+per call outweighs its cost per point there.
 The public classes only fix a side and an entry type, and every operation
 reads the side off its argument; the *_times names are aliases kept for
 callers.
@@ -27,18 +39,30 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, ClassVar, Mapping
 
 import numpy as np
 
 from .semiring import BOTTOM, resolve_tolerance
-from .spaces import FiniteSpace, PointMap, Probe, RealFunction, validate_map
+from .spaces import FiniteSpace, PointMap, Probe, RealFunction, stored, validate_map
 
 # slack on the times side, where division by the peak cannot stay exact
 TIMES_NORM_SLACK = 1e-12
 
 DEFAULT_PROBE_BOUND = 64.0
+
+# multiply, pushforward and the exp/log bridge run in numpy from this many
+# points on.  Below it their label-dict loops are faster: numpy's cost per
+# call (about 15-45 us) outweighs its cost per point, so at 4 points the
+# loops are 4-8x faster, and the crossovers timed on 2 vCPUs lie at 48-64
+# points for multiply and the bridge and near 100 for pushforward.  The law
+# suites draw spaces of at most 5 points.
+ARRAY_MIN_POINTS = 64
+
+# the most values in one block of recovery probes: 2**16 doubles, 512 KiB,
+# which stays in cache (one 1000 x 1000 block was about 2x slower)
+PROBE_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -69,22 +93,25 @@ MAXPLUS = Side("maxplus", BOTTOM, 0.0, operator.add, operator.sub, 0.0)
 MAXTIMES = Side("maxtimes", 0.0, 1.0, operator.mul, operator.truediv, TIMES_NORM_SLACK)
 
 
-@dataclass(frozen=True, eq=False)
 class Density:
     """A weight in [bottom, peak] for every point of the space, attaining the
-    peak; weights at bottom mark points outside the support."""
+    peak; weights at bottom mark points outside the support.
 
-    space: FiniteSpace
-    weights: dict[str, float]
+    A density holds its weights either as the label dict `weights` or as
+    the read-only float64 vector `vector` in point order, whichever it was
+    built from; the other is made on first read and stored.  The
+    constructor takes a label dict; `rows` and `from_vector` take weights in
+    point order and check them in numpy."""
+
     side: ClassVar[Side]
 
-    def __post_init__(self):
-        side, weights = self.side, self.weights
-        extra = weights.keys() - self.space.label_set
+    def __init__(self, space: FiniteSpace, weights: Mapping[str, float]):
+        side = self.side
+        extra = weights.keys() - space.label_set
         if extra:
             raise ValueError(f"weights given for unknown points: {sorted(extra)}")
         vals = {}
-        for p in self.space.points:
+        for p in space.points:
             if p not in weights:
                 raise ValueError(f"missing weight for point {p!r}")
             try:
@@ -96,21 +123,79 @@ class Density:
             raise ValueError(
                 f"peak weight is {peak!r}, expected {side.peak!r} (use normalize)"
             )
-        object.__setattr__(self, "weights", vals)
+        self.__dict__.update(space=space, weights=vals)
+
+    @classmethod
+    def rows(cls, space: FiniteSpace, block) -> list["Density"]:
+        """One density per row of an (m, len(space)) block of weights in
+        point order, each row a view of the block.  The block is checked
+        once, with the invariants of the constructor, and taken over like a
+        probe block: marked read-only.  An error names the row and the
+        point."""
+        return cls._from_block(space, block, lambda r: f" in row {r}")
+
+    @classmethod
+    def from_vector(cls, space: FiniteSpace, vector) -> "Density":
+        """The density whose weights in point order are `vector`, checked as
+        one row of `rows`; an error names the point."""
+        vec = np.asarray(vector, dtype=float)
+        if vec.ndim != 1:
+            raise ValueError(f"a density vector must be 1-d, got shape {vec.shape}")
+        return cls._from_block(space, vec[None, :], lambda r: "")[0]
+
+    @classmethod
+    def _from_block(cls, space: FiniteSpace, block, where) -> list["Density"]:
+        side, n = cls.side, len(space)
+        block = np.asarray(block, dtype=float)
+        if block.ndim != 2 or block.shape[1] != n:
+            raise ValueError(f"densities on {n} points need an (m, {n}) block, got shape {block.shape}")
+        inside = (block >= side.bottom) & (block <= side.peak)  # also rejects NaN
+        if not inside.all():
+            r, i = np.argwhere(~inside)[0].tolist()
+            raise ValueError(
+                f"weight {float(block[r, i])!r} outside [{side.bottom}, {side.peak}]"
+                f" at point {space.points[i]!r}{where(r)}"
+            )
+        peaks = block.max(axis=1)
+        off = np.abs(peaks - side.peak) > side.slack
+        if off.any():
+            r = int(off.argmax())
+            raise ValueError(
+                f"peak weight is {float(peaks[r])!r} at point {space.points[block[r].argmax()]!r}"
+                f"{where(r)}, expected {side.peak!r} (use normalize)"
+            )
+        block.setflags(write=False)
+        out = []
+        for row in block:
+            f = cls.__new__(cls)
+            attrs = f.__dict__
+            attrs["space"], attrs["vector"] = space, row
+            out.append(f)
+        return out
+
+    @stored
+    def weights(self) -> dict[str, float]:
+        """The weights by label, in point order."""
+        return dict(zip(self.space.points, self.vector.tolist()))
+
+    @stored
+    def vector(self) -> np.ndarray:
+        """The weights in point order, as a read-only float64 array."""
+        vec = np.fromiter(self.weights.values(), float, len(self.space))
+        vec.setflags(write=False)
+        return vec
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(space={self.space!r}, weights={self.weights!r})"
 
     def __call__(self, point: str) -> float:
         return self.weights[point]
-
-    @property
-    def vector(self) -> np.ndarray:
-        """The weights in point order, as a read-only float64 array, built on
-        the first read and stored."""
-        vec = self.__dict__.get("_vector")
-        if vec is None:
-            vec = np.fromiter(self.weights.values(), float, len(self.weights))
-            vec.setflags(write=False)
-            object.__setattr__(self, "_vector", vec)
-        return vec
 
     def support(self) -> tuple[str, ...]:
         bottom = self.side.bottom
@@ -268,12 +353,17 @@ def eval_measure(f: Density, phi) -> float:
     if not same and f.space != phi.space:
         raise ValueError("density and function live on different spaces")
     if isinstance(phi, Probe):
-        v = phi.vector
-        if not same and phi.space.points != f.space.points:
-            index = phi.space.index
-            v = v[[index[p] for p in f.space.points]]
-        return float(f.side.otimes(f.vector, v).max())
+        return float(f.side.otimes(f.vector, _in_point_order(phi.vector, phi.space, f.space)).max())
     return max(map(f.side.otimes, f.weights.values(), map(phi.values.__getitem__, f.weights)))
+
+
+def _in_point_order(vector: np.ndarray, source: FiniteSpace, space: FiniteSpace) -> np.ndarray:
+    """A vector in the point order of `source` rearranged into the point
+    order of `space`, an equal space; itself when the orders agree."""
+    if source is space or source.points == space.points:
+        return vector
+    index = source.index
+    return vector[np.fromiter(map(index.__getitem__, space.points), np.intp, len(space))]
 
 
 def check_probe_bound(bound: float) -> None:
@@ -309,14 +399,33 @@ def density_from_functional(
     elsewhere; a probe value at or below -bound (up to tolerance) is recorded
     as bottom.  Recovery is exact for functionals of valid densities whose
     finite weights all exceed -bound.
+
+    The probes are the rows of blocks of at most PROBE_BLOCK_CELLS values.
+    An oracle with a `batch(block, space)` method gets each block whole and
+    returns one value per row; any other oracle is called once per point,
+    in point order, on the block's rows as Probe vectors.
     """
     check_probe_bound(bound)
     cut = -bound + resolve_tolerance(tol)
-    weights = {}
-    for x in space.points:
-        v = float(oracle(probe_function(space, x, bound)))
-        weights[x] = BOTTOM if v <= cut else v
-    return MaxPlusDensity(space, weights)
+    batch = getattr(oracle, "batch", None)
+    n = len(space)
+    step = max(1, PROBE_BLOCK_CELLS // n)
+    values: list[float] = []
+    for start in range(0, n, step):
+        m = min(step, n - start)
+        block = np.full((m, n), -bound)
+        block.reshape(-1)[start :: n + 1] = 0.0  # row r probes point start + r
+        if batch is None:
+            values += [float(oracle(phi)) for phi in Probe.rows(space, block)]
+        else:
+            got = np.asarray(batch(block, space), dtype=float)
+            if got.shape != (m,):
+                raise ValueError(f"a batch oracle returned shape {got.shape} for {m} probe rows")
+            values += got.tolist()
+    weights = [BOTTOM if v <= cut else v for v in values]
+    if n < ARRAY_MIN_POINTS:
+        return MaxPlusDensity(space, dict(zip(space.points, weights)))
+    return MaxPlusDensity.from_vector(space, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -335,16 +444,44 @@ def dirac(x: str, space: FiniteSpace, side: Side = MAXPLUS) -> Density:
 def pushforward(g: PointMap, f: Density) -> Density:
     """Functor action: weight at y is the max of f over the fiber of y
     (empty fiber gives bottom)."""
-    if not validate_map(g):
-        raise ValueError("invalid point map")
     if f.space != g.source:
+        if not validate_map(g):  # reported first
+            raise ValueError("invalid point map")
         raise ValueError("density does not live on the source of the map")
-    weights = dict.fromkeys(g.target.points, f.side.bottom)
-    for x, w in f.weights.items():
-        y = g.assignment[x]
-        if w > weights[y]:
-            weights[y] = w
-    return type(f)(g.target, weights)
+    n, assignment = len(f.space), g.assignment
+    if n < ARRAY_MIN_POINTS:
+        if not validate_map(g):
+            raise ValueError("invalid point map")
+        weights = dict.fromkeys(g.target.points, f.side.bottom)
+        for x, w in f.weights.items():
+            y = assignment[x]
+            if w > weights[y]:
+                weights[y] = w
+        return type(f)(g.target, weights)
+    # the target of each source point, in f's point order; building it
+    # checks the map as validate_map does, given that f.space == g.source
+    try:
+        image = np.fromiter(
+            map(g.target.index.__getitem__, map(assignment.__getitem__, f.space.points)), np.intp, n
+        )
+    except (KeyError, TypeError):  # TypeError: an unhashable image
+        image = None
+    if image is None or len(assignment) != n:
+        raise ValueError("invalid point map")
+    side, w = f.side, f.vector
+    out = np.full(len(g.target), side.bottom)
+    np.maximum.at(out, image, w)
+    zero = out == 0.0
+    if zero.any():
+        # the loop keeps the first of equal weights, bottom first, but
+        # np.maximum may keep either sign of a zero
+        if side.bottom == 0.0:
+            out[zero] = side.bottom
+        else:
+            first = np.flatnonzero((w == 0.0) & zero[image])
+            hit, at = np.unique(image[first], return_index=True)
+            out[hit] = w[first[at]]
+    return type(f).from_vector(g.target, out)
 
 
 def meta_pushforward(g: PointMap, F: Meta) -> Meta:
@@ -356,14 +493,48 @@ def meta_pushforward(g: PointMap, F: Meta) -> Meta:
 def multiply(F: Meta) -> Density:
     """Monad multiplication: weight at x is the max over support pairs of
     density(x) (x) pair weight."""
-    otimes = F.side.otimes
-    weights = dict.fromkeys(F.space.points, F.side.bottom)
-    for f, w in F.support:
-        for x, fx in f.weights.items():
-            cand = otimes(fx, w)
-            if cand > weights[x]:
-                weights[x] = cand
-    return F.entry(F.space, weights)
+    side, space = F.side, F.space
+    if len(space) < ARRAY_MIN_POINTS:
+        otimes = side.otimes
+        weights = dict.fromkeys(space.points, side.bottom)
+        for f, w in F.support:
+            for x, fx in f.weights.items():
+                cand = otimes(fx, w)
+                if cand > weights[x]:
+                    weights[x] = cand
+        return F.entry(space, weights)
+    stack = side.otimes(
+        np.stack([_in_point_order(f.vector, f.space, space) for f, _ in F.support]),
+        np.array([w for _, w in F.support])[:, None],
+    )
+    out = stack.max(axis=0)
+    zero = np.flatnonzero(out == 0.0)
+    if zero.size:
+        # the loop keeps the first of equal weights, bottom first, but
+        # np.max may keep either sign of a zero
+        cands = np.vstack([np.full(zero.size, side.bottom), stack[:, zero]])
+        out[zero] = cands[(cands == 0.0).argmax(axis=0), np.arange(zero.size)]
+    return F.entry.from_vector(space, out)
+
+
+class _SupportFunctional:
+    """phi -> max_i(weight_i + measure_i(phi)) over the support pairs of a
+    meta density.  `batch` evaluates every row of a probe block: the same
+    sums and maxima, one numpy pass per support density."""
+
+    def __init__(self, N: Meta):
+        self.N = N
+
+    def __call__(self, phi: RealFunction) -> float:
+        return max(w + eval_measure(f, phi) for f, w in self.N.support)
+
+    def batch(self, block: np.ndarray, space: FiniteSpace) -> np.ndarray:
+        # fed only by density_from_functional, whose blocks need no checks
+        out = None
+        for f, w in self.N.support:
+            v = f.side.otimes(block, _in_point_order(f.vector, f.space, space)).max(axis=1) + w
+            out = v if out is None else np.maximum(out, v, out=out)
+        return out
 
 
 def measure_multiplication(
@@ -372,15 +543,12 @@ def measure_multiplication(
     """Multiplication computed on the measure side, through probe functionals.
 
     The support pairs define the functional phi -> max(weight_i + measure_i(phi));
-    the result is read back off with density_from_functional.  This is a code
-    path independent of multiply(), on purpose: comparing the two is the
-    runtime check that densities and measures multiply compatibly.
+    the result is read back off with density_from_functional, which hands
+    the functional its probes a block at a time.  This is a code path
+    independent of multiply(), on purpose: comparing the two is the runtime
+    check that densities and measures multiply compatibly.
     """
-
-    def oracle(phi: RealFunction) -> float:
-        return max(w + eval_measure(f, phi) for f, w in N.support)
-
-    return density_from_functional(oracle, N.space, bound)
+    return density_from_functional(_SupportFunctional(N), N.space, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +600,8 @@ def check_associativity(
 # a meta read the side off it and are plain aliases; the others fix a side.
 normalize_maxplus = normalize
 times_close = density_close
-meta_times_close = meta_close
 eval_measure_times = eval_measure
 pushforward_times = pushforward
-flatten_outer_times = flatten_outer
 check_unit_laws_times = check_unit_laws
 check_associativity_times = check_associativity
 

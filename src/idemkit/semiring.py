@@ -58,22 +58,6 @@ def is_bottom(a: float) -> bool:
     return a == BOTTOM
 
 
-def check_score(a: float) -> float:
-    """Validate a score: finite or bottom, never NaN or +inf."""
-    a = float(a)
-    if math.isnan(a) or a == math.inf:
-        raise ValueError(f"not a valid score: {a!r}")
-    return a
-
-
-def check_unit(u: float) -> float:
-    """Validate a unit-interval value."""
-    u = float(u)
-    if math.isnan(u) or not 0.0 <= u <= 1.0:
-        raise ValueError(f"not a value in [0, 1]: {u!r}")
-    return u
-
-
 def oplus(a: float, b: float) -> float:
     """Semiring addition: maximum, with bottom as the neutral element."""
     return a if a >= b else b

@@ -9,13 +9,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Mapping
 
 import numpy as np
 
 # absorbs rounding of equal values when a product of differences sits at zero
 COMONOTONE_SLACK = 1e-12
+
+
+class stored:
+    """An attribute made on first read and stored in the instance dict,
+    which shadows this non-data descriptor on every later read: what
+    functools.cached_property does, without the lock it takes on Python
+    3.11."""
+
+    def __init__(self, make):
+        self.make = make
+        self.name = make.__name__
+        self.__doc__ = make.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = self.make(obj)
+        obj.__dict__[self.name] = value
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +80,7 @@ class FiniteSpace:
 
 
 def _total_values(space: FiniteSpace, values: Mapping[str, float]) -> dict[str, float]:
-    extra = set(values) - set(space.points)
+    extra = values.keys() - space.label_set
     if extra:
         raise ValueError(f"values given for unknown points: {sorted(extra)}")
     out = {}
@@ -98,8 +116,8 @@ class RealFunction:
 class Probe(RealFunction):
     """A real function held as a float vector in `space.points` order, so
     that it can be evaluated with numpy reductions.  The label dict
-    `values` is built on first read.  The probe takes the array over: a
-    float64 array is kept without a copy and marked read-only."""
+    `values` is built on first read and stored.  The probe takes the array
+    over: a float64 array is kept without a copy and marked read-only."""
 
     def __init__(self, space: FiniteSpace, vector):
         vec = np.asarray(vector, dtype=float)
@@ -118,7 +136,7 @@ class Probe(RealFunction):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "vector", vec)
 
-    @cached_property
+    @stored
     def values(self) -> dict[str, float]:
         return dict(zip(self.space.points, self.vector.tolist()))
 
@@ -136,8 +154,8 @@ class Probe(RealFunction):
         probes = []
         for row in block:
             probe = cls.__new__(cls)
-            object.__setattr__(probe, "space", space)
-            object.__setattr__(probe, "vector", row)
+            attrs = probe.__dict__
+            attrs["space"], attrs["vector"] = space, row
             probes.append(probe)
         return probes
 
@@ -206,7 +224,7 @@ class SubsetMask:
 
     def __post_init__(self):
         mem = frozenset(self.members)
-        unknown = mem - set(self.space.points)
+        unknown = mem - self.space.label_set
         if unknown:
             raise ValueError(f"members outside the space: {sorted(unknown)}")
         object.__setattr__(self, "members", mem)
@@ -238,7 +256,7 @@ def comonotone(phi: RealFunction, psi: RealFunction) -> bool:
 
 def validate_map(g: PointMap) -> bool:
     """True iff the assignment is total on the source and lands in the target."""
-    if set(g.assignment) != set(g.source.points):
+    if g.assignment.keys() != g.source.label_set:
         return False
     return all(y in g.target for y in g.assignment.values())
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from idemkit import isomorphism, measures
 from idemkit.generate import (
     random_maxplus_density,
     random_maxtimes_density,
@@ -15,7 +16,11 @@ from idemkit.generate import (
     random_unit_function,
     trial_stream,
 )
+from idemkit.isomorphism import density_exp, density_log
 from idemkit.measures import (
+    ARRAY_MIN_POINTS,
+    MAXPLUS,
+    MAXTIMES,
     MaxPlusDensity,
     MaxTimesDensity,
     MetaDensity,
@@ -383,3 +388,252 @@ def test_multiply_is_natural_in_the_map():
         assert density_close(
             multiply(meta_pushforward(g, F)), pushforward(g, multiply(F)), 1e-9
         )
+
+
+# ---------------------------------------------------------------------------
+# the numpy bodies against the label-dict loops
+
+SIZES = (ARRAY_MIN_POINTS - 1, ARRAY_MIN_POINTS, 1000)
+
+
+def _both_bodies(monkeypatch, fn):
+    """fn() once through the label-dict loops and once through the numpy
+    bodies, whatever the size of its spaces."""
+    results = []
+    for cutoff in (1 << 30, 1):
+        monkeypatch.setattr(measures, "ARRAY_MIN_POINTS", cutoff)
+        monkeypatch.setattr(isomorphism, "ARRAY_MIN_POINTS", cutoff)
+        results.append(fn())
+    return results
+
+
+def _reprs(f):
+    return [(p, repr(w)) for p, w in f.weights.items()]
+
+
+def _same_body_results(monkeypatch, fn):
+    loops, arrays = _both_bodies(monkeypatch, fn)
+    assert type(loops) is type(arrays)
+    assert loops.space.points == arrays.space.points
+    assert _reprs(loops) == _reprs(arrays)
+    return arrays
+
+
+def _spaces(rng, n):
+    space = FiniteSpace(tuple(f"p{i}" for i in range(n)))
+    return space, FiniteSpace(tuple(space.points[i] for i in rng.permutation(n)))
+
+
+def _draw(rng, side, space, peaks=(0,), signed=False):
+    """Weights in point order: a quarter at bottom (as -0.0 on the
+    max-times side when signed), the rest inside, the peak at `peaks`
+    (given as -0.0 on the max-plus side when signed)."""
+    n = len(space)
+    if side is MAXPLUS:
+        vals = rng.uniform(-8.0, -0.5, n)
+    else:
+        vals = rng.uniform(0.05, 0.95, n)
+    vals[rng.random(n) < 0.25] = -0.0 if signed and side is MAXTIMES else side.bottom
+    for i in peaks:
+        vals[int(i)] = -0.0 if signed and side is MAXPLUS else side.peak
+    return vals
+
+
+def _density(side, space, vals):
+    return measures.DENSITIES[side.kind](space, dict(zip(space.points, vals.tolist())))
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("side", (MAXPLUS, MAXTIMES), ids=("maxplus", "maxtimes"))
+def test_multiply_bodies_agree_by_repr(monkeypatch, side, n):
+    rng = trial_stream(7001, n)
+    space, other = _spaces(rng, n)
+    a_vals = _draw(rng, side, space, (0, 1), signed=True)
+    b_vals = _draw(rng, side, space, (0, 1))
+    if side is MAXPLUS:  # both peak at points 0 and 1, with opposite signs of zero
+        a_vals[:2] = (-0.0, 0.0)
+        b_vals[:2] = (0.0, -0.0)
+    a = _density(side, space, a_vals)
+    # b on a reordered space
+    b_other = measures.DENSITIES[side.kind](other, _density(side, space, b_vals).weights)
+    c = _density(side, space, _draw(rng, side, space, (n - 1,), signed=True))
+    meta = measures.METAS[side.kind]
+    if side is MAXPLUS:
+        weights = [(-0.0, 0.0, -0.5), (0.0, -0.0, -2.5)]
+    else:
+        weights = [(1.0, 1.0, 0.5), (0.25, 1.0, 0.75)]
+    for w in weights:
+        for first in (a, b_other):
+            second = b_other if first is a else a
+            F = meta(((first, w[0]), (second, w[1]), (c, w[2])))
+            out = _same_body_results(monkeypatch, lambda: multiply(F))
+            assert out.vector.max() == side.peak
+    if side is MAXPLUS:
+        F = meta(((a, -0.0), (b_other, 0.0)))
+        assert _reprs(_both_bodies(monkeypatch, lambda: multiply(F))[1])[0] == ("p0", "-0.0")
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("side", (MAXPLUS, MAXTIMES), ids=("maxplus", "maxtimes"))
+def test_pushforward_bodies_agree_by_repr(monkeypatch, side, n):
+    rng = trial_stream(7002, n)
+    space, other = _spaces(rng, n)
+    m = max(4, n // 8)
+    target = FiniteSpace(tuple(f"q{i}" for i in range(m)))
+    i, j, k, l, top = (int(x) for x in rng.choice(n, 5, replace=False))
+    for signed in (False, True):
+        vals = _draw(rng, side, other, (i, j, k, l, top), signed=signed)
+        if side is MAXPLUS:  # peaks of both signs, -0.0 first in one fibre and last in another
+            vals[[min(i, j), max(i, j), min(k, l), max(k, l)]] = (-0.0, 0.0, 0.0, -0.0)
+        else:  # bottoms of both signs
+            vals[[i, j, k, l]] = (-0.0, 0.0, 0.0, -0.0)
+        f = _density(side, other, vals)
+        # q0 and q1 get the pairs, the last target point an empty fibre
+        picks = rng.integers(2, m - 1, n)
+        picks[[i, j]] = 0
+        picks[[k, l]] = 1
+        images = dict(zip(other.points, (target.points[int(x)] for x in picks)))
+        g = PointMap(space, target, {p: images[p] for p in space.points})
+        out = _same_body_results(monkeypatch, lambda: pushforward(g, f))
+        assert out.weights[target.points[-1]] == side.bottom
+        assert out.vector.max() == side.peak
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_exp_log_bodies_agree_by_repr(monkeypatch, n):
+    rng = trial_stream(7003, n)
+    space, other = _spaces(rng, n)
+    f = _density(MAXPLUS, other, _draw(rng, MAXPLUS, other, (0, 1), signed=True))
+    g = _same_body_results(monkeypatch, lambda: density_exp(f))
+    assert g.vector.max() == 1.0
+    back = _same_body_results(monkeypatch, lambda: density_log(g))
+    assert back.vector.max() == 0.0
+    h = _density(MAXTIMES, space, _draw(rng, MAXTIMES, space, (2,), signed=True) * (1.0 - 5e-13))
+    assert h.vector.max() < 1.0
+    shifted = _same_body_results(monkeypatch, lambda: density_log(h))
+    assert shifted.vector.max() == 0.0
+    assert np.array_equal(np.isneginf(shifted.vector), h.vector == 0.0)
+
+
+@pytest.mark.parametrize("n", (4, ARRAY_MIN_POINTS))
+def test_pushforward_rejects_missing_extra_and_off_target_assignments(n):
+    space = FiniteSpace(tuple(f"p{i}" for i in range(n)))
+    target = FiniteSpace(("u", "v"))
+    f = random_maxplus_density(trial_stream(7004, n), space)
+    good = {p: "u" for p in space.points}
+    last = space.points[-1]
+    broken = (
+        {p: y for p, y in good.items() if p != last},  # missing
+        {**good, "zz": "u"},  # extra
+        {**good, last: "w"},  # off target
+        {**good, last: ["u"]},  # an unhashable image
+    )
+    for assignment in broken:
+        with pytest.raises(ValueError, match="invalid point map"):
+            pushforward(PointMap(space, target, assignment), f)
+        # an invalid map is reported before a density on another space
+        with pytest.raises(ValueError, match="invalid point map"):
+            pushforward(PointMap(space, target, assignment), dirac("a", AB))
+    assert pushforward(PointMap(space, target, good), f).weights == {"u": 0.0, "v": BOTTOM}
+    with pytest.raises(ValueError, match="source of the map"):
+        pushforward(PointMap(space, target, good), dirac("a", AB))
+
+
+@pytest.mark.parametrize(
+    "density, bad, what",
+    [
+        (MaxPlusDensity, math.nan, "weight nan outside"),
+        (MaxPlusDensity, math.inf, "weight inf outside"),
+        (MaxPlusDensity, 0.5, "weight 0.5 outside"),
+        (MaxTimesDensity, math.nan, "weight nan outside"),
+        (MaxTimesDensity, -0.25, "weight -0.25 outside"),
+        (MaxTimesDensity, 1.5, "weight 1.5 outside"),
+    ],
+)
+def test_density_rows_reject_a_bad_weight_naming_the_row_and_the_point(density, bad, what):
+    side = density.side
+    good = [side.peak, side.bottom, side.peak]
+    with pytest.raises(ValueError, match=f"{what} .* at point 'b' in row 1"):
+        density.rows(ABC, [good, [side.peak, bad, side.bottom]])
+    with pytest.raises(ValueError, match=f"{what} .* at point 'b'$"):
+        density.from_vector(ABC, [side.peak, bad, side.bottom])
+
+
+def test_density_rows_reject_a_bad_peak_naming_the_row_and_the_point():
+    block = [[0.0, -1.0, BOTTOM], [-1.0, -0.5, BOTTOM]]
+    with pytest.raises(ValueError, match="peak weight is -0.5 at point 'b' in row 1"):
+        MaxPlusDensity.rows(ABC, block)
+    with pytest.raises(ValueError, match="peak weight is -inf at point 'a' in row 0"):
+        MaxPlusDensity.rows(ABC, [[BOTTOM] * 3])
+    with pytest.raises(ValueError, match="peak weight is 0.5 at point 'c' in row 1"):
+        MaxTimesDensity.rows(ABC, [[1.0, 0.0, 0.5], [0.0, 0.25, 0.5]])
+    # within the max-times slack is a peak
+    assert MaxTimesDensity.rows(ABC, [[0.5, 1.0 - 5e-13, 0.0]])[0].weights["b"] == 1.0 - 5e-13
+    for bad in ([0.0, -1.0], [[[0.0, -1.0, -2.0]]]):
+        with pytest.raises(ValueError, match="shape"):
+            MaxPlusDensity.rows(ABC, bad)
+
+
+def test_density_rows_are_read_only_views_with_their_label_dicts():
+    block = np.array([[0.0, -1.5, BOTTOM], [-0.0, 0.0, -2.0]])
+    rows = MaxPlusDensity.rows(ABC, block)
+    assert [type(f) for f in rows] == [MaxPlusDensity, MaxPlusDensity]
+    assert rows[0].weights == {"a": 0.0, "b": -1.5, "c": BOTTOM}
+    assert rows[1].weights is rows[1].weights
+    assert np.shares_memory(rows[1].vector, block)
+    with pytest.raises(ValueError):
+        rows[1].vector[0] = -1.0
+    assert _reprs(rows[1]) == [("a", "-0.0"), ("b", "0.0"), ("c", "-2.0")]
+    assert MaxPlusDensity.rows(ABC, np.empty((0, 3))) == []
+    f = MaxTimesDensity.from_vector(ABC, [1.0, 0.0, 0.5])
+    assert f.weights == {"a": 1.0, "b": 0.0, "c": 0.5} and f("c") == 0.5
+    with pytest.raises(AttributeError):
+        f.weights = {}
+
+
+def test_density_from_functional_calls_a_plain_oracle_once_per_point_in_order(monkeypatch):
+    space = FiniteSpace(tuple(f"p{i}" for i in range(40)))
+    f = random_maxplus_density(trial_stream(7005, 0), space)
+    monkeypatch.setattr(measures, "PROBE_BLOCK_CELLS", 200)  # blocks of 5 rows
+    seen = []
+
+    def oracle(phi):
+        assert isinstance(phi, Probe) and phi.space is space
+        seen.append(int(np.argmax(phi.vector)))
+        return eval_measure(f, phi)
+
+    got = density_from_functional(oracle, space, 20.0)
+    assert seen == list(range(40))
+    assert _reprs(got) == _reprs(f)
+
+
+def test_measure_multiplication_batches_equal_per_probe_calls(monkeypatch):
+    for n in (3, ARRAY_MIN_POINTS, 300):
+        rng = trial_stream(7006, n)
+        space, other = _spaces(rng, n)
+        N = MetaDensity(
+            (
+                (random_maxplus_density(rng, space), -0.0),
+                (random_maxplus_density(rng, other), -1.25),
+                (_density(MAXPLUS, space, _draw(rng, MAXPLUS, space, (1,), signed=True)), 0.0),
+            )
+        )
+        for cells in (1 << 16, 7 * n):  # one block, and blocks of 7 rows
+            monkeypatch.setattr(measures, "PROBE_BLOCK_CELLS", cells)
+            batched = measure_multiplication(N, 40.0)
+            functional = measures._SupportFunctional(N)
+            one_by_one = density_from_functional(lambda phi: functional(phi), space, 40.0)
+            assert _reprs(batched) == _reprs(one_by_one)
+            assert density_close(batched, multiply(N), 1e-12)
+
+
+def test_density_from_functional_rejects_a_batch_of_the_wrong_shape():
+    class Short:
+        def __call__(self, phi):
+            return 0.0
+
+        def batch(self, block, space):
+            return np.zeros(len(block) - 1)
+
+    with pytest.raises(ValueError, match="batch oracle returned shape"):
+        density_from_functional(Short(), ABC)

@@ -191,3 +191,12 @@ def test_subset_mask_validation():
     assert len(SubsetMask(ABC, frozenset({"a", "c"}))) == 2
     with pytest.raises(ValueError):
         SubsetMask(ABC, frozenset({"a", "z"}))
+
+
+def test_probe_values_are_stored_on_first_read():
+    phi = Probe.rows(ABC, [[0.5, -2.0, 3.0]])[0]
+    values = phi.values
+    assert type(values) is dict and phi.values is values
+    assert values == {"a": 0.5, "b": -2.0, "c": 3.0}
+    with pytest.raises(AttributeError):
+        phi.no_such_attribute
