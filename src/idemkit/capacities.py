@@ -17,7 +17,9 @@ so restricting t to the value set is exact, not an approximation.
 integral_functional(c) is that integral as a functional.  It is callable
 on one function, and its `batch` integrates every row of a block in one
 numpy pass to the same floats; recover_capacity reads a capacity back off
-it one block of indicator rows at a time.  maxplus_integral and
+it one block of indicator rows at a time.  The logs the batch gathers are
+stored on the capacity (`Capacity.log_table`, made on first read), so every
+functional of one capacity shares them.  maxplus_integral and
 shilkret_integral stay scalar scans, the independent cross-check of the
 batch.
 """
@@ -34,12 +36,11 @@ from .measures import MaxTimesDensity, MetaTimesDensity, check_probe_bound, mult
 from .seeding import trial_stream
 from .semiring import (
     BOTTOM,
-    exp_bridge,
     log_bridge,
     resolve_tolerance,
     score_eq,
 )
-from .spaces import FiniteSpace, Probe, RealFunction, SubsetMask, checked_block
+from .spaces import FiniteSpace, Probe, RealFunction, SubsetMask, checked_block, stored
 
 # full subset tables grow as 2^n; beyond this the representation is unusable
 MAX_TABLE_POINTS = 20
@@ -81,7 +82,8 @@ class Capacity:
         table = np.asarray(self.table, dtype=float).copy()
         if table.shape != (1 << n,):
             raise ValueError(f"capacity table needs {1 << n} entries, got {table.shape}")
-        if not np.isfinite(table).all() or table.min() < 0.0 or table.max() > 1.0:
+        # np.min and np.max propagate NaN, which then fails both comparisons
+        if not (table.min() >= 0.0 and table.max() <= 1.0):
             raise ValueError("capacity values must lie in [0, 1]")
         if abs(table[0]) > TABLE_SLACK:
             raise ValueError(f"capacity of the empty set is {float(table[0])!r}, expected 0")
@@ -101,6 +103,17 @@ class Capacity:
                 )
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
+
+    @stored
+    def log_table(self) -> np.ndarray:
+        """log_bridge of every table entry, read-only: math.log of each
+        nonzero entry and bottom for 0.  Made on first read and kept, which
+        is sound because the capacity is frozen and its table read-only."""
+        logs = np.full(len(self.table), BOTTOM)
+        nonzero = np.flatnonzero(self.table)
+        logs[nonzero] = list(map(math.log, self.table[nonzero].tolist()))
+        logs.setflags(write=False)
+        return logs
 
     def value(self, subset) -> float:
         """Capacity of a subset given as a SubsetMask or an iterable of labels."""
@@ -231,15 +244,14 @@ class IntegralFunctional:
     the values downward, takes the cumulative sum of their point bits (the
     mask of each prefix's level set), keeps only the last position of each
     tie group, where the prefix is the whole level set, and takes the max of
-    log c(mask) + t.  The logs come from a table built once, on the first
-    batch, with log_bridge, so each entry is the float the scalar path uses.
+    log c(mask) + t.  The logs are the capacity's stored `log_table`, made
+    once per capacity, so each entry is the float the scalar path uses.
     """
 
-    __slots__ = ("capacity", "_log_table")
+    __slots__ = ("capacity",)
 
     def __init__(self, c: Capacity):
         self.capacity = c
-        self._log_table = None
 
     def __call__(self, phi: RealFunction) -> float:
         return maxplus_integral(self.capacity, phi)
@@ -257,15 +269,9 @@ class IntegralFunctional:
         vals = checked_block(space, block, "integral rows")
         if space.points != c.space.points:
             vals = vals[:, [space.index[p] for p in c.space.points]]
-        if self._log_table is None:
-            # log_bridge entry by entry: math.log, and bottom for 0
-            logs = np.full(len(c.table), BOTTOM)
-            nonzero = np.flatnonzero(c.table)
-            logs[nonzero] = list(map(math.log, c.table[nonzero].tolist()))
-            self._log_table = logs
         order = np.argsort(-vals, axis=1)
         t = vals[np.arange(len(vals))[:, None], order]
-        cand = self._log_table[np.cumsum(1 << order, axis=1)]
+        cand = c.log_table[np.cumsum(1 << order, axis=1)]
         cand += t
         # inside a tie group the prefix is only part of the level set
         cand[:, :-1][t[:, :-1] == t[:, 1:]] = BOTTOM
@@ -285,9 +291,11 @@ def recover_capacity(
     """Read a capacity back off a functional with indicator-like probes.
 
     The probe for a subset is 0 on it and -bound off it; the subset's value
-    is exp of the clamped probe result.  Entries at least exp(-bound) are
-    recovered exactly for functionals produced by integral_functional; a
-    monotonicity violation in the result signals a non-conforming oracle.
+    is exp of the probe result clamped to at most 0, so -inf gives 0, and a
+    NaN or +inf result raises ValueError naming the subset.  Entries at
+    least exp(-bound) are recovered exactly for functionals produced by
+    integral_functional; a monotonicity violation in the result signals a
+    non-conforming oracle.
 
     The probes are the rows of blocks of up to RECOVERY_BLOCK subsets, in
     point order, so the extra memory stays O(RECOVERY_BLOCK * n).  An oracle
@@ -308,15 +316,23 @@ def recover_capacity(
         masks = np.arange(start, stop)
         block = np.where((masks[:, None] & point_bits) != 0, 0.0, -bound)
         if batch is None:
-            values = [float(oracle(phi)) for phi in Probe.rows(space, block)]
+            values = np.array([float(oracle(phi)) for phi in Probe.rows(space, block)])
         else:
             values = np.asarray(batch(block, space), dtype=float)
             if values.shape != masks.shape:
                 raise ValueError(
                     f"a batch oracle returned shape {values.shape} for {len(masks)} probe rows"
                 )
-            values = values.tolist()
-        table[start:stop] = [exp_bridge(min(0.0, v)) for v in values]
+        below = values < math.inf  # False for NaN and +inf
+        if not below.all():
+            i = int(below.argmin())
+            raise ValueError(
+                f"oracle value {float(values[i])!r} on the subset "
+                f"{bits_members(space, start + i)!r} is not a score"
+            )
+        # exp_bridge(min(0.0, v)) entry by entry: np.minimum may keep a -0.0
+        # that min drops, and exp sends both zeros to 1.0
+        table[start:stop] = list(map(math.exp, np.minimum(values, 0.0).tolist()))
     return Capacity(space, table)
 
 

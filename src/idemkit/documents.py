@@ -133,16 +133,34 @@ def meta_from_doc(doc, space: FiniteSpace | None = None):
     return METAS[kinds.pop()](tuple(pairs))
 
 
+def _subset_keys(labels: list[str]) -> list[str]:
+    """Every subset key of the sorted `labels`, by doubling: key j joins, in
+    sorted order, the labels whose bits are set in j."""
+    keys = [""]
+    for label in labels:
+        keys += [f"{key}|{label}" if key else label for key in keys]
+    return keys
+
+
+def _canonical_masks(space: FiniteSpace) -> dict[str, int]:
+    """The point-order mask of each key capacity_to_doc writes.  Empty when
+    a label is empty or holds the separator, where keys are ambiguous."""
+    labels = sorted(space.points)
+    if not all(label and "|" not in label for label in labels):
+        return {}
+    masks = np.zeros(1 << len(labels), dtype=np.intp)
+    for r, p in enumerate(labels):
+        masks[1 << r : 2 << r] = masks[: 1 << r] | 1 << space.index[p]
+    return dict(zip(_subset_keys(labels), masks.tolist()))
+
+
 def capacity_to_doc(c: Capacity) -> dict:
     for label in c.space.points:
         if "|" in label:
             raise ValueError(f"label {label!r} contains '|', the subset-key separator")
-    # keys by doubling over the labels in sorted order, so each key lists its
-    # labels sorted; sorted_mask maps a point-order mask to its key's index
+    # sorted_mask maps a point-order mask to its key's index
     labels = sorted(c.space.points)
-    keys = [""]
-    for label in labels:
-        keys += [f"{key}|{label}" if key else label for key in keys]
+    keys = _subset_keys(labels)
     rank = {p: r for r, p in enumerate(labels)}
     sorted_mask = np.zeros(len(c.table), dtype=np.intp)
     for i, p in enumerate(c.space.points):
@@ -161,13 +179,17 @@ def capacity_from_doc(doc, space: FiniteSpace) -> Capacity:
     n = len(space)
     if len(sets) != 1 << n:
         raise ValueError(f"capacity document needs all {1 << n} subsets, got {len(sets)}")
+    # a key as capacity_to_doc writes it is looked up; any other is parsed
+    canonical = _canonical_masks(space)
     table = np.zeros(1 << n)
     seen = set()
     for key, raw in sets.items():
-        labels = [] if key == "" else key.split("|")
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"subset key repeats a label: {key!r}")
-        mask = subset_bits(space, labels)
+        mask = canonical.get(key)
+        if mask is None:
+            labels = [] if key == "" else key.split("|")
+            if len(set(labels)) != len(labels):
+                raise ValueError(f"subset key repeats a label: {key!r}")
+            mask = subset_bits(space, labels)
         if mask in seen:
             raise ValueError(f"duplicate subset key: {key!r}")
         seen.add(mask)

@@ -31,7 +31,7 @@ from idemkit.generate import (
     trial_stream,
 )
 from idemkit.laws import sweep_grid, swept_capacity_value
-from idemkit.semiring import BOTTOM
+from idemkit.semiring import BOTTOM, log_bridge
 from idemkit.spaces import FiniteSpace, Probe, RealFunction, fn_max, fn_shift
 
 ABC = FiniteSpace(("a", "b", "c"))
@@ -276,6 +276,36 @@ def test_integral_batch_rejects_a_bad_block_and_names_the_row_and_point():
         functional.batch(np.zeros((1, 2)), AB)
 
 
+def test_log_table_is_read_only_and_is_log_bridge_of_each_entry():
+    zeros = 0
+    for n in range(1, 15):
+        rng = trial_stream(615, n)
+        space = FiniteSpace(tuple(f"p{i}" for i in rng.permutation(n)))
+        table = random_capacity(rng, space).table.copy()
+        table[table < np.quantile(table, 0.4)] = 0.0  # still monotone, with zeros
+        c = Capacity(space, table)
+        logs = c.log_table
+        assert logs.dtype == np.float64 and logs.shape == table.shape
+        assert not logs.flags.writeable
+        with pytest.raises(ValueError):
+            logs[0] = 0.0
+        zeros += np.count_nonzero(table[1:] == 0.0)
+        assert list(map(repr, logs.tolist())) == [repr(log_bridge(v)) for v in table.tolist()]
+        assert c.log_table is logs
+    assert zeros > 1000
+
+
+def test_functionals_of_one_capacity_share_its_log_table():
+    c = random_capacity(trial_stream(615, 20), ABC)
+    first, second = integral_functional(c), integral_functional(c)
+    block = _tied_rows(trial_stream(615, 21), 30, 3)
+    assert "log_table" not in vars(c)
+    got = first.batch(block)
+    logs = vars(c)["log_table"]  # made by the first batch, on the capacity
+    assert np.array_equal(second.batch(block), got)
+    assert vars(c)["log_table"] is logs and c.log_table is logs
+
+
 def test_recover_capacity_round_trip():
     c = capacity_from_profile(PossibilityProfile(ABC, WORKED_PROFILE))
     recovered = recover_capacity(integral_functional(c), ABC, 40.0)
@@ -367,6 +397,54 @@ def test_recover_capacity_calls_the_oracle_once_per_subset_in_mask_order():
 
         recover_capacity(oracle, space, 40.0)
         assert seen == list(range(1, 1 << n))
+
+
+def test_recover_capacity_at_16_points_matches_the_per_mask_dict_loop():
+    space = FiniteSpace(tuple(f"p{i}" for i in range(16)))
+    c = random_capacity(trial_stream(616, 0), space)
+    functional = integral_functional(c)
+    expected = _recover_with_dict_probes(functional, space, 40.0)
+    assert np.array_equal(recover_capacity(functional, space, 40.0).table, expected)
+    plain = recover_capacity(lambda phi: functional(phi), space, 40.0)
+    assert np.array_equal(plain.table, expected)
+
+
+class _BatchOf:
+    """A batch oracle giving `value` on each row that holds point index i,
+    and `other` on the rest."""
+
+    def __init__(self, i, value, other=0.0):
+        self.i, self.value, self.other = i, value, other
+
+    def __call__(self, phi):
+        raise AssertionError("a batch oracle is fed blocks")
+
+    def batch(self, block, space):
+        return np.where(block[:, self.i] == 0.0, self.value, self.other)
+
+
+def test_recover_capacity_rejects_nan_and_plus_inf_and_names_the_subset():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"{bad!r} on the subset \('a',\)"):
+            recover_capacity(_BatchOf(0, bad), ABC, 40.0)
+        with pytest.raises(ValueError, match=rf"{bad!r} on the subset \('b',\)"):
+            recover_capacity(_BatchOf(1, bad), ABC, 40.0)
+        with pytest.raises(ValueError, match=rf"{bad!r} on the subset \('a', 'b'\)"):
+            recover_capacity(lambda phi: bad if phi.vector[:2].tolist() == [0.0, 0.0] else 0.0, ABC)
+        with pytest.raises(ValueError, match=rf"{bad!r} on the subset \('c',\)"):
+            recover_capacity(lambda phi: bad if phi("c") == 0.0 else 0.0, ABC)
+    # the first bad subset past the first probe block is named
+    space = FiniteSpace(tuple(f"p{i}" for i in range(13)))
+    with pytest.raises(ValueError, match=r"nan on the subset \('p12',\)"):
+        recover_capacity(_BatchOf(12, math.nan), space, 40.0)
+
+
+def test_recover_capacity_clamps_positive_values_and_sends_minus_inf_to_zero():
+    for oracle in (
+        lambda phi: 2.5 if phi("a") == 0.0 else -math.inf,
+        _BatchOf(0, 2.5, -math.inf),
+    ):
+        assert recover_capacity(oracle, AB, 40.0).table.tolist() == [0.0, 1.0, 0.0, 1.0]
 
 
 def test_check_characterization_accepts_integrals():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from idemkit.capacities import PossibilityProfile, capacity_from_profile
+from idemkit.capacities import Capacity, PossibilityProfile, capacity_from_profile
 from idemkit.convexity import GeneratorSet
 from idemkit.generate import random_capacity, trial_stream
 from idemkit.documents import (
@@ -135,6 +135,69 @@ def test_capacity_document_requires_all_subsets():
     bad["sets"]["a|a"] = bad["sets"].pop("a|b")
     with pytest.raises(ValueError):
         capacity_from_doc(bad, ABC)
+
+
+CAPACITY_ABC = [0.0, 0.2, 0.3, 0.5, 0.1, 0.4, 0.6, 1.0]
+
+
+def _abc_doc(**renamed):
+    """The capacity document of CAPACITY_ABC with some keys respelled; a
+    respelling goes in the old key's place, so the iteration order stays."""
+    sets = capacity_to_doc(Capacity(ABC, CAPACITY_ABC))["sets"]
+    return {"kind": "capacity", "sets": {renamed.get(k, k): v for k, v in sets.items()}}
+
+
+def test_capacity_from_doc_reads_canonical_and_respelled_keys():
+    assert np.array_equal(capacity_from_doc(_abc_doc(), ABC).table, CAPACITY_ABC)
+    respelled = _abc_doc(**{"a|b": "b|a", "a|b|c": "c|a|b", "b|c": "c|b"})
+    assert list(respelled["sets"]) == ["", "a", "b", "b|a", "c", "a|c", "c|b", "c|a|b"]
+    assert np.array_equal(capacity_from_doc(respelled, ABC).table, CAPACITY_ABC)
+    # a space listing its points in another order reads the same keys
+    cba = FiniteSpace(("c", "b", "a"))
+    back = capacity_from_doc(respelled, cba)
+    assert [back.value(m) for m in (["a"], ["b", "c"], ["a", "c"])] == [0.2, 0.6, 0.4]
+
+
+def test_capacity_from_doc_keeps_its_error_texts_and_order():
+    cases = [
+        ({"a|b": "a|a"}, "subset key repeats a label: 'a|a'"),
+        ({"a|b": "b|d"}, "unknown point 'd'"),
+        ({"a|b": "b|a|b"}, "subset key repeats a label: 'b|a|b'"),
+        ({"a": "b|a"}, "duplicate subset key: 'a|b'"),
+        ({"c": "c|b"}, "duplicate subset key: 'b|c'"),
+        ({"a|c": "c|a|b"}, "duplicate subset key: 'a|b|c'"),
+        ({"a|b|c": "b|a"}, "duplicate subset key: 'b|a'"),
+    ]
+    for renamed, message in cases:
+        with pytest.raises(ValueError) as info:
+            capacity_from_doc(_abc_doc(**renamed), ABC)
+        assert str(info.value) == message
+    # a bad number after a duplicate key: the duplicate is reported first
+    doc = _abc_doc(**{"c": "c|b"})
+    doc["sets"]["a|b|c"] = "x"
+    with pytest.raises(ValueError, match=r"^duplicate subset key: 'b\|c'$"):
+        capacity_from_doc(doc, ABC)
+    doc = _abc_doc()
+    doc["sets"]["b"] = float("nan")
+    with pytest.raises(ValueError, match=r"^not a finite number: nan$"):
+        capacity_from_doc(doc, ABC)
+
+
+def test_capacity_from_doc_parses_keys_where_labels_make_them_ambiguous():
+    # a label holding the separator: every key is split, as capacity_to_doc
+    # cannot write such a document in the first place
+    space = FiniteSpace(("a|b", "c"))
+    doc = {"kind": "capacity", "sets": {"": 0.0, "c": 0.5, "a|b": 0.5, "a|b|c": 1.0}}
+    with pytest.raises(ValueError, match=r"^unknown point 'a'$"):
+        capacity_from_doc(doc, space)
+    # an empty label: the empty key is the empty set, "|c" the pair
+    space = FiniteSpace(("", "c"))
+    doc = {"kind": "capacity", "sets": {"": 0.0, "c": 0.25, "|c": 1.0}}
+    with pytest.raises(ValueError, match="needs all 4 subsets"):
+        capacity_from_doc(doc, space)
+    doc["sets"]["|"] = 0.5
+    with pytest.raises(ValueError, match=r"^subset key repeats a label: '\|'$"):
+        capacity_from_doc(doc, space)
 
 
 def test_capacity_document_rejects_separator_in_labels():
