@@ -17,10 +17,12 @@ so restricting t to the value set is exact, not an approximation.
 integral_functional(c) is that integral as a functional.  It is callable
 on one function, and its `batch` integrates every row of a block in one
 numpy pass to the same floats; recover_capacity reads a capacity back off
-it one block of indicator rows at a time.  The logs the batch gathers are
-stored on the capacity (`Capacity.log_table`, made on first read), so every
-functional of one capacity shares them.  maxplus_integral and
-shilkret_integral stay scalar scans, the independent cross-check of the
+it one block of indicator rows at a time, through the probe layer of
+idemkit.spaces (`probe_values`) that density_from_functional uses too, with
+the same budget of PROBE_BLOCK_CELLS values per block.  The logs the batch
+gathers are stored on the capacity (`Capacity.log_table`, made on first
+read), so every functional of one capacity shares them.  maxplus_integral
+and shilkret_integral stay scalar scans, the independent cross-check of the
 batch.
 """
 
@@ -32,7 +34,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .measures import MaxTimesDensity, MetaTimesDensity, check_probe_bound, multiply
+from .measures import MaxTimesDensity, MetaTimesDensity, multiply
 from .seeding import trial_stream
 from .semiring import (
     BOTTOM,
@@ -40,7 +42,20 @@ from .semiring import (
     resolve_tolerance,
     score_eq,
 )
-from .spaces import FiniteSpace, Probe, RealFunction, SubsetMask, checked_block, stored
+from .spaces import (
+    PROBE_BLOCK_CELLS,
+    FiniteSpace,
+    Probe,
+    RealFunction,
+    SubsetMask,
+    check_probe_bound,
+    checked_block,
+    fn_max,
+    fn_shift,
+    in_point_order,
+    probe_values,
+    stored,
+)
 
 # full subset tables grow as 2^n; beyond this the representation is unusable
 MAX_TABLE_POINTS = 20
@@ -48,9 +63,6 @@ MAX_TABLE_POINTS = 20
 TABLE_SLACK = 1e-12
 
 DEFAULT_RECOVERY_BOUND = 40.0
-
-# subsets probed per block by recover_capacity; bounds its extra memory
-RECOVERY_BLOCK = 4096
 
 
 def subset_bits(space: FiniteSpace, members: Iterable[str]) -> int:
@@ -170,11 +182,7 @@ def _values_in_point_order(c: Capacity, phi: RealFunction) -> list[float]:
     """The values of phi as a list in c.space.points order, the order of the
     table's bitmasks; phi may list the same points in another order."""
     if isinstance(phi, Probe):
-        vals = phi.vector.tolist()
-        if phi.space is not c.space and phi.space.points != c.space.points:
-            index = phi.space.index
-            vals = [vals[index[p]] for p in c.space.points]
-        return vals
+        return in_point_order(phi.vector, phi.space, c.space).tolist()
     return list(map(phi.values.__getitem__, c.space.points))
 
 
@@ -266,9 +274,7 @@ class IntegralFunctional:
             space = c.space
         elif space != c.space:
             raise ValueError("capacity and function live on different spaces")
-        vals = checked_block(space, block, "integral rows")
-        if space.points != c.space.points:
-            vals = vals[:, [space.index[p] for p in c.space.points]]
+        vals = in_point_order(checked_block(space, block, "integral rows"), space, c.space)
         order = np.argsort(-vals, axis=1)
         t = vals[np.arange(len(vals))[:, None], order]
         cand = c.log_table[np.cumsum(1 << order, axis=1)]
@@ -297,32 +303,25 @@ def recover_capacity(
     integral_functional; a monotonicity violation in the result signals a
     non-conforming oracle.
 
-    The probes are the rows of blocks of up to RECOVERY_BLOCK subsets, in
-    point order, so the extra memory stays O(RECOVERY_BLOCK * n).  An oracle
-    with a `batch(block, space)` method, such as an IntegralFunctional, gets
-    each block whole and returns one value per row.  Any other oracle is
-    called once per non-empty subset, in increasing mask order, on the
-    block's rows as Probe vectors.
+    The probes are the rows of blocks of PROBE_BLOCK_CELLS // n subsets
+    (at most PROBE_BLOCK_CELLS values), in increasing mask order, evaluated
+    by spaces.probe_values: an oracle with a `batch(block, space)` method,
+    such as an IntegralFunctional, gets each block whole and returns one
+    value per row.  Any other oracle is called once per non-empty subset,
+    in increasing mask order, on the block's rows as Probe vectors.
     """
     check_probe_bound(bound)
     n = len(space)
     if n > MAX_TABLE_POINTS:
         raise ValueError(f"capacity tables support at most {MAX_TABLE_POINTS} points")
-    batch = getattr(oracle, "batch", None)
     table = np.zeros(1 << n)
     point_bits = 1 << np.arange(n)
-    for start in range(1, 1 << n, RECOVERY_BLOCK):
-        stop = min(start + RECOVERY_BLOCK, 1 << n)
+    step = max(1, PROBE_BLOCK_CELLS // n)
+    for start in range(1, 1 << n, step):
+        stop = min(start + step, 1 << n)
         masks = np.arange(start, stop)
         block = np.where((masks[:, None] & point_bits) != 0, 0.0, -bound)
-        if batch is None:
-            values = np.array([float(oracle(phi)) for phi in Probe.rows(space, block)])
-        else:
-            values = np.asarray(batch(block, space), dtype=float)
-            if values.shape != masks.shape:
-                raise ValueError(
-                    f"a batch oracle returned shape {values.shape} for {len(masks)} probe rows"
-                )
+        values = probe_values(oracle, space, block)
         below = values < math.inf  # False for NaN and +inf
         if not below.all():
             i = int(below.argmin())
@@ -398,7 +397,7 @@ def check_characterization(
     for k in range(trials):
         rng = trial_stream(seed, k, tag=1)
         phi, psi = random_comonotone_pair(rng, space)
-        left = float(oracle(RealFunction(space, {p: max(phi.values[p], psi.values[p]) for p in space.points})))
+        left = float(oracle(fn_max(phi, psi)))
         right = max(float(oracle(phi)), float(oracle(psi)))
         if not score_eq(left, right, tol):
             como.passed = False
@@ -416,8 +415,7 @@ def check_characterization(
         rng = trial_stream(seed, k, tag=2)
         phi = random_real_function(rng, space)
         lam = float(rng.uniform(-3.0, 3.0))
-        shifted = RealFunction(space, {p: v + lam for p, v in phi.values.items()})
-        left = float(oracle(shifted))
+        left = float(oracle(fn_shift(phi, lam)))
         right = lam + float(oracle(phi))
         if not score_eq(left, right, tol):
             trans.passed = False

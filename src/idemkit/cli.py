@@ -20,6 +20,7 @@ from .capacities import (
 from .convexity import barycenter, combine, hull_member
 from .documents import (
     capacity_from_doc,
+    decode_number,
     density_from_doc,
     density_to_doc,
     dump_json,
@@ -83,8 +84,10 @@ def cmd_integrate(args) -> int:
 
 def cmd_hull_member(args) -> int:
     gens = generators_from_doc(_load_doc(args.generators))
-    point = _load_doc(args.point)
-    print("true" if hull_member(point, gens) else "false")
+    doc = _load_doc(args.point)
+    if not isinstance(doc, list):
+        raise ValueError("a point is a JSON array of coordinates")
+    print("true" if hull_member([decode_number(v) for v in doc], gens) else "false")
     return 0
 
 

@@ -11,8 +11,9 @@ coordinate), and the single-point functions pass a batch of one row.
 
 The barycenter map takes a normalized weight vector (a max-plus density over
 the generators) to the point whose coordinates are the induced measures of
-the coordinate functionals.  Its arithmetic is deliberately the same
-expression as combine's, so the two agree bit for bit on identical inputs.
+the coordinate functionals.  Those measures are the max-plus combination of
+the generators under the weights, so barycenter is combine read on the
+measure side, and the two agree bit for bit on identical inputs.
 """
 
 from __future__ import annotations
@@ -99,8 +100,9 @@ def as_weight_vector(weights, count: int) -> np.ndarray:
 
 
 def _max_combination(points: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    # shared by combine and barycenter so the two are bitwise identical; a
-    # (m, k) batch of weight rows gives an (m, d) batch of points
+    # the one max-combination expression, so every route that combines the
+    # generators agrees bit for bit; a (m, k) batch of weight rows gives an
+    # (m, d) batch of points
     return np.max(points + lam[..., :, None], axis=-2)
 
 
@@ -112,9 +114,9 @@ def combine(gens: GeneratorSet, lam) -> np.ndarray:
 
 def barycenter(gens: GeneratorSet, weights) -> np.ndarray:
     """Point whose coordinate t is the measure of the t-th coordinate
-    functional under the weight density."""
-    lam = as_weight_vector(weights, len(gens))
-    return _max_combination(gens.points, lam)
+    functional under the weight density: the combination of the generators
+    under its weights."""
+    return combine(gens, weights)
 
 
 def residual_weights(p: np.ndarray, gens: GeneratorSet) -> np.ndarray:

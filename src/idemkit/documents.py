@@ -27,19 +27,20 @@ def encode_score(a: float):
 def decode_score(raw) -> float:
     if raw == "-inf":
         return BOTTOM
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ValueError(f"not a score: {raw!r} (numbers or the token '-inf')")
-    v = float(raw)
-    if math.isnan(v) or math.isinf(v):
-        raise ValueError(f"not a score: {raw!r}")
-    return v
+    try:
+        return decode_number(raw)
+    except ValueError:
+        raise ValueError(f"not a score: {raw!r} (numbers or the token '-inf')") from None
 
 
 def decode_number(raw) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ValueError(f"not a number: {raw!r}")
-    v = float(raw)
-    if math.isnan(v) or math.isinf(v):
+    try:
+        v = float(raw)
+    except OverflowError:  # an integer beyond the range of a double
+        v = math.inf
+    if not math.isfinite(v):
         raise ValueError(f"not a finite number: {raw!r}")
     return v
 
@@ -133,40 +134,27 @@ def meta_from_doc(doc, space: FiniteSpace | None = None):
     return METAS[kinds.pop()](tuple(pairs))
 
 
-def _subset_keys(labels: list[str]) -> list[str]:
-    """Every subset key of the sorted `labels`, by doubling: key j joins, in
-    sorted order, the labels whose bits are set in j."""
+def _mask_keys(space: FiniteSpace) -> list[str]:
+    """The key of every subset, indexed by its point-order mask: its labels
+    in sorted order, joined by |.  Both lists are built by doubling: the keys
+    over the sorted labels, then the permutation that sends a point-order
+    mask to the sorted-order mask of the same subset."""
+    labels = sorted(space.points)
     keys = [""]
     for label in labels:
         keys += [f"{key}|{label}" if key else label for key in keys]
-    return keys
-
-
-def _canonical_masks(space: FiniteSpace) -> dict[str, int]:
-    """The point-order mask of each key capacity_to_doc writes.  Empty when
-    a label is empty or holds the separator, where keys are ambiguous."""
-    labels = sorted(space.points)
-    if not all(label and "|" not in label for label in labels):
-        return {}
-    masks = np.zeros(1 << len(labels), dtype=np.intp)
-    for r, p in enumerate(labels):
-        masks[1 << r : 2 << r] = masks[: 1 << r] | 1 << space.index[p]
-    return dict(zip(_subset_keys(labels), masks.tolist()))
+    rank = {p: r for r, p in enumerate(labels)}
+    sorted_mask = np.zeros(len(keys), dtype=np.intp)
+    for i, p in enumerate(space.points):
+        sorted_mask[1 << i : 2 << i] = sorted_mask[: 1 << i] | 1 << rank[p]
+    return list(map(keys.__getitem__, sorted_mask.tolist()))
 
 
 def capacity_to_doc(c: Capacity) -> dict:
     for label in c.space.points:
         if "|" in label:
             raise ValueError(f"label {label!r} contains '|', the subset-key separator")
-    # sorted_mask maps a point-order mask to its key's index
-    labels = sorted(c.space.points)
-    keys = _subset_keys(labels)
-    rank = {p: r for r, p in enumerate(labels)}
-    sorted_mask = np.zeros(len(c.table), dtype=np.intp)
-    for i, p in enumerate(c.space.points):
-        sorted_mask[1 << i : 2 << i] = sorted_mask[: 1 << i] | 1 << rank[p]
-    sets = dict(zip(map(keys.__getitem__, sorted_mask.tolist()), c.table.tolist()))
-    return {"kind": "capacity", "sets": sets}
+    return {"kind": "capacity", "sets": dict(zip(_mask_keys(c.space), c.table.tolist()))}
 
 
 def capacity_from_doc(doc, space: FiniteSpace) -> Capacity:
@@ -179,8 +167,12 @@ def capacity_from_doc(doc, space: FiniteSpace) -> Capacity:
     n = len(space)
     if len(sets) != 1 << n:
         raise ValueError(f"capacity document needs all {1 << n} subsets, got {len(sets)}")
-    # a key as capacity_to_doc writes it is looked up; any other is parsed
-    canonical = _canonical_masks(space)
+    # a key as capacity_to_doc writes it is looked up; any other is parsed,
+    # and so is every key where an empty label or one holding the separator
+    # makes keys ambiguous
+    canonical = {}
+    if all(label and "|" not in label for label in space.points):
+        canonical = {key: mask for mask, key in enumerate(_mask_keys(space))}
     table = np.zeros(1 << n)
     seen = set()
     for key, raw in sets.items():
@@ -222,7 +214,7 @@ def generators_from_doc(doc) -> GeneratorSet:
     doc = _require_mapping(doc, "points")
     dim = doc.get("dim")
     pts = doc.get("points")
-    if not isinstance(dim, int) or not isinstance(pts, list) or not pts:
+    if isinstance(dim, bool) or not isinstance(dim, int) or not isinstance(pts, list) or not pts:
         raise ValueError("points document needs an integer 'dim' and a non-empty 'points' list")
     rows = []
     for row in pts:

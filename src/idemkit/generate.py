@@ -9,14 +9,17 @@ constructors' normalization invariants hold without rounding slack.
 from __future__ import annotations
 
 import string
+from typing import Callable
 
 import numpy as np
 
 from .capacities import Capacity, MetaPossibility, PossibilityProfile
 from .convexity import GeneratorSet, index_space
 from .measures import (
+    MAXPLUS,
     MaxPlusDensity,
     MaxTimesDensity,
+    Meta,
     MetaDensity,
     MetaTimesDensity,
     ThirdLevel,
@@ -126,9 +129,25 @@ def random_maxtimes_density(
     )
 
 
-def _normalized_level(rng: np.random.Generator, count: int, min_weight: float) -> np.ndarray:
-    draws = rng.uniform(min_weight, 0.0, count)
-    return draws - draws.max()
+def _random_level(
+    rng: np.random.Generator,
+    meta: type[Meta],
+    max_support: int,
+    draw_entry: Callable[[], object],
+    min_weight: float = -8.0,
+) -> Meta:
+    """A `meta` value of 1 to max_support entries.  It draws their number,
+    then their weights, normalized to the peak of the meta's side (in
+    [min_weight, 0] less their max on the max-plus side, in [0, 1] over
+    their max on the max-times side), then each entry with draw_entry()."""
+    k = int(rng.integers(1, max_support + 1))
+    if meta.side is MAXPLUS:
+        draws = rng.uniform(min_weight, 0.0, k)
+        weights = draws - draws.max()
+    else:
+        draws = rng.uniform(0.0, 1.0, k)
+        weights = draws / draws.max() if draws.max() > 0 else np.ones(k)
+    return meta(tuple((draw_entry(), float(w)) for w in weights))
 
 
 def random_meta(
@@ -137,24 +156,18 @@ def random_meta(
     max_support: int = 4,
     min_weight: float = -8.0,
 ) -> MetaDensity:
-    k = int(rng.integers(1, max_support + 1))
-    weights = _normalized_level(rng, k, min_weight)
-    pairs = tuple(
-        (random_maxplus_density(rng, space, min_weight), float(w)) for w in weights
+    return _random_level(
+        rng, MetaDensity, max_support, lambda: random_maxplus_density(rng, space, min_weight),
+        min_weight,
     )
-    return MetaDensity(pairs)
 
 
 def random_meta_times(
     rng: np.random.Generator, space: FiniteSpace, max_support: int = 4
 ) -> MetaTimesDensity:
-    k = int(rng.integers(1, max_support + 1))
-    draws = rng.uniform(0.0, 1.0, k)
-    draws = draws / draws.max() if draws.max() > 0 else np.ones(k)
-    pairs = tuple(
-        (random_maxtimes_density(rng, space), float(w)) for w in draws
+    return _random_level(
+        rng, MetaTimesDensity, max_support, lambda: random_maxtimes_density(rng, space)
     )
-    return MetaTimesDensity(pairs)
 
 
 def random_third(
@@ -164,24 +177,18 @@ def random_third(
     max_inner: int = 4,
     min_weight: float = -8.0,
 ) -> ThirdLevel:
-    k = int(rng.integers(1, max_outer + 1))
-    weights = _normalized_level(rng, k, min_weight)
-    pairs = tuple(
-        (random_meta(rng, space, max_inner, min_weight), float(w)) for w in weights
+    return _random_level(
+        rng, ThirdLevel, max_outer, lambda: random_meta(rng, space, max_inner, min_weight),
+        min_weight,
     )
-    return ThirdLevel(pairs)
 
 
 def random_third_times(
     rng: np.random.Generator, space: FiniteSpace, max_outer: int = 4, max_inner: int = 4
 ) -> ThirdLevelTimes:
-    k = int(rng.integers(1, max_outer + 1))
-    draws = rng.uniform(0.0, 1.0, k)
-    draws = draws / draws.max() if draws.max() > 0 else np.ones(k)
-    pairs = tuple(
-        (random_meta_times(rng, space, max_inner), float(w)) for w in draws
+    return _random_level(
+        rng, ThirdLevelTimes, max_outer, lambda: random_meta_times(rng, space, max_inner)
     )
-    return ThirdLevelTimes(pairs)
 
 
 def random_capacity(rng: np.random.Generator, space: FiniteSpace) -> Capacity:
@@ -224,14 +231,10 @@ def random_meta_possibility(
     max_support: int = 4,
     quantum: int | None = None,
 ) -> MetaPossibility:
-    k = int(rng.integers(1, max_support + 1))
-    draws = rng.uniform(0.0, 1.0, k)
-    draws = draws / draws.max() if draws.max() > 0 else np.ones(k)
-    pairs = tuple(
-        (random_possibility_profile(rng, space, quantum=quantum), float(w))
-        for w in draws
+    return _random_level(
+        rng, MetaPossibility, max_support,
+        lambda: random_possibility_profile(rng, space, quantum=quantum),
     )
-    return MetaPossibility(pairs)
 
 
 def random_weight_vector(

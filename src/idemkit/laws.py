@@ -20,6 +20,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .capacities import (
+    DEFAULT_RECOVERY_BOUND,
     MetaPossibility,
     check_characterization,
     check_repr,
@@ -79,9 +80,6 @@ from .semiring import is_bottom, resolve_tolerance, score_eq
 from .spaces import FiniteSpace, PointMap, compose_maps
 
 MUTATIONS = ("drop-weight",)
-
-RECOVERY_BOUND = 40.0
-PROBE_BOUND = 64.0
 
 # threshold sweep used by the possibility-multiplication suite
 SWEEP_STEPS = 10_000
@@ -295,11 +293,11 @@ def suite_roundtrip(trials=500, seed=0, max_space=5, mutate=None, tol=None) -> R
                 return eval_measure(d, phi)
 
             if not _holds(
-                lambda: density_close(density_from_functional(oracle, d.space, PROBE_BOUND), d, tol)
+                lambda: density_close(density_from_functional(oracle, d.space), d, tol)
             ):
                 return True
             probe_rng = trial_stream(seed, 0, tag=121)
-            recovered = density_from_functional(oracle, d.space, PROBE_BOUND)
+            recovered = density_from_functional(oracle, d.space)
             for _ in range(5):
                 phi = random_real_function(probe_rng, d.space)
                 if not score_eq(eval_measure(recovered, phi), oracle(phi), tol):
@@ -359,7 +357,7 @@ def suite_s_iso(trials=500, seed=0, max_space=5, mutate=None, tol=None) -> RunRe
         N = random_meta(rng, space)
 
         def fails(M):
-            return not _holds(lambda: check_s_morphism(M, PROBE_BOUND, tol))
+            return not _holds(lambda: check_s_morphism(M, tol=tol))
 
         if fails(N):
             small = _minimize(N, fails, _meta_shrinks)
@@ -416,8 +414,8 @@ def suite_charac(trials=500, seed=0, max_space=5, mutate=None, tol=None) -> RunR
                 f"integral functional violates {bad.name}",
                 {"capacity": capacity_to_doc(c), "witness": bad.witness},
             )
-        recovered = recover_capacity(oracle, space, RECOVERY_BOUND)
-        slack = max(resolve_tolerance(tol), math.exp(-RECOVERY_BOUND))
+        recovered = recover_capacity(oracle, space)
+        slack = max(resolve_tolerance(tol), math.exp(-DEFAULT_RECOVERY_BOUND))
         if float(np.max(np.abs(recovered.table - c.table))) > slack:
             return "capacity recovery misses an entry", {"capacity": capacity_to_doc(c)}
         return None

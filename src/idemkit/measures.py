@@ -12,8 +12,10 @@ order (`Probe`), and eval_measure reduces a density against one of them
 with one numpy reduction over the density's weight vector; functions given
 by label dicts keep a plain dict reduction, which is faster on the small
 spaces of the law harness.  density_from_functional builds its probes in
-blocks, and an oracle with a `batch` form, such as the one behind
-measure_multiplication, evaluates each block whole.
+blocks of at most PROBE_BLOCK_CELLS values and hands each block to the
+probe layer of idemkit.spaces (`probe_values`), so an oracle with a `batch`
+form, such as the one behind measure_multiplication, evaluates each block
+whole.
 
 A density stores a label dict or a weight vector in point order, whichever
 it was built from, and makes the other on first read.  `Density.rows`
@@ -37,7 +39,6 @@ taking the larger weight.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, ClassVar, Mapping
@@ -45,7 +46,19 @@ from typing import Callable, ClassVar, Mapping
 import numpy as np
 
 from .semiring import BOTTOM, resolve_tolerance
-from .spaces import FiniteSpace, PointMap, Probe, RealFunction, stored, validate_map
+from .spaces import (
+    PROBE_BLOCK_CELLS,
+    FiniteSpace,
+    PointMap,
+    Probe,
+    RealFunction,
+    check_probe_bound,
+    in_point_order,
+    probe_values,
+    row_views,
+    stored,
+    validate_map,
+)
 
 # slack on the times side, where division by the peak cannot stay exact
 TIMES_NORM_SLACK = 1e-12
@@ -59,10 +72,6 @@ DEFAULT_PROBE_BOUND = 64.0
 # points for multiply and the bridge and near 100 for pushforward.  The law
 # suites draw spaces of at most 5 points.
 ARRAY_MIN_POINTS = 64
-
-# the most values in one block of recovery probes: 2**16 doubles, 512 KiB,
-# which stays in cache (one 1000 x 1000 block was about 2x slower)
-PROBE_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -164,14 +173,7 @@ class Density:
                 f"peak weight is {float(peaks[r])!r} at point {space.points[block[r].argmax()]!r}"
                 f"{where(r)}, expected {side.peak!r} (use normalize)"
             )
-        block.setflags(write=False)
-        out = []
-        for row in block:
-            f = cls.__new__(cls)
-            attrs = f.__dict__
-            attrs["space"], attrs["vector"] = space, row
-            out.append(f)
-        return out
+        return row_views(cls, space, block)
 
     @stored
     def weights(self) -> dict[str, float]:
@@ -353,24 +355,8 @@ def eval_measure(f: Density, phi) -> float:
     if not same and f.space != phi.space:
         raise ValueError("density and function live on different spaces")
     if isinstance(phi, Probe):
-        return float(f.side.otimes(f.vector, _in_point_order(phi.vector, phi.space, f.space)).max())
+        return float(f.side.otimes(f.vector, in_point_order(phi.vector, phi.space, f.space)).max())
     return max(map(f.side.otimes, f.weights.values(), map(phi.values.__getitem__, f.weights)))
-
-
-def _in_point_order(vector: np.ndarray, source: FiniteSpace, space: FiniteSpace) -> np.ndarray:
-    """A vector in the point order of `source` rearranged into the point
-    order of `space`, an equal space; itself when the orders agree."""
-    if source is space or source.points == space.points:
-        return vector
-    index = source.index
-    return vector[np.fromiter(map(index.__getitem__, space.points), np.intp, len(space))]
-
-
-def check_probe_bound(bound: float) -> None:
-    """Probes sit at -bound off their point, so bound must be a finite
-    positive number."""
-    if not (math.isfinite(bound) and bound > 0.0):
-        raise ValueError(f"probe bound must be finite and positive, got bound={bound!r}")
 
 
 def probe_function(space: FiniteSpace, x: str, bound: float) -> Probe:
@@ -400,28 +386,21 @@ def density_from_functional(
     as bottom.  Recovery is exact for functionals of valid densities whose
     finite weights all exceed -bound.
 
-    The probes are the rows of blocks of at most PROBE_BLOCK_CELLS values.
-    An oracle with a `batch(block, space)` method gets each block whole and
-    returns one value per row; any other oracle is called once per point,
-    in point order, on the block's rows as Probe vectors.
+    The probes are the rows of blocks of at most PROBE_BLOCK_CELLS values,
+    evaluated by spaces.probe_values: an oracle with a `batch(block, space)`
+    method gets each block whole and returns one value per row; any other
+    oracle is called once per point, in point order, on the block's rows as
+    Probe vectors.
     """
     check_probe_bound(bound)
     cut = -bound + resolve_tolerance(tol)
-    batch = getattr(oracle, "batch", None)
     n = len(space)
     step = max(1, PROBE_BLOCK_CELLS // n)
     values: list[float] = []
     for start in range(0, n, step):
-        m = min(step, n - start)
-        block = np.full((m, n), -bound)
+        block = np.full((min(step, n - start), n), -bound)
         block.reshape(-1)[start :: n + 1] = 0.0  # row r probes point start + r
-        if batch is None:
-            values += [float(oracle(phi)) for phi in Probe.rows(space, block)]
-        else:
-            got = np.asarray(batch(block, space), dtype=float)
-            if got.shape != (m,):
-                raise ValueError(f"a batch oracle returned shape {got.shape} for {m} probe rows")
-            values += got.tolist()
+        values += probe_values(oracle, space, block).tolist()
     weights = [BOTTOM if v <= cut else v for v in values]
     if n < ARRAY_MIN_POINTS:
         return MaxPlusDensity(space, dict(zip(space.points, weights)))
@@ -504,7 +483,7 @@ def multiply(F: Meta) -> Density:
                     weights[x] = cand
         return F.entry(space, weights)
     stack = side.otimes(
-        np.stack([_in_point_order(f.vector, f.space, space) for f, _ in F.support]),
+        np.stack([in_point_order(f.vector, f.space, space) for f, _ in F.support]),
         np.array([w for _, w in F.support])[:, None],
     )
     out = stack.max(axis=0)
@@ -532,7 +511,7 @@ class _SupportFunctional:
         # fed only by density_from_functional, whose blocks need no checks
         out = None
         for f, w in self.N.support:
-            v = f.side.otimes(block, _in_point_order(f.vector, f.space, space)).max(axis=1) + w
+            v = f.side.otimes(block, in_point_order(f.vector, f.space, space)).max(axis=1) + w
             out = v if out is None else np.maximum(out, v, out=out)
         return out
 

@@ -3,6 +3,15 @@
 On a finite space every function is continuous and every subset is both
 closed and open, so no topology objects are needed: level sets, pushforwards
 and comonotonicity all reduce to exact finite computations.
+
+This module is also the probe layer that density_from_functional and
+recover_capacity share.  A probe is a function held as a float vector in
+point order (`Probe`); a block holds one probe per row, at most
+PROBE_BLOCK_CELLS values.  probe_values evaluates an oracle on a block: an
+oracle with a `batch(block, space)` method gets it whole, any other is called
+once per row, in order.  in_point_order gathers values listed in one space's
+point order into an equal space's, and row_views makes one object per row of
+a checked block, for `Probe.rows` and `Density.rows` alike.
 """
 
 from __future__ import annotations
@@ -15,6 +24,10 @@ import numpy as np
 
 # absorbs rounding of equal values when a product of differences sits at zero
 COMONOTONE_SLACK = 1e-12
+
+# the most values in one block of probes: 2**16 doubles, 512 KiB, which
+# stays in cache (one 1000 x 1000 block was about 2x slower)
+PROBE_BLOCK_CELLS = 1 << 16
 
 
 class stored:
@@ -149,15 +162,21 @@ class Probe(RealFunction):
         """One probe per row of an (m, len(space)) block, each a view of it.
         The block is checked once, with the invariants of the constructor,
         and taken over like a single probe's vector: marked read-only."""
-        block = checked_block(space, matrix, "probe rows")
-        block.setflags(write=False)
-        probes = []
-        for row in block:
-            probe = cls.__new__(cls)
-            attrs = probe.__dict__
-            attrs["space"], attrs["vector"] = space, row
-            probes.append(probe)
-        return probes
+        return row_views(cls, space, checked_block(space, matrix, "probe rows"))
+
+
+def row_views(cls, space: FiniteSpace, block: np.ndarray) -> list:
+    """One `cls` object per row of a checked (m, len(space)) block, made
+    without its constructor: its `space` is `space` and its `vector` the
+    row, a view.  The block is taken over and marked read-only."""
+    block.setflags(write=False)
+    out = []
+    for row in block:
+        obj = cls.__new__(cls)
+        attrs = obj.__dict__
+        attrs["space"], attrs["vector"] = space, row
+        out.append(obj)
+    return out
 
 
 def checked_block(space: FiniteSpace, matrix, what: str) -> np.ndarray:
@@ -175,6 +194,38 @@ def checked_block(space: FiniteSpace, matrix, what: str) -> np.ndarray:
             f"non-finite value {float(block[r, i])!r} at point {space.points[i]!r} in row {r}"
         )
     return block
+
+
+def in_point_order(values: np.ndarray, source: FiniteSpace, space: FiniteSpace) -> np.ndarray:
+    """A vector, or a block with one function per row, whose last axis is in
+    the point order of `source`, rearranged into the point order of
+    `space`, an equal space; the array itself when the two orders agree."""
+    if source is space or source.points == space.points:
+        return values
+    index = source.index
+    return values[..., np.fromiter(map(index.__getitem__, space.points), np.intp, len(space))]
+
+
+def check_probe_bound(bound: float) -> None:
+    """Probes sit at -bound off their points, so bound must be a finite
+    positive number."""
+    if not (math.isfinite(bound) and bound > 0.0):
+        raise ValueError(f"probe bound must be finite and positive, got bound={bound!r}")
+
+
+def probe_values(oracle, space: FiniteSpace, block: np.ndarray) -> np.ndarray:
+    """The oracle's value on each row of an (m, len(space)) probe block, as
+    an array of m floats.  An oracle with a `batch(block, space)` method gets
+    the block whole and must return one value per row; any other is called
+    once per row, in order, on the rows as Probe vectors."""
+    batch = getattr(oracle, "batch", None)
+    if batch is None:
+        return np.array([float(oracle(phi)) for phi in Probe.rows(space, block)])
+    values = np.asarray(batch(block, space), dtype=float)
+    m = len(block)
+    if values.shape != (m,):
+        raise ValueError(f"a batch oracle returned shape {values.shape} for {m} probe rows")
+    return values
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from idemkit import capacities
 from idemkit.capacities import (
-    RECOVERY_BLOCK,
+    PROBE_BLOCK_CELLS,
     Capacity,
     MetaPossibility,
     PossibilityProfile,
@@ -31,6 +32,7 @@ from idemkit.generate import (
     trial_stream,
 )
 from idemkit.laws import sweep_grid, swept_capacity_value
+from idemkit.measures import density_from_functional
 from idemkit.semiring import BOTTOM, log_bridge
 from idemkit.spaces import FiniteSpace, Probe, RealFunction, fn_max, fn_shift
 
@@ -349,7 +351,7 @@ def _recover_with_dict_probes(oracle, space, bound):
 
 def test_recover_capacity_across_probe_blocks():
     space = FiniteSpace(tuple(f"p{i}" for i in range(13)))
-    assert 1 << len(space) > RECOVERY_BLOCK
+    assert 1 << len(space) > PROBE_BLOCK_CELLS // len(space)
     c = random_capacity(trial_stream(305, 0), space)
     oracle = integral_functional(c)
     recovered = recover_capacity(oracle, space, 40.0)
@@ -574,3 +576,46 @@ def test_subset_bits_order():
         subset_bits(ABC, ["z"])
     with pytest.raises(ValueError, match="unknown point"):
         subset_bits(ABC, [["a"]])
+
+
+class _CountingBatch:
+    """An integral functional's batch that records the rows of each block."""
+
+    def __init__(self, c):
+        self.functional, self.rows = integral_functional(c), []
+
+    def batch(self, block, space):
+        self.rows.append(len(block))
+        return self.functional.batch(block, space)
+
+
+def test_recover_capacity_follows_the_probe_block_budget(monkeypatch):
+    # blocks of 10, 384 and (the floor) 1 rows
+    for n, cells in ((4, 40), (13, 5000), (6, 5)):
+        space = FiniteSpace(tuple(f"p{i}" for i in range(n)))
+        c = random_capacity(trial_stream(617, n), space)
+        whole = recover_capacity(integral_functional(c), space, 40.0)
+        monkeypatch.setattr(capacities, "PROBE_BLOCK_CELLS", cells)
+        oracle = _CountingBatch(c)
+        split = recover_capacity(oracle, space, 40.0)
+        monkeypatch.undo()
+        step = max(1, cells // n)
+        assert len(oracle.rows) > 1 and max(oracle.rows) == step
+        assert oracle.rows == [min(step, (1 << n) - start) for start in range(1, 1 << n, step)]
+        assert split.table.tobytes() == whole.table.tobytes()
+
+
+def test_both_readers_reject_a_batch_of_the_wrong_shape_with_one_text():
+    class Five:
+        def batch(self, block, space):
+            return np.zeros(5)
+
+    messages = []
+    for space in (ABC, FiniteSpace(("a",))):
+        for read in (density_from_functional, recover_capacity):
+            with pytest.raises(ValueError) as info:
+                read(Five(), space)
+            messages.append(str(info.value))
+    assert messages[0] == "a batch oracle returned shape (5,) for 3 probe rows"
+    assert messages[1] == "a batch oracle returned shape (5,) for 7 probe rows"
+    assert messages[2] == messages[3] == "a batch oracle returned shape (5,) for 1 probe rows"

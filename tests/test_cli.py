@@ -231,3 +231,35 @@ def test_missing_file_is_an_input_error(capsys):
     rc = main(["integrate", "--space", "/does/not/exist.json",
                "--capacity", "{}", "--function", "{}"])
     assert rc == 2
+
+
+HUGE = "1" + "0" * 400  # a JSON integer beyond the range of a double
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["integrate", "--space", "space.json", "--capacity", "poss.json",
+         "--function", '{"values": {"a": 0, "b": %s, "c": 2}}' % HUGE],
+        ["hull", "combine", "--generators", "gens.json", "--weights", "[0, -%s]" % HUGE],
+        ["hull", "combine", "--generators", "gens.json", "--weights", "[0, %s]" % HUGE],
+        ["barycenter", "--generators", "gens.json", "--density", "[0, -%s]" % HUGE],
+        ["hull", "member", "--generators", "gens.json", "--point", "[%s, 0]" % HUGE],
+        ["hull", "member", "--generators", "line.json", "--point", "[true]"],
+        ["hull", "member", "--generators", "line.json", "--point", '["0.5"]'],
+        ["hull", "member", "--generators", "line.json", "--point", '{"point": [0.5]}'],
+        ["hull", "member", "--generators", '{"dim": true, "points": [[0.5]]}', "--point", "[0.5]"],
+    ],
+)
+def test_numbers_out_of_range_or_of_the_wrong_type_are_input_errors(docs, capsys, argv):
+    docs["line.json"] = json.dumps({"dim": 1, "points": [[0.0], [2.0]]})
+    argv = [docs.get(arg, arg) for arg in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_hull_member_reads_a_point_of_numbers(docs, capsys):
+    line = json.dumps({"dim": 1, "points": [[0.0], [2.0]]})
+    assert main(["hull", "member", "--generators", line, "--point", "[0.5]"]) == 0
+    assert main(["hull", "member", "--generators", line, "--point", "[1]"]) == 0
+    assert capsys.readouterr().out.split() == ["true", "true"]

@@ -9,6 +9,7 @@ from idemkit.generate import random_capacity, trial_stream
 from idemkit.documents import (
     capacity_from_doc,
     capacity_to_doc,
+    decode_number,
     decode_score,
     density_from_doc,
     density_to_doc,
@@ -236,3 +237,26 @@ def test_dump_json_is_deterministic(tmp_path):
     t2 = dump_json(doc, str(tmp_path / "out.json"))
     assert t1 == t2
     assert (tmp_path / "out.json").read_text().strip() == t1
+
+
+def test_numbers_beyond_double_range_are_not_finite_numbers():
+    huge = 10**400
+    for raw in (huge, -huge):
+        with pytest.raises(ValueError, match=r"^not a finite number: -?10{400}$"):
+            decode_number(raw)
+        with pytest.raises(ValueError, match=r"^not a score: -?10{400} \(numbers or the token"):
+            decode_score(raw)
+    assert decode_number(10**300) == 1e300 and decode_score(-(10**300)) == -1e300
+
+
+def test_decode_score_names_every_non_score_alike():
+    for bad in (float("nan"), float("inf"), True, "0.5", "inf", None, [0.0]):
+        with pytest.raises(ValueError, match=r"^not a score: .* \(numbers or the token '-inf'\)$"):
+            decode_score(bad)
+
+
+def test_generators_need_an_integer_dimension_that_is_not_a_bool():
+    for dim in (True, False, 1.0, "1"):
+        with pytest.raises(ValueError, match="integer 'dim'"):
+            generators_from_doc({"dim": dim, "points": [[0.5]]})
+    assert generators_from_doc({"dim": 1, "points": [[0.5]]}).dimension == 1

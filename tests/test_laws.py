@@ -4,7 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from idemkit import laws
+from idemkit import generate, laws
+from idemkit.capacities import MetaPossibility
+from idemkit.generate import (
+    random_maxplus_density,
+    random_maxtimes_density,
+    random_possibility_profile,
+)
 from idemkit.laws import (
     SUITES,
     drop_weight,
@@ -12,7 +18,14 @@ from idemkit.laws import (
     run_suite,
     suite_names,
 )
-from idemkit.measures import MaxPlusDensity, MetaDensity, ThirdLevel, multiply
+from idemkit.measures import (
+    MaxPlusDensity,
+    MetaDensity,
+    MetaTimesDensity,
+    ThirdLevel,
+    ThirdLevelTimes,
+    multiply,
+)
 from idemkit.seeding import trial_stream
 from idemkit.semiring import BOTTOM
 from idemkit.spaces import FiniteSpace
@@ -157,3 +170,43 @@ def test_inner_metas_beside_other_entries_are_not_restricted(monkeypatch):
     # the inner meta's three point drops come first, then the outer ones
     assert [len(c.space) for c in candidates] == [2] * 6
     assert restricted.count(MetaDensity) == 6
+
+
+def _level(rng, k, side):
+    if side == "plus":
+        draws = rng.uniform(-8.0, 0.0, k)
+        return draws - draws.max()
+    draws = rng.uniform(0.0, 1.0, k)
+    return draws / draws.max() if draws.max() > 0 else np.ones(k)
+
+
+def _drawn_as_before(rng, space, which):
+    """The five meta generators as each drew its value on its own: the
+    number of entries, then the weight level, then each entry."""
+    cls, side, entry = {
+        "random_meta": (MetaDensity, "plus", lambda: random_maxplus_density(rng, space, -8.0)),
+        "random_meta_times": (
+            MetaTimesDensity, "times", lambda: random_maxtimes_density(rng, space)
+        ),
+        "random_meta_possibility": (
+            MetaPossibility, "times", lambda: random_possibility_profile(rng, space, quantum=8)
+        ),
+        "random_third": (ThirdLevel, "plus", lambda: _drawn_as_before(rng, space, "random_meta")),
+        "random_third_times": (
+            ThirdLevelTimes, "times", lambda: _drawn_as_before(rng, space, "random_meta_times")
+        ),
+    }[which]
+    k = int(rng.integers(1, 5))
+    return cls(tuple((entry(), float(w)) for w in _level(rng, k, side)))
+
+
+def test_meta_generators_draw_in_the_recorded_order():
+    for which in ("random_meta", "random_meta_times", "random_meta_possibility",
+                  "random_third", "random_third_times"):
+        kwargs = {"quantum": 8} if which == "random_meta_possibility" else {}
+        for seed in range(25):
+            space = FiniteSpace(tuple("abcde"[: 1 + seed % 5]))
+            new, old = trial_stream(8800, seed), trial_stream(8800, seed)
+            got = getattr(generate, which)(new, space, **kwargs)
+            assert repr(got) == repr(_drawn_as_before(old, space, which))
+            assert new.random() == old.random()  # no draw more or less

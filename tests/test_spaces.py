@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from idemkit.spaces import (
     compose_maps,
     fn_max,
     fn_shift,
+    in_point_order,
     level_set,
+    probe_values,
     validate_map,
 )
 
@@ -94,6 +97,68 @@ def test_probe_rows_reject_a_bad_block_and_name_the_point():
         block[2, 1] = bad
         with pytest.raises(ValueError, match=f"non-finite value {bad!r} at point 'b' in row 2"):
             Probe.rows(ABC, block)
+
+
+def test_in_point_order_gathers_the_last_axis_into_the_other_order():
+    cab = FiniteSpace(("c", "a", "b"))
+    vector = np.array([3.0, 0.5, -2.0])  # c, a, b
+    assert in_point_order(vector, cab, ABC).tolist() == [0.5, -2.0, 3.0]
+    block = np.array([[3.0, 0.5, -2.0], [-0.0, 1.0, 2.0]])
+    got = in_point_order(block, cab, ABC)
+    assert got.shape == (2, 3)
+    assert [list(map(repr, row)) for row in got.tolist()] == [
+        ["0.5", "-2.0", "3.0"],
+        ["1.0", "2.0", "-0.0"],
+    ]
+    assert in_point_order(got, ABC, cab).tolist() == block.tolist()
+
+
+def test_in_point_order_returns_the_array_itself_when_the_orders_agree():
+    vector, block = np.arange(3.0), np.zeros((4, 3))
+    assert in_point_order(vector, ABC, ABC) is vector
+    assert in_point_order(block, ABC, FiniteSpace(("a", "b", "c"))) is block
+
+
+def test_probe_values_calls_a_plain_oracle_once_per_row_in_order():
+    block = np.array([[0.0, -1.0, -2.0], [5.0, 4.0, 3.0], [-0.5, 0.0, 0.5]])
+    seen = []
+
+    def oracle(phi):
+        assert type(phi) is Probe and phi.space is ABC
+        seen.append(phi.vector.tolist())
+        return phi("c")
+
+    got = probe_values(oracle, ABC, block)
+    assert seen == block.tolist()
+    assert got.dtype == np.float64 and got.tolist() == [-2.0, 3.0, 0.5]
+
+
+def test_probe_values_hands_a_batch_oracle_the_block_whole():
+    calls = []
+
+    class Batch:
+        def __call__(self, phi):
+            raise AssertionError("a batch oracle is fed blocks")
+
+        def batch(self, block, space):
+            calls.append((block, space))
+            return [float(v) for v in block.max(axis=1)]
+
+    block = np.array([[0.0, -1.0, -2.0], [5.0, 4.0, 3.0]])
+    assert probe_values(Batch(), ABC, block).tolist() == [0.0, 5.0]
+    assert len(calls) == 1 and calls[0][0] is block and calls[0][1] is ABC
+
+
+def test_probe_values_rejects_a_batch_of_the_wrong_shape():
+    for shape in ((1,), (3,), (2, 1), ()):
+
+        class Wrong:
+            def batch(self, block, space):
+                return np.zeros(shape)
+
+        message = re.escape(f"a batch oracle returned shape {shape} for 2 probe rows")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            probe_values(Wrong(), ABC, np.zeros((2, 3)))
 
 
 def test_real_function_requires_exact_cover():
