@@ -80,7 +80,10 @@ def subset_from_doc(doc, space: FiniteSpace) -> SubsetMask:
     members = doc.get("members")
     if not isinstance(members, list):
         raise ValueError("subset document needs a 'members' list")
-    return SubsetMask(space, frozenset(str(m) for m in members))
+    for m in members:
+        if not isinstance(m, str):
+            raise ValueError(f"subset member {m!r} is not a string label")
+    return SubsetMask(space, frozenset(members))
 
 
 def density_to_doc(f: Density) -> dict:

@@ -21,20 +21,26 @@ A density stores a label dict or a weight vector in point order, whichever
 it was built from, and makes the other on first read.  `Density.rows`
 checks a whole block of weight vectors at once.  On spaces of at least
 ARRAY_MIN_POINTS points, multiply is one (x) broadcast and a max over the
-stacked weight vectors, and pushforward one np.maximum.at over the target
-index of each point; both keep the first of equal weights, as their
-label-dict loops do, so even a zero keeps its sign.  On smaller spaces, the
-only ones the law suites draw, the loops are faster, because numpy's cost
-per call outweighs its cost per point there.
+stacked weight vectors, pushforward one np.maximum.at over the target
+index of each point, and the closeness of two densities one comparison of
+their weight vectors; multiply and pushforward keep the first of equal
+weights, as their label-dict loops do, so even a zero keeps its sign.  On
+smaller spaces, the only ones the law suites draw, the loops are faster,
+because numpy's cost per call outweighs its cost per point there.
 The public classes only fix a side and an entry type, and every operation
 reads the side off its argument; the *_times names are aliases kept for
 callers.
 
 Constructors reject unnormalized input instead of silently renormalizing;
 normalize divides out the peak explicitly (shifting on the max-plus side,
-scaling on the max-times side).  Bottom-weight entries are dropped from
-meta supports, and support entries equal within tolerance are merged by
-taking the larger weight.
+scaling on the max-times side).  Each checks its input in one pass and
+reports the first fault in a fixed order: for a density, unknown labels,
+then point by point a missing or bad weight, then the peak.
+Bottom-weight entries are dropped from meta supports, and support entries
+equal within tolerance are merged by taking the larger weight.  The default
+tolerance (semiring.default_tolerance, which reads IDEMKIT_TOLERANCE) is
+read when a merge compares entries, that is when two or more are kept; a
+one-entry meta never reads it.
 """
 
 from __future__ import annotations
@@ -94,8 +100,12 @@ class Side:
     def check(self, w) -> float:
         w = float(w)
         if not self.bottom <= w <= self.peak:  # also rejects NaN
-            raise ValueError(f"weight {w!r} outside [{self.bottom}, {self.peak}]")
+            raise ValueError(self.outside(w))
         return w
+
+    def outside(self, w: float) -> str:
+        """The error text for a weight outside [bottom, peak]."""
+        return f"weight {w!r} outside [{self.bottom}, {self.peak}]"
 
 
 MAXPLUS = Side("maxplus", BOTTOM, 0.0, operator.add, operator.sub, 0.0)
@@ -116,17 +126,18 @@ class Density:
 
     def __init__(self, space: FiniteSpace, weights: Mapping[str, float]):
         side = self.side
-        extra = weights.keys() - space.label_set
-        if extra:
-            raise ValueError(f"weights given for unknown points: {sorted(extra)}")
+        if weights.keys() != space.label_set:
+            _reject_labels(side, space, weights)
+        bottom, top = side.bottom, side.peak
         vals = {}
         for p in space.points:
-            if p not in weights:
-                raise ValueError(f"missing weight for point {p!r}")
             try:
-                vals[p] = side.check(weights[p])
+                w = float(weights[p])
             except ValueError as exc:
                 raise ValueError(f"{exc} at point {p!r}") from None
+            if not bottom <= w <= top:  # Side.check, inline
+                raise ValueError(f"{side.outside(w)} at point {p!r}")
+            vals[p] = w
         peak = max(vals.values())
         if abs(peak - side.peak) > side.slack:
             raise ValueError(
@@ -161,10 +172,7 @@ class Density:
         inside = (block >= side.bottom) & (block <= side.peak)  # also rejects NaN
         if not inside.all():
             r, i = np.argwhere(~inside)[0].tolist()
-            raise ValueError(
-                f"weight {float(block[r, i])!r} outside [{side.bottom}, {side.peak}]"
-                f" at point {space.points[i]!r}{where(r)}"
-            )
+            raise ValueError(f"{side.outside(float(block[r, i]))} at point {space.points[i]!r}{where(r)}")
         peaks = block.max(axis=1)
         off = np.abs(peaks - side.peak) > side.slack
         if off.any():
@@ -204,6 +212,22 @@ class Density:
         return tuple(p for p in self.space.points if self.weights[p] != bottom)
 
 
+def _reject_labels(side: Side, space: FiniteSpace, weights: Mapping[str, float]) -> None:
+    """Raise the first error of weights whose labels are not the space's,
+    in the order the checks have always run: unknown labels first, then,
+    point by point, a missing weight or a weight out of range."""
+    extra = weights.keys() - space.label_set
+    if extra:
+        raise ValueError(f"weights given for unknown points: {sorted(extra)}")
+    for p in space.points:
+        if p not in weights:
+            raise ValueError(f"missing weight for point {p!r}")
+        try:
+            side.check(weights[p])
+        except ValueError as exc:
+            raise ValueError(f"{exc} at point {p!r}") from None
+
+
 class MaxPlusDensity(Density):
     """Weights in [-inf, 0] with peak exactly 0."""
 
@@ -219,11 +243,17 @@ class MaxTimesDensity(Density):
 
 def _close(a, b, tol: float) -> bool:
     """Equality within a resolved tolerance.  Densities: same space and every
-    weight equal or within tol.  Metas: the supports match pairwise, close
-    entries with close weights."""
+    weight equal or within tol, compared as weight vectors in point order
+    from ARRAY_MIN_POINTS points on and as label dicts below.  Metas: the
+    supports match pairwise, close entries with close weights."""
     if isinstance(a, Density):
-        if a.space != b.space:
+        space = a.space
+        if space is not b.space and space != b.space:
             return False
+        if len(space.points) >= ARRAY_MIN_POINTS:
+            u, v = a.vector, in_point_order(b.vector, b.space, space)
+            apart = u != v  # equal weights, bottoms among them, need no subtraction
+            return bool((np.abs(u[apart] - v[apart]) <= tol).all())
         bw = b.weights
         for p, v in a.weights.items():
             u = bw[p]
@@ -253,7 +283,9 @@ class Meta:
     """Finitely supported density over `entry` values sharing one space:
     pairs (entry, weight in [bottom, peak]) with the peak weight attained.
     Bottom-weight pairs are dropped and pairs whose entries are close merge,
-    keeping the larger weight."""
+    keeping the larger weight.  Closeness is under the default tolerance,
+    read when the merge compares entries: only when two or more pairs are
+    kept, so a bad IDEMKIT_TOLERANCE fails those constructions alone."""
 
     support: tuple[tuple[object, float], ...]
     side: ClassVar[Side]
@@ -261,30 +293,38 @@ class Meta:
 
     def __post_init__(self):
         side, entry = self.side, self.entry
+        bottom, top = side.bottom, side.peak
         kept = []
         for item, w in self.support:
-            w = side.check(w)
-            if w == side.bottom:
+            w = float(w)
+            if not bottom <= w <= top:  # Side.check, inline
+                raise ValueError(side.outside(w))
+            if w == bottom:
                 continue
             if not isinstance(item, entry):
                 raise ValueError(f"support entries must be {entry.__name__} values")
             kept.append((item, w))
         if not kept:
             raise ValueError("empty support after dropping bottom weights")
-        space = kept[0][0].space
-        if any(item.space != space for item, _ in kept):
-            raise ValueError("support entries live on different spaces")
-        tol = resolve_tolerance(None)
-        merged: list = []
-        for item, w in kept:
-            for k, (other, v) in enumerate(merged):
-                if _close(item, other, tol):
-                    if w > v:
-                        merged[k] = (other, w)
-                    break
-            else:
-                merged.append((item, w))
-        peak = max(w for _, w in merged)
+        if len(kept) == 1:
+            merged, peak = kept, kept[0][1]
+        else:
+            space = kept[0][0].space
+            for item, _ in kept:
+                other = item.space
+                if other is not space and other != space:
+                    raise ValueError("support entries live on different spaces")
+            tol = resolve_tolerance(None)  # read only when there is something to compare
+            merged = []
+            for item, w in kept:
+                for k, (other, v) in enumerate(merged):
+                    if _close(item, other, tol):
+                        if w > v:
+                            merged[k] = (other, w)
+                        break
+                else:
+                    merged.append((item, w))
+            peak = max(w for _, w in merged)
         if abs(peak - side.peak) > side.slack:
             raise ValueError(f"peak support weight is {peak!r}, expected {side.peak!r}")
         object.__setattr__(self, "support", tuple(merged))
@@ -450,14 +490,16 @@ def pushforward(g: PointMap, f: Density) -> Density:
     side, w = f.side, f.vector
     out = np.full(len(g.target), side.bottom)
     np.maximum.at(out, image, w)
-    zero = out == 0.0
-    if zero.any():
+    at_zero = w == 0.0
+    if np.signbit(w[at_zero]).any():
         # the loop keeps the first of equal weights, bottom first, but
-        # np.maximum may keep either sign of a zero
+        # np.maximum may keep either sign of a zero; without a -0.0 weight
+        # every zero is +0.0 and agrees
+        zero = out == 0.0
         if side.bottom == 0.0:
             out[zero] = side.bottom
         else:
-            first = np.flatnonzero((w == 0.0) & zero[image])
+            first = np.flatnonzero(at_zero & zero[image])
             hit, at = np.unique(image[first], return_index=True)
             out[hit] = w[first[at]]
     return type(f).from_vector(g.target, out)
@@ -473,7 +515,7 @@ def multiply(F: Meta) -> Density:
     """Monad multiplication: weight at x is the max over support pairs of
     density(x) (x) pair weight."""
     side, space = F.side, F.space
-    if len(space) < ARRAY_MIN_POINTS:
+    if len(space.points) < ARRAY_MIN_POINTS:
         otimes = side.otimes
         weights = dict.fromkeys(space.points, side.bottom)
         for f, w in F.support:

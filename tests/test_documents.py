@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,14 @@ def test_function_document():
 def test_subset_document():
     mask = subset_from_doc({"members": ["a", "c"]}, ABC)
     assert mask.members == {"a", "c"}
+
+
+@pytest.mark.parametrize("member", (1, True, 0.5, None, ["a"]))
+def test_subset_document_rejects_a_member_that_is_not_a_label(member):
+    # str() would turn 1 and true into the labels '1' and 'True'
+    space = FiniteSpace(("1", "True", "a"))
+    with pytest.raises(ValueError, match=rf"subset member {re.escape(repr(member))} is not a string"):
+        subset_from_doc({"members": ["a", member]}, space)
 
 
 def test_density_round_trip_maxplus():

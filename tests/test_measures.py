@@ -56,6 +56,7 @@ from idemkit.spaces import (
     compose_maps,
     fn_max,
     fn_shift,
+    in_point_order,
     unit_max,
     unit_scale,
 )
@@ -637,3 +638,142 @@ def test_density_from_functional_rejects_a_batch_of_the_wrong_shape():
 
     with pytest.raises(ValueError, match="batch oracle returned shape"):
         density_from_functional(Short(), ABC)
+
+
+@pytest.mark.parametrize(
+    "density, space, weights, message",
+    [
+        # a missing key and a bad weight: the points are checked in order
+        (MaxPlusDensity, AB, {"a": 0.5}, "weight 0.5 outside [-inf, 0.0] at point 'a'"),
+        (MaxPlusDensity, AB, {"b": 0.5}, "missing weight for point 'a'"),
+        (MaxPlusDensity, AB, {"a": "x"}, "could not convert string to float: 'x' at point 'a'"),
+        (MaxTimesDensity, ABC, {"a": 1.0, "b": 2.0}, "weight 2.0 outside [0.0, 1.0] at point 'b'"),
+        # an unknown key is reported before any weight
+        (MaxPlusDensity, AB, {"a": math.nan, "z": 0.0}, "weights given for unknown points: ['z']"),
+        (MaxTimesDensity, AB, {"a": 1.5, "c": 0.0}, "weights given for unknown points: ['c']"),
+        # two bad weights: the first in point order, not in key order
+        (MaxPlusDensity, AB, {"b": 1.0, "a": math.nan}, "weight nan outside [-inf, 0.0] at point 'a'"),
+        (MaxPlusDensity, FiniteSpace(("b", "a")), {"a": math.nan, "b": 1.0},
+         "weight 1.0 outside [-inf, 0.0] at point 'b'"),
+        (MaxPlusDensity, AB, {"a": "x", "b": 1.0}, "could not convert string to float: 'x' at point 'a'"),
+        # weights in range but no peak; the first of equal maxima is named
+        (MaxPlusDensity, AB, {"a": -1.0, "b": -2.0}, "peak weight is -1.0, expected 0.0 (use normalize)"),
+        (MaxTimesDensity, AB, {"a": -0.0, "b": 0.0}, "peak weight is -0.0, expected 1.0 (use normalize)"),
+    ],
+)
+def test_density_constructor_error_texts_on_inputs_with_two_faults(density, space, weights, message):
+    with pytest.raises(ValueError) as info:
+        density(space, weights)
+    assert str(info.value) == message
+
+
+def test_meta_constructor_error_texts_on_inputs_with_two_faults():
+    f = MaxPlusDensity(AB, {"a": 0.0, "b": -1.0})
+    g = MaxPlusDensity(ABC, {"a": 0.0, "b": -1.0, "c": BOTTOM})
+    t = MaxTimesDensity(AB, {"a": 1.0, "b": 0.5})
+    cases = [
+        # the entries are checked in order: weight, then bottom, then type
+        (MetaDensity, ((f, 0.5), ("x", 0.0)), "weight 0.5 outside [-inf, 0.0]"),
+        (MetaDensity, (("x", 0.0), (f, 0.5)), "support entries must be MaxPlusDensity values"),
+        (MetaTimesDensity, ((t, 0.0), (f, 1.0)), "support entries must be MaxTimesDensity values"),
+        (MetaDensity, ((f, "w"),), "could not convert string to float: 'w'"),
+        # a bottom entry is dropped before its type is looked at
+        (MetaDensity, (("x", BOTTOM), (f, -0.5)), "peak support weight is -0.5, expected 0.0"),
+        # a bad weight comes before entries on different spaces
+        (MetaDensity, ((f, 0.0), (g, 0.0), (f, math.nan)), "weight nan outside [-inf, 0.0]"),
+        # different spaces come before a missing peak
+        (MetaDensity, ((f, -1.0), (g, -2.0)), "support entries live on different spaces"),
+        (MetaDensity, ((f, BOTTOM), (g, BOTTOM)), "empty support after dropping bottom weights"),
+        # merged entries keep the larger weight, which still misses the peak
+        (MetaDensity, ((f, -1.0), (f, -0.5)), "peak support weight is -0.5, expected 0.0"),
+        (MetaTimesDensity, ((t, 0.5), (t, -0.0)), "peak support weight is 0.5, expected 1.0"),
+    ]
+    for meta, support, message in cases:
+        with pytest.raises(ValueError) as info:
+            meta(support)
+        assert str(info.value) == message, support
+
+
+def test_meta_reads_the_tolerance_only_when_a_merge_compares(monkeypatch):
+    f = MaxPlusDensity(AB, {"a": 0.0, "b": -1.0})
+    near = MaxPlusDensity(AB, {"a": 0.0, "b": -1.0 + 1e-6})
+    monkeypatch.setenv("IDEMKIT_TOLERANCE", "not a number")
+    # one kept entry, also after dropping a bottom one: nothing to compare
+    assert MetaDensity(((f, 0.0),)).support == ((f, 0.0),)
+    assert MetaDensity(((f, 0.0), (near, BOTTOM))).support == ((f, 0.0),)
+    with pytest.raises(ValueError, match="IDEMKIT_TOLERANCE"):
+        MetaDensity(((f, 0.0), (near, -1.0)))
+    # a change between two merges takes effect
+    monkeypatch.setenv("IDEMKIT_TOLERANCE", "1e-3")
+    assert MetaDensity(((f, -1.0), (near, 0.0))).support == ((f, 0.0),)
+    monkeypatch.setenv("IDEMKIT_TOLERANCE", "1e-9")
+    assert len(MetaDensity(((f, -1.0), (near, 0.0))).support) == 2
+
+
+def _close_inputs(n):
+    """Pairs of densities on n points, the second built from a vector on the
+    same space or from a dict on a reordered one: equal, a live weight half
+    or twice the tolerance apart, a bottom against a weight 1e-12 from it,
+    and every zero (peaks, and max-times bottoms) of the other sign."""
+    rng = trial_stream(7007, n)
+    space, other = _spaces(rng, n)
+    for side in (MAXPLUS, MAXTIMES):
+        base = _draw(rng, side, space, (0, 1), signed=True)
+        live = int(np.flatnonzero((base != side.bottom) & (base != side.peak))[0])
+        dead = int(np.flatnonzero(base == side.bottom)[0])
+        variants = {"same": base.copy()}
+        for name, delta in (("half tol", 5e-10), ("two tol", 2e-9)):
+            variants[name] = base.copy()
+            variants[name][live] -= delta
+        # within tol of bottom: close on the max-times side only
+        variants["bottom lifted"] = base.copy()
+        variants["bottom lifted"][dead] = -1e-12 if side is MAXPLUS else 1e-12
+        variants["zero sign"] = np.where(base == 0.0, -base, base)
+        cls = measures.DENSITIES[side.kind]
+        a = cls.from_vector(space, base)
+        for name, vals in variants.items():
+            by_vector = cls.from_vector(space, vals)
+            by_dict = cls(other, dict(zip(space.points, vals.tolist())))
+            for first, second in ((a, by_vector), (a, by_dict), (by_dict, a)):
+                yield side.kind, name, first, second
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_close_vector_and_dict_paths_agree(monkeypatch, n):
+    verdicts = {}
+    for kind, name, a, b in _close_inputs(n):
+        for tol in (0.0, 1e-9):
+            loops, arrays = _both_bodies(monkeypatch, lambda: measures._close(a, b, tol))
+            assert loops == arrays, (kind, name, tol)
+            # the same verdict in either order and on either space
+            assert verdicts.setdefault((kind, name, tol), arrays) == arrays, (kind, name, tol)
+    for kind in ("maxplus", "maxtimes"):
+        assert verdicts[kind, "same", 0.0] and verdicts[kind, "zero sign", 0.0]
+        assert verdicts[kind, "half tol", 1e-9] and not verdicts[kind, "half tol", 0.0]
+        assert not verdicts[kind, "two tol", 1e-9]
+    assert not verdicts["maxplus", "bottom lifted", 1e-9]
+    assert verdicts["maxtimes", "bottom lifted", 1e-9]
+    assert not verdicts["maxtimes", "bottom lifted", 0.0]
+    monkeypatch.undo()
+    # from ARRAY_MIN_POINTS points on, densities built from vectors are
+    # compared without building their label dicts
+    space, other = _spaces(trial_stream(7008, n), n)
+    f = MaxPlusDensity.from_vector(space, _draw(trial_stream(7008, n), MAXPLUS, space))
+    g = MaxPlusDensity.from_vector(other, in_point_order(f.vector, space, other))
+    assert density_close(f, g) and density_close(g, f)
+    assert ("weights" in f.__dict__ or "weights" in g.__dict__) == (n < ARRAY_MIN_POINTS)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("side", (MAXPLUS, MAXTIMES), ids=("maxplus", "maxtimes"))
+def test_pushforward_with_and_without_a_negative_zero_matches_its_loop(monkeypatch, side, n):
+    rng = trial_stream(7009, n)
+    space, other = _spaces(rng, n)
+    target = FiniteSpace(tuple(f"q{i}" for i in range(max(4, n // 8))))
+    g = PointMap(space, target, {p: target.points[int(rng.integers(len(target)))] for p in space.points})
+    for signed in (False, True):
+        vals = _draw(rng, side, other, (0, n - 1), signed=signed)
+        f = _density(side, other, vals)
+        assert bool(np.signbit(vals[vals == 0.0]).any()) == signed
+        out = _same_body_results(monkeypatch, lambda: pushforward(g, f))
+        assert out.vector.max() == side.peak
