@@ -23,7 +23,9 @@ the same budget of PROBE_BLOCK_CELLS values per block.  The logs the batch
 gathers are stored on the capacity (`Capacity.log_table`, made on first
 read), so every functional of one capacity shares them.  maxplus_integral
 and shilkret_integral stay scalar scans, the independent cross-check of the
-batch.
+batch.  Each scans a function's vector (idemkit.spaces keeps every real
+function as a vector in point order, with a label dict besides when built
+from one), gathered into the capacity's point order.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .semiring import (
 from .spaces import (
     PROBE_BLOCK_CELLS,
     FiniteSpace,
-    Probe,
     RealFunction,
     SubsetMask,
     check_probe_bound,
@@ -178,18 +179,12 @@ def is_possibility(c: Capacity, tol: float | None = None) -> bool:
 # integrals
 
 
-def _values_in_point_order(c: Capacity, phi: RealFunction) -> list[float]:
-    """The values of phi as a list in c.space.points order, the order of the
-    table's bitmasks; phi may list the same points in another order."""
-    if isinstance(phi, Probe):
-        return in_point_order(phi.vector, phi.space, c.space).tolist()
-    return list(map(phi.values.__getitem__, c.space.points))
-
-
 def _level_candidates(c: Capacity, phi: RealFunction):
     """Yield (t, capacity of the level set at t) for every attained value t,
-    scanning values downward and growing the mask."""
-    vals = _values_in_point_order(c, phi)
+    scanning values downward and growing the mask.  The values are phi's
+    vector in c.space.points order, the order of the table's bitmasks; phi
+    may list the same points in another order."""
+    vals = in_point_order(phi.vector, phi.space, c.space).tolist()
     n = len(vals)
     order = sorted(range(n), key=vals.__getitem__, reverse=True)
     mask = 0
@@ -308,7 +303,8 @@ def recover_capacity(
     by spaces.probe_values: an oracle with a `batch(block, space)` method,
     such as an IntegralFunctional, gets each block whole and returns one
     value per row.  Any other oracle is called once per non-empty subset,
-    in increasing mask order, on the block's rows as Probe vectors.
+    in increasing mask order, on the block's rows as Probes, functions that
+    hold their values as vectors.
     """
     check_probe_bound(bound)
     n = len(space)

@@ -17,7 +17,7 @@ from .capacities import Capacity, PossibilityProfile, subset_bits
 from .convexity import GeneratorSet
 from .measures import DENSITIES, MAXPLUS, METAS, Density, MaxTimesDensity, Meta
 from .semiring import BOTTOM, is_bottom
-from .spaces import FiniteSpace, RealFunction, SubsetMask, UnitFunction
+from .spaces import FiniteSpace, RealFunction, SubsetMask
 
 
 def encode_score(a: float):
@@ -63,7 +63,7 @@ def space_from_doc(doc) -> FiniteSpace:
     return FiniteSpace(tuple(pts))
 
 
-def function_to_doc(phi: RealFunction | UnitFunction) -> dict:
+def function_to_doc(phi: RealFunction) -> dict:
     return {"values": dict(phi.values)}
 
 

@@ -27,13 +27,12 @@ from .measures import (
 )
 from .seeding import trial_stream
 from .semiring import BOTTOM
-from .spaces import FiniteSpace, PointMap, RealFunction, UnitFunction
+from .spaces import FiniteSpace, PointMap, RealFunction
 
 __all__ = [
     "trial_stream",
     "random_space",
     "random_real_function",
-    "random_unit_function",
     "random_point_map",
     "random_comonotone_pair",
     "random_maxplus_density",
@@ -60,13 +59,7 @@ def random_space(rng: np.random.Generator, max_points: int = 5, min_points: int 
 def random_real_function(
     rng: np.random.Generator, space: FiniteSpace, lo: float = -5.0, hi: float = 5.0
 ) -> RealFunction:
-    vals = rng.uniform(lo, hi, len(space))
-    return RealFunction(space, {p: float(v) for p, v in zip(space.points, vals)})
-
-
-def random_unit_function(rng: np.random.Generator, space: FiniteSpace) -> UnitFunction:
-    vals = rng.uniform(0.0, 1.0, len(space))
-    return UnitFunction(space, {p: float(v) for p, v in zip(space.points, vals)})
+    return RealFunction.from_vector(space, rng.uniform(lo, hi, len(space)))
 
 
 def random_point_map(
@@ -89,9 +82,7 @@ def random_comonotone_pair(
         incs = rng.uniform(0.0, 2.0, n)
         incs[rng.random(n) < 0.3] = 0.0  # flat stretches cover ties
         table = float(rng.uniform(-3.0, 3.0)) + np.cumsum(incs)
-        return RealFunction(
-            space, {p: float(table[ranks[i]]) for i, p in enumerate(space.points)}
-        )
+        return RealFunction.from_vector(space, table[ranks])
 
     return reshape(), reshape()
 

@@ -7,15 +7,14 @@ tensor *).  A density peaks at its side's peak and doubles as a
 finite-support measure: its functional sends phi to max(f(x) (x) phi(x)).
 Meta densities (finitely supported densities over densities) carry the monad
 multiplications, and a third nesting level feeds the associativity checks.
-The probes that read a density back off its functional are vectors in point
-order (`Probe`), and eval_measure reduces a density against one of them
-with one numpy reduction over the density's weight vector; functions given
-by label dicts keep a plain dict reduction, which is faster on the small
-spaces of the law harness.  density_from_functional builds its probes in
-blocks of at most PROBE_BLOCK_CELLS values and hands each block to the
-probe layer of idemkit.spaces (`probe_values`), so an oracle with a `batch`
-form, such as the one behind measure_multiplication, evaluates each block
-whole.
+A real function (idemkit.spaces) is one class that holds a vector in point
+order and, when built from one, a label dict.  eval_measure reduces a
+density against it by the size rule of multiply below: one numpy reduction
+over the two vectors from ARRAY_MIN_POINTS points on, a loop over the two
+label dicts below it.  density_from_functional builds its probes in blocks
+of at most PROBE_BLOCK_CELLS values and hands each block to the probe layer
+of idemkit.spaces (`probe_values`), so an oracle with a `batch` form, such
+as the one behind measure_multiplication, evaluates each block whole.
 
 A density stores a label dict or a weight vector in point order, whichever
 it was built from, and makes the other on first read.  `Density.rows`
@@ -46,7 +45,7 @@ one-entry meta never reads it.
 from __future__ import annotations
 
 import operator
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from typing import Callable, ClassVar, Mapping
 
 import numpy as np
@@ -55,8 +54,8 @@ from .semiring import BOTTOM, resolve_tolerance
 from .spaces import (
     PROBE_BLOCK_CELLS,
     FiniteSpace,
+    Frozen,
     PointMap,
-    Probe,
     RealFunction,
     check_probe_bound,
     in_point_order,
@@ -112,7 +111,7 @@ MAXPLUS = Side("maxplus", BOTTOM, 0.0, operator.add, operator.sub, 0.0)
 MAXTIMES = Side("maxtimes", 0.0, 1.0, operator.mul, operator.truediv, TIMES_NORM_SLACK)
 
 
-class Density:
+class Density(Frozen):
     """A weight in [bottom, peak] for every point of the space, attaining the
     peak; weights at bottom mark points outside the support.
 
@@ -133,7 +132,7 @@ class Density:
         for p in space.points:
             try:
                 w = float(weights[p])
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"{exc} at point {p!r}") from None
             if not bottom <= w <= top:  # Side.check, inline
                 raise ValueError(f"{side.outside(w)} at point {p!r}")
@@ -195,12 +194,6 @@ class Density:
         vec.setflags(write=False)
         return vec
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(space={self.space!r}, weights={self.weights!r})"
 
@@ -224,7 +217,7 @@ def _reject_labels(side: Side, space: FiniteSpace, weights: Mapping[str, float])
             raise ValueError(f"missing weight for point {p!r}")
         try:
             side.check(weights[p])
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{exc} at point {p!r}") from None
 
 
@@ -295,8 +288,11 @@ class Meta:
         side, entry = self.side, self.entry
         bottom, top = side.bottom, side.peak
         kept = []
-        for item, w in self.support:
-            w = float(w)
+        for k, (item, w) in enumerate(self.support):
+            try:
+                w = float(w)
+            except TypeError as exc:  # a ValueError keeps its own text
+                raise ValueError(f"{exc} at support position {k}") from None
             if not bottom <= w <= top:  # Side.check, inline
                 raise ValueError(side.outside(w))
             if w == bottom:
@@ -383,34 +379,25 @@ def normalize(space: FiniteSpace, weights: Mapping[str, float], side: Side = MAX
 # measure functionals
 
 
-def eval_measure(f: Density, phi) -> float:
+def eval_measure(f: Density, phi: RealFunction) -> float:
     """The measure of phi under the density f: max(f(x) (x) phi(x)), that is
     max(f(x) + phi(x)) on the max-plus side and max(f(x) * phi(x)) on the
     max-times side (phi then a UnitFunction).
 
-    A Probe is reduced in numpy against the density's weight vector, any
-    other function by a loop over its label dict; IEEE (x) and max give the
-    same float either way."""
-    same = f.space is phi.space
-    if not same and f.space != phi.space:
+    From ARRAY_MIN_POINTS points on it is one numpy reduction over the
+    weight vector and phi's vector, below it a loop over their label dicts;
+    both give the same float, even the sign of a zero, as the loop keeps
+    the first of equal values."""
+    space = f.space
+    if space is not phi.space and space != phi.space:
         raise ValueError("density and function live on different spaces")
-    if isinstance(phi, Probe):
-        return float(f.side.otimes(f.vector, in_point_order(phi.vector, phi.space, f.space)).max())
-    return max(map(f.side.otimes, f.weights.values(), map(phi.values.__getitem__, f.weights)))
-
-
-def probe_function(space: FiniteSpace, x: str, bound: float) -> Probe:
-    """The recovery probe: 0 at x and -bound elsewhere, as a vector in point
-    order, so that eval_measure reduces it in numpy."""
-    check_probe_bound(bound)
-    try:
-        i = space.index[x]
-    except (KeyError, TypeError):  # TypeError: an unhashable label
-        raise ValueError(f"unknown point {x!r}") from None
-    vec = np.empty(len(space))
-    vec.fill(-bound)
-    vec[i] = 0.0
-    return Probe(space, vec)
+    if len(space.points) < ARRAY_MIN_POINTS:
+        return max(map(f.side.otimes, f.weights.values(), map(phi.values.__getitem__, f.weights)))
+    cands = f.side.otimes(f.vector, in_point_order(phi.vector, phi.space, space))
+    best = cands.max()
+    if best == 0.0:  # np.max may keep either sign of a zero
+        best = cands[(cands == 0.0).argmax()]
+    return float(best)
 
 
 def density_from_functional(
@@ -430,7 +417,7 @@ def density_from_functional(
     evaluated by spaces.probe_values: an oracle with a `batch(block, space)`
     method gets each block whole and returns one value per row; any other
     oracle is called once per point, in point order, on the block's rows as
-    Probe vectors.
+    Probes, functions that hold their values as vectors.
     """
     check_probe_bound(bound)
     cut = -bound + resolve_tolerance(tol)

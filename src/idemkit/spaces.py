@@ -4,20 +4,29 @@ On a finite space every function is continuous and every subset is both
 closed and open, so no topology objects are needed: level sets, pushforwards
 and comonotonicity all reduce to exact finite computations.
 
+One class holds every real function: `RealFunction` keeps its values as a
+read-only float vector in point order, checked in numpy, and as a label dict
+when built from one (a function built from a vector makes its dict on first
+read).  `UnitFunction` only narrows the range check to [0, 1], and `Probe`
+is the vector constructor under its own name.  Consumers read whichever form
+suits their size: eval_measure reduces the vector in numpy from
+measures.ARRAY_MIN_POINTS points on and loops over the dict below, and the
+level-set integrals scan the vector.
+
 This module is also the probe layer that density_from_functional and
-recover_capacity share.  A probe is a function held as a float vector in
+recover_capacity share.  A probe is a function built from a float vector in
 point order (`Probe`); a block holds one probe per row, at most
 PROBE_BLOCK_CELLS values.  probe_values evaluates an oracle on a block: an
 oracle with a `batch(block, space)` method gets it whole, any other is called
 once per row, in order.  in_point_order gathers values listed in one space's
 point order into an equal space's, and row_views makes one object per row of
-a checked block, for `Probe.rows` and `Density.rows` alike.
+a checked block, for `RealFunction.rows` and `Density.rows` alike.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -47,6 +56,17 @@ class stored:
         value = self.make(obj)
         obj.__dict__[self.name] = value
         return value
+
+
+class Frozen:
+    """Attributes set once, by the constructor through the instance dict;
+    assigning or deleting one raises, as on a frozen dataclass."""
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,47 +112,37 @@ class FiniteSpace:
             return False
 
 
-def _total_values(space: FiniteSpace, values: Mapping[str, float]) -> dict[str, float]:
-    extra = values.keys() - space.label_set
-    if extra:
-        raise ValueError(f"values given for unknown points: {sorted(extra)}")
-    out = {}
-    for p in space.points:
-        if p not in values:
-            raise ValueError(f"missing value for point {p!r}")
-        out[p] = float(values[p])
-    return out
+class RealFunction(Frozen):
+    """A finite value for every point of the space.
 
+    A function holds its values as the read-only float64 vector `vector` in
+    point order, and as the label dict `values` when it was built from one;
+    a function built from a vector makes its dict on first read and stores
+    it.  The constructor takes a label dict; `from_vector` and `rows` take
+    values in point order.  All three check the values in numpy, through
+    `inside` and `outside`, the range check a subclass overrides."""
 
-@dataclass(frozen=True, eq=False)
-class RealFunction:
-    """Total finite-valued function on a space."""
-
-    space: FiniteSpace
-    values: dict[str, float]
-
-    def __post_init__(self):
-        vals = _total_values(self.space, self.values)
-        for p, v in vals.items():
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite value {v!r} at point {p!r}")
-        object.__setattr__(self, "values", vals)
-
-    def __call__(self, point: str) -> float:
-        return self.values[point]
+    def __init__(self, space: FiniteSpace, values: Mapping[str, float]):
+        extra = values.keys() - space.label_set
+        if extra:
+            raise ValueError(f"values given for unknown points: {sorted(extra)}")
+        vals = {}
+        for p in space.points:
+            if p not in values:
+                raise ValueError(f"missing value for point {p!r}")
+            try:
+                vals[p] = float(values[p])
+            except TypeError as exc:  # a ValueError keeps its own text
+                raise ValueError(f"{exc} at point {p!r}") from None
+        vec = np.fromiter(vals.values(), float, len(vals))
+        self.__dict__.update(self.from_vector(space, vec).__dict__, values=vals)
 
     @classmethod
-    def constant(cls, space: FiniteSpace, value: float) -> "RealFunction":
-        return cls(space, {p: value for p in space.points})
-
-
-class Probe(RealFunction):
-    """A real function held as a float vector in `space.points` order, so
-    that it can be evaluated with numpy reductions.  The label dict
-    `values` is built on first read and stored.  The probe takes the array
-    over: a float64 array is kept without a copy and marked read-only."""
-
-    def __init__(self, space: FiniteSpace, vector):
+    def from_vector(cls, space: FiniteSpace, vector) -> "RealFunction":
+        """The function whose values in point order are `vector`, checked
+        like a row of `rows`; an error names the point.  The function takes
+        the array over: a float64 array is kept without a copy and marked
+        read-only."""
         vec = np.asarray(vector, dtype=float)
         n = len(space)
         if vec.ndim != 1 or len(vec) > n:
@@ -141,28 +151,76 @@ class Probe(RealFunction):
             )
         if len(vec) < n:
             raise ValueError(f"missing value for point {space.points[len(vec)]!r}")
-        finite = np.isfinite(vec)
-        if np.count_nonzero(finite) != n:
-            i = int(finite.argmin())
-            raise ValueError(f"non-finite value {float(vec[i])!r} at point {space.points[i]!r}")
+        cls.check_range(space, vec)
         vec.setflags(write=False)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "vector", vec)
+        phi = cls.__new__(cls)
+        phi.__dict__.update(space=space, vector=vec)
+        return phi
+
+    @classmethod
+    def rows(cls, space: FiniteSpace, matrix) -> list["RealFunction"]:
+        """One function per row of an (m, len(space)) block, each a view of
+        it.  The block is checked once, with the invariants of the
+        constructor, and taken over like a single function's vector: marked
+        read-only."""
+        return row_views(cls, space, checked_block(space, matrix, "probe rows", cls))
+
+    @classmethod
+    def constant(cls, space: FiniteSpace, value: float) -> "RealFunction":
+        return cls.from_vector(space, np.full(len(space), value, dtype=float))
+
+    @classmethod
+    def check_range(cls, space: FiniteSpace, values: np.ndarray) -> None:
+        """Reject a vector, or a block with one function per row, holding a
+        value outside the range; the error names the first such value's
+        point and, in a block, its row."""
+        inside = cls.inside(values)
+        if np.count_nonzero(inside) != inside.size:
+            *row, i = np.argwhere(~inside)[0].tolist()
+            where = f" in row {row[0]}" if row else ""
+            raise ValueError(cls.outside(float(values[(*row, i)]), space.points[i]) + where)
+
+    @staticmethod
+    def inside(values: np.ndarray) -> np.ndarray:
+        """Which values lie in the range: here the finite ones."""
+        return np.isfinite(values)
+
+    @staticmethod
+    def outside(v: float, p: str) -> str:
+        """The error text for a value outside the range, at point p."""
+        return f"non-finite value {v!r} at point {p!r}"
 
     @stored
     def values(self) -> dict[str, float]:
+        """The values by label, in point order."""
         return dict(zip(self.space.points, self.vector.tolist()))
 
-    @classmethod
-    def constant(cls, space: FiniteSpace, value: float) -> "Probe":
-        return cls(space, np.full(len(space), float(value)))
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(space={self.space!r}, values={self.values!r})"
 
-    @classmethod
-    def rows(cls, space: FiniteSpace, matrix) -> list["Probe"]:
-        """One probe per row of an (m, len(space)) block, each a view of it.
-        The block is checked once, with the invariants of the constructor,
-        and taken over like a single probe's vector: marked read-only."""
-        return row_views(cls, space, checked_block(space, matrix, "probe rows"))
+    def __call__(self, point: str) -> float:
+        return self.values[point]
+
+
+class Probe(RealFunction):
+    """A real function built from its vector in point order:
+    Probe(space, vector) is RealFunction.from_vector.  The probe layer hands
+    a plain oracle its probes as Probe rows."""
+
+    def __init__(self, space: FiniteSpace, vector):
+        self.__dict__.update(self.from_vector(space, vector).__dict__)
+
+
+class UnitFunction(RealFunction):
+    """A value in [0, 1] for every point of the space."""
+
+    @staticmethod
+    def inside(values: np.ndarray) -> np.ndarray:
+        return (values >= 0.0) & (values <= 1.0)  # also rejects NaN
+
+    @staticmethod
+    def outside(v: float, p: str) -> str:
+        return f"value {v!r} at point {p!r} outside [0, 1]"
 
 
 def row_views(cls, space: FiniteSpace, block: np.ndarray) -> list:
@@ -179,20 +237,16 @@ def row_views(cls, space: FiniteSpace, block: np.ndarray) -> list:
     return out
 
 
-def checked_block(space: FiniteSpace, matrix, what: str) -> np.ndarray:
-    """An (m, len(space)) float block of finite values, one function per row
-    with its columns in `space.points` order.  An error names the first bad
-    row and point; `what` names the caller's rows in a shape error."""
+def checked_block(space: FiniteSpace, matrix, what: str, kind=RealFunction) -> np.ndarray:
+    """An (m, len(space)) float block, one function per row with its columns
+    in `space.points` order, every value inside the range of `kind`, a
+    RealFunction class.  An error names the first bad row and point; `what`
+    names the caller's rows in a shape error."""
     block = np.asarray(matrix, dtype=float)
     n = len(space)
     if block.ndim != 2 or block.shape[1] != n:
         raise ValueError(f"{what} on {n} points need an (m, {n}) block, got shape {block.shape}")
-    finite = np.isfinite(block)
-    if not finite.all():
-        r, i = np.argwhere(~finite)[0].tolist()
-        raise ValueError(
-            f"non-finite value {float(block[r, i])!r} at point {space.points[i]!r} in row {r}"
-        )
+    kind.check_range(space, block)
     return block
 
 
@@ -217,7 +271,7 @@ def probe_values(oracle, space: FiniteSpace, block: np.ndarray) -> np.ndarray:
     """The oracle's value on each row of an (m, len(space)) probe block, as
     an array of m floats.  An oracle with a `batch(block, space)` method gets
     the block whole and must return one value per row; any other is called
-    once per row, in order, on the rows as Probe vectors."""
+    once per row, in order, on its rows as Probes."""
     batch = getattr(oracle, "batch", None)
     if batch is None:
         return np.array([float(oracle(phi)) for phi in Probe.rows(space, block)])
@@ -226,28 +280,6 @@ def probe_values(oracle, space: FiniteSpace, block: np.ndarray) -> np.ndarray:
     if values.shape != (m,):
         raise ValueError(f"a batch oracle returned shape {values.shape} for {m} probe rows")
     return values
-
-
-@dataclass(frozen=True, eq=False)
-class UnitFunction:
-    """Total function with values in [0, 1]."""
-
-    space: FiniteSpace
-    values: dict[str, float]
-
-    def __post_init__(self):
-        vals = _total_values(self.space, self.values)
-        for p, v in vals.items():
-            if math.isnan(v) or not 0.0 <= v <= 1.0:
-                raise ValueError(f"value {v!r} at point {p!r} outside [0, 1]")
-        object.__setattr__(self, "values", vals)
-
-    def __call__(self, point: str) -> float:
-        return self.values[point]
-
-    @classmethod
-    def constant(cls, space: FiniteSpace, value: float) -> "UnitFunction":
-        return cls(space, {p: value for p in space.points})
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,22 +355,13 @@ def compose_maps(g: PointMap, h: PointMap) -> PointMap:
 
 def fn_shift(phi: RealFunction, lam: float) -> RealFunction:
     """Add a constant to every value."""
-    return RealFunction(phi.space, {p: v + lam for p, v in phi.values.items()})
+    return RealFunction.from_vector(phi.space, phi.vector + lam)
 
 
 def fn_max(phi: RealFunction, psi: RealFunction) -> RealFunction:
-    """Pointwise maximum."""
+    """Pointwise maximum, keeping phi's value where the two are equal, as
+    max(v, w) does, so even a zero keeps its sign."""
     if phi.space != psi.space:
         raise ValueError("pointwise max requires functions on the same space")
-    return RealFunction(phi.space, {p: max(v, psi.values[p]) for p, v in phi.values.items()})
-
-
-def unit_scale(phi: UnitFunction, lam: float) -> UnitFunction:
-    """Scale every value by a factor in [0, 1]."""
-    return UnitFunction(phi.space, {p: lam * v for p, v in phi.values.items()})
-
-
-def unit_max(phi: UnitFunction, psi: UnitFunction) -> UnitFunction:
-    if phi.space != psi.space:
-        raise ValueError("pointwise max requires functions on the same space")
-    return UnitFunction(phi.space, {p: max(v, psi.values[p]) for p, v in phi.values.items()})
+    u, v = phi.vector, in_point_order(psi.vector, psi.space, phi.space)
+    return RealFunction.from_vector(phi.space, np.where(v > u, v, u))

@@ -13,7 +13,6 @@ from idemkit.generate import (
     random_space,
     random_third,
     random_third_times,
-    random_unit_function,
     trial_stream,
 )
 from idemkit.isomorphism import density_exp, density_log
@@ -41,7 +40,6 @@ from idemkit.measures import (
     multiply_times,
     normalize_maxplus,
     normalize_maxtimes,
-    probe_function,
     pushforward,
     pushforward_times,
     times_close,
@@ -57,12 +55,11 @@ from idemkit.spaces import (
     fn_max,
     fn_shift,
     in_point_order,
-    unit_max,
-    unit_scale,
 )
 
 AB = FiniteSpace(("a", "b"))
 ABC = FiniteSpace(("a", "b", "c"))
+NOT_A_FLOAT = "float() argument must be a string or a real number, not 'NoneType'"
 
 
 def plus_density(**weights):
@@ -160,20 +157,6 @@ def test_eval_measure_on_a_probe_equals_the_dict_reduction():
         assert eval_measure(f, Probe(backwards, [phi(p) for p in backwards.points])) == expected
 
 
-def test_probe_function_is_a_probe():
-    phi = probe_function(ABC, "b", 10.0)
-    assert isinstance(phi, Probe)
-    assert phi.values == {"a": -10.0, "b": 0.0, "c": -10.0}
-    with pytest.raises(ValueError):
-        probe_function(ABC, "z", 10.0)
-
-
-def test_probe_function_rejects_bad_bound():
-    for bound in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="bound"):
-            probe_function(ABC, "b", bound)
-
-
 def test_eval_measure_is_an_idempotent_measure():
     # normalization, translation, and max-preservation on random instances
     for i in range(200):
@@ -194,15 +177,13 @@ def test_eval_measure_times_is_a_times_measure():
         rng = trial_stream(102, i)
         space = random_space(rng, 6)
         g = random_maxtimes_density(rng, space)
-        phi = random_unit_function(rng, space)
-        psi = random_unit_function(rng, space)
+        phi = UnitFunction.from_vector(space, rng.uniform(0.0, 1.0, len(space)))
+        psi = UnitFunction.from_vector(space, rng.uniform(0.0, 1.0, len(space)))
         lam = float(rng.uniform(0.0, 1.0))
         assert abs(eval_measure_times(g, UnitFunction.constant(space, 1.0)) - 1.0) <= 1e-12
-        assert (
-            abs(eval_measure_times(g, unit_scale(phi, lam)) - lam * eval_measure_times(g, phi))
-            <= 1e-12
-        )
-        joined = eval_measure_times(g, unit_max(phi, psi))
+        scaled = UnitFunction.from_vector(space, lam * phi.vector)
+        assert abs(eval_measure_times(g, scaled) - lam * eval_measure_times(g, phi)) <= 1e-12
+        joined = eval_measure_times(g, fn_max(phi, psi))
         assert (
             abs(joined - max(eval_measure_times(g, phi), eval_measure_times(g, psi))) <= 1e-12
         )
@@ -656,6 +637,9 @@ def test_density_from_functional_rejects_a_batch_of_the_wrong_shape():
         (MaxPlusDensity, FiniteSpace(("b", "a")), {"a": math.nan, "b": 1.0},
          "weight 1.0 outside [-inf, 0.0] at point 'b'"),
         (MaxPlusDensity, AB, {"a": "x", "b": 1.0}, "could not convert string to float: 'x' at point 'a'"),
+        # a weight float() cannot take at all is a ValueError naming the point
+        (MaxPlusDensity, AB, {"a": 0.0, "b": None}, f"{NOT_A_FLOAT} at point 'b'"),
+        (MaxTimesDensity, AB, {"a": None}, f"{NOT_A_FLOAT} at point 'a'"),
         # weights in range but no peak; the first of equal maxima is named
         (MaxPlusDensity, AB, {"a": -1.0, "b": -2.0}, "peak weight is -1.0, expected 0.0 (use normalize)"),
         (MaxTimesDensity, AB, {"a": -0.0, "b": 0.0}, "peak weight is -0.0, expected 1.0 (use normalize)"),
@@ -677,6 +661,7 @@ def test_meta_constructor_error_texts_on_inputs_with_two_faults():
         (MetaDensity, (("x", 0.0), (f, 0.5)), "support entries must be MaxPlusDensity values"),
         (MetaTimesDensity, ((t, 0.0), (f, 1.0)), "support entries must be MaxTimesDensity values"),
         (MetaDensity, ((f, "w"),), "could not convert string to float: 'w'"),
+        (MetaDensity, ((f, 0.0), (f, None)), f"{NOT_A_FLOAT} at support position 1"),
         # a bottom entry is dropped before its type is looked at
         (MetaDensity, (("x", BOTTOM), (f, -0.5)), "peak support weight is -0.5, expected 0.0"),
         # a bad weight comes before entries on different spaces

@@ -1,9 +1,15 @@
+import json
 import math
 import re
 
 import numpy as np
 import pytest
 
+from idemkit.capacities import MAX_TABLE_POINTS, maxplus_integral
+from idemkit.documents import function_to_doc
+from idemkit.generate import random_capacity, trial_stream
+from idemkit.measures import MaxPlusDensity, MaxTimesDensity, eval_measure
+from idemkit.semiring import BOTTOM
 from idemkit.spaces import (
     FiniteSpace,
     PointMap,
@@ -174,6 +180,108 @@ def test_unit_function_range():
     UnitFunction(ABC, {"a": 0.0, "b": 0.5, "c": 1.0})
     with pytest.raises(ValueError):
         UnitFunction(ABC, {"a": 0.0, "b": 1.5, "c": 1.0})
+
+
+NOT_A_FLOAT = "float() argument must be a string or a real number, not 'NoneType'"
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: RealFunction(ABC, {"a": 1.0, "z": 0.0}), "values given for unknown points: ['z']"),
+        (lambda: RealFunction(ABC, {"a": 1.0, "c": math.inf}), "missing value for point 'b'"),
+        (lambda: RealFunction(ABC, {"a": 1.0, "b": math.nan, "c": 0.0}),
+         "non-finite value nan at point 'b'"),
+        (lambda: RealFunction(ABC, {"a": 1.0, "b": None, "c": 0.0}), f"{NOT_A_FLOAT} at point 'b'"),
+        # a ValueError from float() keeps its own text
+        (lambda: RealFunction(ABC, {"a": "x", "b": 0.0, "c": 0.0}),
+         "could not convert string to float: 'x'"),
+        (lambda: UnitFunction(ABC, {"a": 0.5, "b": 1.5, "c": -1.0}),
+         "value 1.5 at point 'b' outside [0, 1]"),
+        (lambda: UnitFunction(ABC, {"a": None, "b": 0.0, "c": 0.0}), f"{NOT_A_FLOAT} at point 'a'"),
+        (lambda: UnitFunction.from_vector(ABC, [0.5, 0.0, math.nan]),
+         "value nan at point 'c' outside [0, 1]"),
+        (lambda: UnitFunction.rows(ABC, [[0.0] * 3, [0.0, -0.5, 2.0]]),
+         "value -0.5 at point 'b' outside [0, 1] in row 1"),
+        (lambda: UnitFunction.constant(ABC, 1.5), "value 1.5 at point 'a' outside [0, 1]"),
+        (lambda: RealFunction.from_vector(ABC, [0.0, 1.0]), "missing value for point 'c'"),
+    ],
+)
+def test_function_constructor_error_texts(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_functions_are_frozen_and_keep_their_class():
+    for phi in (
+        RealFunction(ABC, {"a": 0.0, "b": 1.0, "c": 2.0}),
+        UnitFunction.from_vector(ABC, [0.0, 0.5, -0.0]),
+        Probe(ABC, [1.0, 2.0, 3.0]),
+    ):
+        with pytest.raises(AttributeError):
+            phi.values = {}
+        with pytest.raises(AttributeError):
+            del phi.space
+        assert repr(phi) == f"{type(phi).__name__}(space={ABC!r}, values={phi.values!r})"
+    assert type(UnitFunction.constant(ABC, 0.5)) is UnitFunction
+    assert type(RealFunction.rows(ABC, np.zeros((2, 3)))[1]) is RealFunction
+
+
+def _reprs(phi):
+    return [repr(phi(p)) for p in phi.space.points]
+
+
+def _doc_bytes(phi):
+    return json.dumps(function_to_doc(phi)).encode()
+
+
+@pytest.mark.parametrize("n", [3, 63, 64, 1000])
+def test_dict_and_vector_built_functions_agree(n):
+    """Every reader gives the same floats, by repr, whichever form a function
+    was built from, on a space listing its points in another order than the
+    densities', with signed zeros among the values and at the maxima."""
+    rng = trial_stream(1111, n)
+    space = FiniteSpace(tuple(f"p{i}" for i in range(n)))
+    turned = FiniteSpace(space.points[::-1])
+    # values in [-5, 0] with zeros of both signs, the maxima the densities hit
+    vals = rng.uniform(-5.0, 0.0, n)
+    vals[rng.random(n) < 0.3] = -0.0
+    vals[rng.random(n) < 0.1] = 0.0
+    unit = np.where(rng.random(n) < 0.5, -0.0, rng.uniform(0.0, 1.0, n))
+    other = np.where(vals == 0.0, -vals, rng.uniform(-5.0, 0.0, n))  # zeros of the other sign
+    zero_at = (vals == 0.0) | (rng.random(n) < 0.2)
+    weights = np.where(zero_at, np.where(rng.random(n) < 0.5, -0.0, 0.0), BOTTOM)
+    weights[0] = 0.0
+    f = MaxPlusDensity.from_vector(space, weights)
+    g = MaxTimesDensity.from_vector(space, np.where(zero_at, 1.0, rng.uniform(0.0, 1.0, n)))
+    c = random_capacity(rng, turned) if n <= MAX_TABLE_POINTS else None
+
+    def both(cls, values):
+        by_label = dict(zip(turned.points, values.tolist()))
+        return cls(turned, by_label), cls.from_vector(turned, values)
+
+    pairs = [both(RealFunction, vals), both(UnitFunction, unit)]
+    psi_d, psi_v = both(RealFunction, other)
+    for phi_d, phi_v in pairs:
+        assert repr(phi_d.values) == repr(phi_v.values)
+        assert repr(phi_d.vector.tolist()) == repr(phi_v.vector.tolist())
+        assert _reprs(phi_d) == _reprs(phi_v)
+        for t in (-2.5, -0.0, 0.0, 0.5):
+            assert level_set(phi_d, t).members == level_set(phi_v, t).members
+        assert comonotone(phi_d, psi_d) == comonotone(phi_v, psi_v)
+        assert _doc_bytes(phi_d) == _doc_bytes(phi_v)
+        for d in (f, g):
+            # the plain loop over the label dicts, first of equal maxima kept
+            loop = max(d.side.otimes(w, phi_d(p)) for p, w in d.weights.items())
+            assert repr(eval_measure(d, phi_d)) == repr(eval_measure(d, phi_v)) == repr(loop)
+        if c is not None:
+            assert repr(maxplus_integral(c, phi_d)) == repr(maxplus_integral(c, phi_v))
+        # the dict comprehensions fn_max and fn_shift were before they took vectors
+        joined = repr({p: max(v, psi_d(p)) for p, v in phi_d.values.items()})
+        assert repr(fn_max(phi_d, psi_d).values) == repr(fn_max(phi_v, psi_v).values) == joined
+        shifted = repr({p: v + 0.75 for p, v in phi_d.values.items()})
+        assert repr(fn_shift(phi_d, 0.75).values) == repr(fn_shift(phi_v, 0.75).values) == shifted
 
 
 def test_level_set_example():
