@@ -33,7 +33,7 @@ from .documents import (
     weights_from_doc,
 )
 from .isomorphism import density_exp, density_log
-from .laws import SUITES, run_all, run_suite
+from .laws import MUTATIONS, SUITES, run_all, run_suite
 from .measures import MAXPLUS
 from .semiring import default_tolerance, format_score
 
@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="PATH", help="write the machine-readable report here")
     p.add_argument(
         "--mutate",
-        choices=["drop-weight"],
+        choices=MUTATIONS,
         help="corrupt the multiplication to demonstrate the harness catches it "
         "(effective in the unit and assoc suites)",
     )
@@ -219,8 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # checked up front: the law suites count a raising check as a failed
-        # law, so a bad IDEMKIT_TOLERANCE would otherwise read as violations
+        # checked up front for every command, also those that never compare
         default_tolerance()
         return args.func(args)
     except (ValueError, OSError) as exc:

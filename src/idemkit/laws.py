@@ -1,13 +1,25 @@
 """Randomized verification suites for every algebraic law the library relies on.
 
-Each suite draws seeded instances, evaluates one law, and reports failures
-with minimized witnesses (spaces are shrunk pointwise and supports pairwise
-while the failure persists).  Trial i of a suite always sees the same stream
-regardless of scheduling, so identical seeds give identical reports.
+A suite is one trial function `trial(rng, run)`, registered by the `_suite`
+decorator above it with its name, its stream tag and the law it checks;
+`SUITES` lists the suites in the order they are registered.  A trial draws
+seeded instances, evaluates one law, and returns None or a failure with a
+minimized witness (spaces are shrunk pointwise and supports pairwise while
+the failure persists).  Trial i of a suite always draws from
+`trial_stream(seed, i, tag)`, so identical seeds give identical reports.
+Adding a suite means one decorated trial function with a new, unique tag;
+renumbering a tag changes every draw of its suite.
+
+`run_suite` and `run_all` check their arguments once, before any trial
+runs, and hand every trial the same frozen `Run`: the seed, the largest
+space to draw, the tolerance resolved once, and the multiplication.  A bad
+trial count, space size, mutation or tolerance, or a bad IDEMKIT_TOLERANCE,
+raises ValueError instead of reading as a failed law.
 
 The drop-weight mutation deliberately corrupts the monad multiplication
 (it discards the last support entry) so the harness can demonstrate that the
-unit and associativity suites actually catch broken laws.
+unit and associativity suites, the only readers of `run.multiply`, actually
+catch broken laws.
 """
 
 from __future__ import annotations
@@ -15,6 +27,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -139,14 +152,6 @@ def _resolve_mutation(mutate: str | None, multiply_fn: Callable) -> Callable:
     return drop_weight(multiply_fn)
 
 
-def _holds(check: Callable[[], bool]) -> bool:
-    """Run a law check, treating any exception as a violation."""
-    try:
-        return bool(check())
-    except Exception:
-        return False
-
-
 def _minimize(value, fails: Callable, shrinks: Callable):
     current = value
     while True:
@@ -225,224 +230,237 @@ def _third_to_doc(G: Meta) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# suites
+# registry and runner
 
 
-def _run(name: str, trials: int, seed: int, tag: int, trial_fn) -> RunReport:
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    start = time.perf_counter()
-    failures = []
-    for i in range(trials):
-        rng = trial_stream(seed, i, tag=tag)
+@dataclass(frozen=True)
+class Run:
+    """What every trial of one run reads, checked once before trial 0: the
+    seed, the largest space a trial draws, the resolved tolerance, and the
+    monad multiplication, corrupted under a mutation."""
+
+    seed: int
+    max_space: int
+    tol: float
+    multiply: Callable
+
+
+@dataclass(frozen=True)
+class SuiteSpec:
+    name: str
+    tag: int  # trial i draws from trial_stream(seed, i, tag)
+    law: str
+    trial: Callable  # trial(rng, run): None, or (description, witness) on a failure
+
+
+SUITES: dict[str, SuiteSpec] = {}
+
+
+def _suite(name: str, tag: int, law: str) -> Callable:
+    """Register the decorated trial as the next suite; its name and its
+    stream tag must be new."""
+
+    def register(trial):
+        if name in SUITES or any(s.tag == tag for s in SUITES.values()):
+            raise ValueError(f"suite {name!r} or stream tag {tag} is already registered")
+        SUITES[name] = SuiteSpec(name, tag, law, trial)
+        return trial
+
+    return register
+
+
+def _falsified(x, law: Callable, shrinks: Callable, description: str, to_doc: Callable):
+    """None when law(x) holds; else the description and the document of x
+    shrunk while the law still fails.  A law that raises counts as failing."""
+
+    def fails(y) -> bool:
         try:
-            outcome = trial_fn(rng)
-        except Exception as exc:
-            outcome = (f"trial raised {type(exc).__name__}: {exc}", {})
-        if outcome is not None:
-            desc, witness = outcome
-            failures.append(Failure(i, desc, witness))
-    return RunReport(name, trials, seed, failures, time.perf_counter() - start)
+            return not law(y)
+        except Exception:
+            return True
+
+    if fails(x):
+        return description, to_doc(_minimize(x, fails, shrinks))
+    return None
 
 
-def suite_unit(trials=500, seed=0, max_space=5, mutate=None, tol=None) -> RunReport:
-    mult = _resolve_mutation(mutate, multiply)
-
-    def fails(d):
-        return not _holds(lambda: check_unit_laws(d, tol, multiply_fn=mult))
-
-    def trial(rng):
-        space = random_space(rng, max_space)
-        f = random_maxplus_density(rng, space)
-        g = random_maxtimes_density(rng, space)
-        for side, d in (("max-plus", f), ("max-times", g)):
-            if fails(d):
-                small = _minimize(d, fails, _density_shrinks)
-                return f"unit laws fail for a {side} density", density_to_doc(small)
-        return None
-
-    return _run("unit", trials, seed, 10, trial)
+# ---------------------------------------------------------------------------
+# suites, registered in the order they run
 
 
-def suite_assoc(trials=500, seed=0, max_space=5, mutate=None, tol=None) -> RunReport:
-    mult = _resolve_mutation(mutate, multiply)
-
-    def fails(x):
-        return not _holds(lambda: check_associativity(x, tol, multiply_fn=mult))
-
-    def trial(rng):
-        space = random_space(rng, max_space)
-        G = random_third(rng, space)
-        H = random_third_times(rng, space)
-        for side, x in (("max-plus", G), ("max-times", H)):
-            if fails(x):
-                small = _minimize(x, fails, _meta_shrinks)
-                return f"associativity fails for the {side} multiplication", _third_to_doc(small)
-        return None
-
-    return _run("assoc", trials, seed, 11, trial)
+@_suite(
+    "unit", 10,
+    "multiplying the two unit embeddings of a density returns it unchanged (both monads)",
+)
+def _unit(rng, run: Run):
+    space = random_space(rng, run.max_space)
+    f = random_maxplus_density(rng, space)
+    g = random_maxtimes_density(rng, space)
+    law = partial(check_unit_laws, tol=run.tol, multiply_fn=run.multiply)
+    for side, d in (("max-plus", f), ("max-times", g)):
+        desc = f"unit laws fail for a {side} density"
+        if found := _falsified(d, law, _density_shrinks, desc, density_to_doc):
+            return found
+    return None
 
 
-def suite_roundtrip(trials=500, seed=0, max_space=5, mutate=None, tol=None) -> RunReport:
-    def trial(rng):
-        space = random_space(rng, max_space)
-        f = random_maxplus_density(rng, space)
+@_suite(
+    "assoc", 11,
+    "collapsing a third-level support outside-in or inside-out gives one density (both monads)",
+)
+def _assoc(rng, run: Run):
+    space = random_space(rng, run.max_space)
+    G = random_third(rng, space)
+    H = random_third_times(rng, space)
+    law = partial(check_associativity, tol=run.tol, multiply_fn=run.multiply)
+    for side, x in (("max-plus", G), ("max-times", H)):
+        desc = f"associativity fails for the {side} multiplication"
+        if found := _falsified(x, law, _meta_shrinks, desc, _third_to_doc):
+            return found
+    return None
 
-        def fails(d):
-            def oracle(phi):
-                return eval_measure(d, phi)
 
-            if not _holds(
-                lambda: density_close(density_from_functional(oracle, d.space), d, tol)
-            ):
-                return True
-            probe_rng = trial_stream(seed, 0, tag=121)
-            recovered = density_from_functional(oracle, d.space)
-            for _ in range(5):
-                phi = random_real_function(probe_rng, d.space)
-                if not score_eq(eval_measure(recovered, phi), oracle(phi), tol):
-                    return True
+@_suite(
+    "roundtrip", 12,
+    "density -> measure functional -> density is the identity, and the functionals agree on probes",
+)
+def _roundtrip(rng, run: Run):
+    space = random_space(rng, run.max_space)
+    f = random_maxplus_density(rng, space)
+
+    def law(d):
+        oracle = partial(eval_measure, d)
+        recovered = density_from_functional(oracle, d.space)
+        if not density_close(recovered, d, run.tol):
             return False
+        probe_rng = trial_stream(run.seed, 0, tag=121)
+        probes = (random_real_function(probe_rng, d.space) for _ in range(5))
+        return all(score_eq(eval_measure(recovered, phi), oracle(phi), run.tol) for phi in probes)
 
-        if fails(f):
-            small = _minimize(f, fails, _density_shrinks)
-            return "density/functional round trip fails", density_to_doc(small)
-        return None
-
-    return _run("roundtrip", trials, seed, 12, trial)
+    desc = "density/functional round trip fails"
+    return _falsified(f, law, _density_shrinks, desc, density_to_doc)
 
 
-def suite_functor(trials=500, seed=0, max_space=5, mutate=None, tol=None) -> RunReport:
-    def trial(rng):
-        X = random_space(rng, max_space)
-        Y = random_space(rng, max_space)
-        Z = random_space(rng, max_space)
-        f = random_maxplus_density(rng, X)
-        g = random_maxtimes_density(rng, X)
-        h = random_point_map(rng, X, Y)
-        k = random_point_map(rng, Y, Z)
-        F = random_meta(rng, X)
-        witness = {
-            "density": density_to_doc(f),
-            "inner_map": h.assignment,
-            "outer_map": k.assignment,
-        }
-        if not density_close(pushforward(PointMap.identity(X), f), f, 1e-12):
-            return "identity pushforward changes a density", witness
-        if not density_close(pushforward(PointMap.identity(X), g), g, 1e-12):
-            return "identity pushforward changes a max-times density", witness
-        composed = pushforward(compose_maps(k, h), f)
-        staged = pushforward(k, pushforward(h, f))
-        if not density_close(composed, staged, 1e-12):
-            return "pushforward does not respect composition", witness
-        composed_t = pushforward(compose_maps(k, h), g)
-        staged_t = pushforward(k, pushforward(h, g))
-        if not density_close(composed_t, staged_t, 1e-12):
-            return "max-times pushforward does not respect composition", witness
-        x = X.points[int(rng.integers(0, len(X)))]
-        if not density_close(pushforward(h, dirac(x, X)), dirac(h.assignment[x], Y), 1e-12):
-            return "pushforward does not commute with units", witness
+@_suite(
+    "functor", 13,
+    "pushforward preserves identities and composition and commutes with units and multiplication",
+)
+def _functor(rng, run: Run):
+    X = random_space(rng, run.max_space)
+    Y = random_space(rng, run.max_space)
+    Z = random_space(rng, run.max_space)
+    f = random_maxplus_density(rng, X)
+    g = random_maxtimes_density(rng, X)
+    h = random_point_map(rng, X, Y)
+    k = random_point_map(rng, Y, Z)
+    F = random_meta(rng, X)
+    witness = {"density": density_to_doc(f), "inner_map": h.assignment, "outer_map": k.assignment}
+    sides = (("", f), ("max-times ", g))
+    for side, d in sides:
+        if not density_close(pushforward(PointMap.identity(X), d), d, 1e-12):
+            return f"identity pushforward changes a {side}density", witness
+    for side, d in sides:
         if not density_close(
-            multiply(meta_pushforward(h, F)), pushforward(h, multiply(F)), tol
+            pushforward(compose_maps(k, h), d), pushforward(k, pushforward(h, d)), 1e-12
         ):
-            return "multiplication is not natural in the map", {**witness, "meta": meta_to_doc(F)}
-        return None
-
-    return _run("functor", trials, seed, 13, trial)
-
-
-def suite_s_iso(trials=500, seed=0, max_space=5, mutate=None, tol=None) -> RunReport:
-    def trial(rng):
-        space = random_space(rng, max_space)
-        N = random_meta(rng, space)
-
-        def fails(M):
-            return not _holds(lambda: check_s_morphism(M, tol=tol))
-
-        if fails(N):
-            small = _minimize(N, fails, _meta_shrinks)
-            return "measure-side and density-side multiplications disagree", meta_to_doc(small)
-        return None
-
-    return _run("s-iso", trials, seed, 14, trial)
+            return f"{side}pushforward does not respect composition", witness
+    x = X.points[int(rng.integers(0, len(X)))]
+    if not density_close(pushforward(h, dirac(x, X)), dirac(h.assignment[x], Y), 1e-12):
+        return "pushforward does not commute with units", witness
+    if not density_close(multiply(meta_pushforward(h, F)), pushforward(h, multiply(F)), run.tol):
+        return "multiplication is not natural in the map", {**witness, "meta": meta_to_doc(F)}
+    return None
 
 
-def suite_l_iso(trials=500, seed=0, max_space=5, mutate=None, tol=None) -> RunReport:
-    def trial(rng):
-        space = random_space(rng, max_space)
-        F = random_meta(rng, space)
-        f = random_maxplus_density(rng, space)
-
-        def fails(M):
-            return not _holds(lambda: check_l_morphism(M, tol))
-
-        if fails(F):
-            small = _minimize(F, fails, _meta_shrinks)
-            return "exp does not commute with multiplication", meta_to_doc(small)
-        if not density_close(density_log(density_exp(f)), f, 1e-12):
-            return "exp/log round trip fails", density_to_doc(f)
-        return None
-
-    return _run("l-iso", trials, seed, 15, trial)
+@_suite(
+    "s-iso", 14,
+    "multiplication computed through probe functionals equals the direct density multiplication",
+)
+def _s_iso(rng, run: Run):
+    N = random_meta(rng, random_space(rng, run.max_space))
+    law = partial(check_s_morphism, tol=run.tol)
+    desc = "measure-side and density-side multiplications disagree"
+    return _falsified(N, law, _meta_shrinks, desc, meta_to_doc)
 
 
-def suite_repr(trials=500, seed=0, max_space=5, mutate=None, tol=None) -> RunReport:
-    def trial(rng):
-        space = random_space(rng, max_space)
-        pi = random_possibility_profile(rng, space)
-        phi = random_real_function(rng, space)
-        if not check_repr(pi, phi, tol):
-            return (
-                "singleton and level-set integrals disagree",
-                {"profile": possibility_to_doc(pi), "function": function_to_doc(phi)},
-            )
-        return None
-
-    return _run("repr", trials, seed, 16, trial)
-
-
-def suite_charac(trials=500, seed=0, max_space=5, mutate=None, tol=None) -> RunReport:
-    def trial(rng):
-        space = random_space(rng, max_space)
-        c = random_capacity(rng, space)
-        oracle = integral_functional(c)
-        inner_seed = int(rng.integers(0, 2**62))
-        report = check_characterization(oracle, space, trials=8, seed=inner_seed, tol=tol)
-        if not report.passed:
-            bad = report.failing()[0]
-            return (
-                f"integral functional violates {bad.name}",
-                {"capacity": capacity_to_doc(c), "witness": bad.witness},
-            )
-        recovered = recover_capacity(oracle, space)
-        slack = max(resolve_tolerance(tol), math.exp(-DEFAULT_RECOVERY_BOUND))
-        if float(np.max(np.abs(recovered.table - c.table))) > slack:
-            return "capacity recovery misses an entry", {"capacity": capacity_to_doc(c)}
-        return None
-
-    return _run("charac", trials, seed, 17, trial)
+@_suite(
+    "l-iso", 15,
+    "pointwise exp carries units to units and multiplication to max-times multiplication",
+)
+def _l_iso(rng, run: Run):
+    space = random_space(rng, run.max_space)
+    F = random_meta(rng, space)
+    f = random_maxplus_density(rng, space)
+    law = partial(check_l_morphism, tol=run.tol)
+    desc = "exp does not commute with multiplication"
+    if found := _falsified(F, law, _meta_shrinks, desc, meta_to_doc):
+        return found
+    if not density_close(density_log(density_exp(f)), f, 1e-12):
+        return "exp/log round trip fails", density_to_doc(f)
+    return None
 
 
-def suite_shilkret(trials=500, seed=0, max_space=5, mutate=None, tol=None) -> RunReport:
-    def trial(rng):
-        space = random_space(rng, max_space)
-        c = random_capacity(rng, space)
-        phi = random_real_function(rng, space)
-        left = math.exp(maxplus_integral(c, phi))
-        right = shilkret_integral(c, phi)
-        if abs(left - right) > resolve_tolerance(tol):
-            return (
-                "log-scale and product-scale integrals disagree",
-                {"capacity": capacity_to_doc(c), "function": function_to_doc(phi)},
-            )
-        return None
+@_suite(
+    "repr", 16,
+    "the singleton form and the level-set form of the integral agree on possibility capacities",
+)
+def _repr(rng, run: Run):
+    space = random_space(rng, run.max_space)
+    pi = random_possibility_profile(rng, space)
+    phi = random_real_function(rng, space)
+    if not check_repr(pi, phi, run.tol):
+        return (
+            "singleton and level-set integrals disagree",
+            {"profile": possibility_to_doc(pi), "function": function_to_doc(phi)},
+        )
+    return None
 
-    return _run("shilkret", trials, seed, 18, trial)
+
+@_suite(
+    "charac", 17,
+    "integral functionals are normalized, comonotone-maxitive, translation-affine, and recoverable",
+)
+def _charac(rng, run: Run):
+    space = random_space(rng, run.max_space)
+    c = random_capacity(rng, space)
+    oracle = integral_functional(c)
+    inner_seed = int(rng.integers(0, 2**62))
+    report = check_characterization(oracle, space, trials=8, seed=inner_seed, tol=run.tol)
+    if not report.passed:
+        bad = report.failing()[0]
+        return (
+            f"integral functional violates {bad.name}",
+            {"capacity": capacity_to_doc(c), "witness": bad.witness},
+        )
+    recovered = recover_capacity(oracle, space)
+    slack = max(run.tol, math.exp(-DEFAULT_RECOVERY_BOUND))
+    if float(np.max(np.abs(recovered.table - c.table))) > slack:
+        return "capacity recovery misses an entry", {"capacity": capacity_to_doc(c)}
+    return None
+
+
+@_suite("shilkret", 18, "exp of the max-plus integral equals the product-scale threshold integral")
+def _shilkret(rng, run: Run):
+    space = random_space(rng, run.max_space)
+    c = random_capacity(rng, space)
+    phi = random_real_function(rng, space)
+    left = math.exp(maxplus_integral(c, phi))
+    right = shilkret_integral(c, phi)
+    if abs(left - right) > run.tol:
+        return (
+            "log-scale and product-scale integrals disagree",
+            {"capacity": capacity_to_doc(c), "function": function_to_doc(phi)},
+        )
+    return None
 
 
 def sweep_grid(steps: int = SWEEP_STEPS) -> np.ndarray:
     """Thresholds k/steps for k = 1..steps, the brute-force sweep of (0, 1]."""
     return np.arange(1, steps + 1) / float(steps)
+
+
+# the sweep of the possibility-multiplication suite, built once
+_SWEEP = sweep_grid()
 
 
 def swept_capacity_value(C: MetaPossibility, members, grid: np.ndarray) -> float:
@@ -458,130 +476,59 @@ def swept_capacity_value(C: MetaPossibility, members, grid: np.ndarray) -> float
     return float(np.max(best_weight * grid))
 
 
-def suite_possmult(trials=500, seed=0, max_space=5, mutate=None, tol=None) -> RunReport:
-    grid = sweep_grid()
-    sweep_tol = 1e-6
-
-    def trial(rng):
-        space = random_space(rng, min(max_space, 4))
-        C = random_meta_possibility(rng, space, quantum=SWEEP_STEPS)
-        rho = possibility_mult(C)
-        pts = space.points
-        for mask in range(1 << len(pts)):
-            members = [p for i, p in enumerate(pts) if mask >> i & 1]
-            closed = max((rho.singletons[p] for p in members), default=0.0)
-            swept = swept_capacity_value(C, members, grid)
-            if abs(closed - swept) > sweep_tol:
-                return (
-                    "closed-form possibility multiplication misses the threshold sweep",
-                    {
-                        "support": [
-                            {"profile": possibility_to_doc(pi), "weight": w}
-                            for pi, w in C.support
-                        ],
-                        "subset": members,
-                    },
-                )
-        return None
-
-    return _run("possmult", trials, seed, 19, trial)
+@_suite(
+    "possmult", 19,
+    "closed-form possibility multiplication matches a brute-force threshold sweep on every subset",
+)
+def _possmult(rng, run: Run):
+    space = random_space(rng, min(run.max_space, 4))
+    C = random_meta_possibility(rng, space, quantum=SWEEP_STEPS)
+    rho = possibility_mult(C)
+    pts = space.points
+    for mask in range(1 << len(pts)):
+        members = [p for i, p in enumerate(pts) if mask >> i & 1]
+        closed = max((rho.singletons[p] for p in members), default=0.0)
+        if abs(closed - swept_capacity_value(C, members, _SWEEP)) > 1e-6:
+            support = [{"profile": possibility_to_doc(pi), "weight": w} for pi, w in C.support]
+            return (
+                "closed-form possibility multiplication misses the threshold sweep",
+                {"support": support, "subset": members},
+            )
+    return None
 
 
-def suite_convexity(trials=500, seed=0, max_space=5, mutate=None, tol=None) -> RunReport:
-    def trial(rng):
-        dim = 2 if rng.random() < 0.5 else 3
-        gens = random_generator_set(rng, dim)
-        witness = {"generators": generators_to_doc(gens)}
-        grid = bounding_grid(gens, per_axis=11)
-        if not check_convexity_equivalence(gens, grid, tol):
-            return "hull membership and barycenter reachability disagree", witness
-        N = random_meta_on_generators(rng, len(gens))
-        if not check_algebra(gens, N, tol):
-            return "barycenter does not absorb multiplication", {**witness, "meta": meta_to_doc(N)}
-        i = int(rng.integers(0, len(gens)))
-        unit = dirac(f"g{i}", N.space)
-        if not np.array_equal(barycenter(gens, density_weights(unit)), gens.points[i]):
-            return "barycenter of a unit misses its generator", witness
-        return None
-
-    return _run("convexity", trials, seed, 20, trial)
-
-
-# ---------------------------------------------------------------------------
-# registry
-
-
-@dataclass(frozen=True)
-class SuiteSpec:
-    name: str
-    runner: Callable
-    law: str
-
-
-SUITES: dict[str, SuiteSpec] = {
-    s.name: s
-    for s in (
-        SuiteSpec(
-            "unit",
-            suite_unit,
-            "multiplying the two unit embeddings of a density returns it unchanged (both monads)",
-        ),
-        SuiteSpec(
-            "assoc",
-            suite_assoc,
-            "collapsing a third-level support outside-in or inside-out gives one density (both monads)",
-        ),
-        SuiteSpec(
-            "roundtrip",
-            suite_roundtrip,
-            "density -> measure functional -> density is the identity, and the functionals agree on probes",
-        ),
-        SuiteSpec(
-            "functor",
-            suite_functor,
-            "pushforward preserves identities and composition and commutes with units and multiplication",
-        ),
-        SuiteSpec(
-            "s-iso",
-            suite_s_iso,
-            "multiplication computed through probe functionals equals the direct density multiplication",
-        ),
-        SuiteSpec(
-            "l-iso",
-            suite_l_iso,
-            "pointwise exp carries units to units and multiplication to max-times multiplication",
-        ),
-        SuiteSpec(
-            "repr",
-            suite_repr,
-            "the singleton form and the level-set form of the integral agree on possibility capacities",
-        ),
-        SuiteSpec(
-            "charac",
-            suite_charac,
-            "integral functionals are normalized, comonotone-maxitive, translation-affine, and recoverable",
-        ),
-        SuiteSpec(
-            "shilkret",
-            suite_shilkret,
-            "exp of the max-plus integral equals the product-scale threshold integral",
-        ),
-        SuiteSpec(
-            "possmult",
-            suite_possmult,
-            "closed-form possibility multiplication matches a brute-force threshold sweep on every subset",
-        ),
-        SuiteSpec(
-            "convexity",
-            suite_convexity,
-            "hull membership, barycenter reachability, and the algebra laws agree on generator systems",
-        ),
-    )
-}
+@_suite(
+    "convexity", 20,
+    "hull membership, barycenter reachability, and the algebra laws agree on generator systems",
+)
+def _convexity(rng, run: Run):
+    dim = 2 if rng.random() < 0.5 else 3
+    gens = random_generator_set(rng, dim)
+    witness = {"generators": generators_to_doc(gens)}
+    grid = bounding_grid(gens, per_axis=11)
+    if not check_convexity_equivalence(gens, grid, run.tol):
+        return "hull membership and barycenter reachability disagree", witness
+    N = random_meta_on_generators(rng, len(gens))
+    if not check_algebra(gens, N, run.tol):
+        return "barycenter does not absorb multiplication", {**witness, "meta": meta_to_doc(N)}
+    i = int(rng.integers(0, len(gens)))
+    unit = dirac(f"g{i}", N.space)
+    if not np.array_equal(barycenter(gens, density_weights(unit)), gens.points[i]):
+        return "barycenter of a unit misses its generator", witness
+    return None
 
 
 def suite_names() -> list[str]:
     return list(SUITES)
+
+
+def _checked_run(trials: int, seed: int, max_space: int, mutate: str | None, tol) -> Run:
+    if max_space < 1:
+        raise ValueError("max-space must be at least 1")
+    mult = _resolve_mutation(mutate, multiply)
+    if trials <= 0:
+        raise ValueError("trials must be positive")
+    return Run(seed, max_space, resolve_tolerance(tol), mult)
 
 
 def run_suite(
@@ -592,11 +539,24 @@ def run_suite(
     mutate: str | None = None,
     tol: float | None = None,
 ) -> RunReport:
+    """Run `trials` trials of one suite.  The arguments, and with tol None
+    the IDEMKIT_TOLERANCE setting, are checked before trial 0: a bad one
+    raises ValueError instead of reading as a failed law."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
-    if max_space < 1:
-        raise ValueError("max-space must be at least 1")
-    return SUITES[name].runner(trials=trials, seed=seed, max_space=max_space, mutate=mutate, tol=tol)
+    spec = SUITES[name]
+    run = _checked_run(trials, seed, max_space, mutate, tol)
+    start = time.perf_counter()
+    failures = []
+    for i in range(trials):
+        rng = trial_stream(seed, i, tag=spec.tag)
+        try:
+            outcome = spec.trial(rng, run)
+        except Exception as exc:
+            outcome = (f"trial raised {type(exc).__name__}: {exc}", {})
+        if outcome is not None:
+            failures.append(Failure(i, *outcome))
+    return RunReport(name, trials, seed, failures, time.perf_counter() - start)
 
 
 def run_all(
@@ -606,4 +566,7 @@ def run_all(
     mutate: str | None = None,
     tol: float | None = None,
 ) -> list[RunReport]:
+    """Run every suite in registration order; a bad argument raises before
+    the first suite runs."""
+    _checked_run(trials, seed, max_space, mutate, tol)
     return [run_suite(name, trials, seed, max_space, mutate, tol) for name in SUITES]

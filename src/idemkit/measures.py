@@ -132,7 +132,7 @@ class Density(Frozen):
         for p in space.points:
             try:
                 w = float(weights[p])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{exc} at point {p!r}") from None
             if not bottom <= w <= top:  # Side.check, inline
                 raise ValueError(f"{side.outside(w)} at point {p!r}")
@@ -156,11 +156,15 @@ class Density(Frozen):
     @classmethod
     def from_vector(cls, space: FiniteSpace, vector) -> "Density":
         """The density whose weights in point order are `vector`, checked as
-        one row of `rows`; an error names the point."""
+        one row of `rows`; an error names the point.  The density takes the
+        array over: a float64 array is kept without a copy and marked
+        read-only."""
         vec = np.asarray(vector, dtype=float)
         if vec.ndim != 1:
             raise ValueError(f"a density vector must be 1-d, got shape {vec.shape}")
-        return cls._from_block(space, vec[None, :], lambda r: "")[0]
+        (f,) = cls._from_block(space, vec[None, :], lambda r: "")
+        vec.setflags(write=False)
+        return f
 
     @classmethod
     def _from_block(cls, space: FiniteSpace, block, where) -> list["Density"]:
@@ -217,7 +221,7 @@ def _reject_labels(side: Side, space: FiniteSpace, weights: Mapping[str, float])
             raise ValueError(f"missing weight for point {p!r}")
         try:
             side.check(weights[p])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{exc} at point {p!r}") from None
 
 
@@ -291,7 +295,7 @@ class Meta:
         for k, (item, w) in enumerate(self.support):
             try:
                 w = float(w)
-            except TypeError as exc:  # a ValueError keeps its own text
+            except (TypeError, OverflowError) as exc:  # a ValueError keeps its own text
                 raise ValueError(f"{exc} at support position {k}") from None
             if not bottom <= w <= top:  # Side.check, inline
                 raise ValueError(side.outside(w))

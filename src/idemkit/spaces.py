@@ -132,7 +132,7 @@ class RealFunction(Frozen):
                 raise ValueError(f"missing value for point {p!r}")
             try:
                 vals[p] = float(values[p])
-            except TypeError as exc:  # a ValueError keeps its own text
+            except (TypeError, OverflowError) as exc:  # a ValueError keeps its own text
                 raise ValueError(f"{exc} at point {p!r}") from None
         vec = np.fromiter(vals.values(), float, len(vals))
         self.__dict__.update(self.from_vector(space, vec).__dict__, values=vals)

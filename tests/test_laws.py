@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -210,3 +211,60 @@ def test_meta_generators_draw_in_the_recorded_order():
             got = getattr(generate, which)(new, space, **kwargs)
             assert repr(got) == repr(_drawn_as_before(old, space, which))
             assert new.random() == old.random()  # no draw more or less
+
+
+# the registry as the streams were first tagged: a renumbered tag changes
+# every draw of its suite, yet a clean report only says "ok": true
+REGISTERED = [
+    ("unit", 10), ("assoc", 11), ("roundtrip", 12), ("functor", 13), ("s-iso", 14),
+    ("l-iso", 15), ("repr", 16), ("charac", 17), ("shilkret", 18), ("possmult", 19),
+    ("convexity", 20),
+]
+
+
+def test_suite_registry_is_pinned():
+    assert [(name, spec.tag) for name, spec in SUITES.items()] == REGISTERED
+    assert all(spec.name == name for name, spec in SUITES.items())
+    # a second suite under a taken name or tag is refused at registration
+    for name, tag in (("unit", 21), ("hull-iso", 20)):
+        with pytest.raises(ValueError, match="already registered"):
+            laws._suite(name, tag, "a law")(lambda rng, run: None)
+    assert [(name, spec.tag) for name, spec in SUITES.items()] == REGISTERED
+
+
+BAD_ARGUMENTS = [
+    ({"mutate": "bogus"}, "unknown mutation 'bogus'"),
+    ({"tol": float("nan")}, "tol must be finite and non-negative, got nan"),
+    ({"tol": -1.0}, "tol must be finite and non-negative, got -1.0"),
+    ({"tol": "x"}, "tol must be a number, got 'x'"),
+]
+
+
+def _no_trial_may_run(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(laws, "trial_stream", lambda *args, **kwargs: drawn.append(args))
+    return drawn
+
+
+@pytest.mark.parametrize("name", [name for name, _ in REGISTERED] + ["all"])
+def test_bad_arguments_raise_before_any_trial(monkeypatch, name):
+    drawn = _no_trial_may_run(monkeypatch)
+
+    def run(**kwargs):
+        if name == "all":
+            return run_all(trials=2, seed=0, **kwargs)
+        return run_suite(name, trials=2, seed=0, **kwargs)
+
+    for kwargs, message in BAD_ARGUMENTS:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(**kwargs)
+    monkeypatch.setenv("IDEMKIT_TOLERANCE", "abc")
+    with pytest.raises(ValueError, match="IDEMKIT_TOLERANCE must be a number, got 'abc'"):
+        run()
+    assert drawn == []
+
+
+@pytest.mark.parametrize("name", [name for name, _ in REGISTERED])
+def test_every_suite_accepts_drop_weight(name):
+    report = run_suite(name, trials=2, seed=0, mutate="drop-weight")
+    assert report.suite == name and report.trials == 2

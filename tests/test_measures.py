@@ -60,6 +60,7 @@ from idemkit.spaces import (
 AB = FiniteSpace(("a", "b"))
 ABC = FiniteSpace(("a", "b", "c"))
 NOT_A_FLOAT = "float() argument must be a string or a real number, not 'NoneType'"
+TOO_LARGE = "int too large to convert to float"
 
 
 def plus_density(**weights):
@@ -643,6 +644,10 @@ def test_density_from_functional_rejects_a_batch_of_the_wrong_shape():
         # weights in range but no peak; the first of equal maxima is named
         (MaxPlusDensity, AB, {"a": -1.0, "b": -2.0}, "peak weight is -1.0, expected 0.0 (use normalize)"),
         (MaxTimesDensity, AB, {"a": -0.0, "b": 0.0}, "peak weight is -0.0, expected 1.0 (use normalize)"),
+        # an integer beyond a double's range names its point, in the loop and
+        # when the labels differ (here c is missing)
+        (MaxPlusDensity, AB, {"a": 0.0, "b": -10**400}, f"{TOO_LARGE} at point 'b'"),
+        (MaxTimesDensity, ABC, {"a": 1.0, "b": 10**400}, f"{TOO_LARGE} at point 'b'"),
     ],
 )
 def test_density_constructor_error_texts_on_inputs_with_two_faults(density, space, weights, message):
@@ -672,11 +677,28 @@ def test_meta_constructor_error_texts_on_inputs_with_two_faults():
         # merged entries keep the larger weight, which still misses the peak
         (MetaDensity, ((f, -1.0), (f, -0.5)), "peak support weight is -0.5, expected 0.0"),
         (MetaTimesDensity, ((t, 0.5), (t, -0.0)), "peak support weight is 0.5, expected 1.0"),
+        (MetaDensity, ((f, 0.0), (f, -10**400)), f"{TOO_LARGE} at support position 1"),
     ]
     for meta, support, message in cases:
         with pytest.raises(ValueError) as info:
             meta(support)
         assert str(info.value) == message, support
+
+
+def test_a_density_takes_its_vector_over():
+    # the caller's array becomes the density's store, so it is marked
+    # read-only: a later write cannot lift a weight above the peak
+    for cls, weights in ((MaxPlusDensity, [0.0, -1.0]), (MaxTimesDensity, [1.0, 0.5])):
+        vec = np.array(weights)
+        f = cls.from_vector(AB, vec)
+        with pytest.raises(ValueError, match="read-only"):
+            vec[1] = 5.0
+        assert f.weights == dict(zip(AB.points, weights))
+    # a vector that fails its check is left as it was
+    vec = np.array([0.0, 1.0])
+    with pytest.raises(ValueError):
+        MaxPlusDensity.from_vector(AB, vec)
+    vec[1] = -1.0
 
 
 def test_meta_reads_the_tolerance_only_when_a_merge_compares(monkeypatch):

@@ -205,6 +205,11 @@ NOT_A_FLOAT = "float() argument must be a string or a real number, not 'NoneType
          "value -0.5 at point 'b' outside [0, 1] in row 1"),
         (lambda: UnitFunction.constant(ABC, 1.5), "value 1.5 at point 'a' outside [0, 1]"),
         (lambda: RealFunction.from_vector(ABC, [0.0, 1.0]), "missing value for point 'c'"),
+        # an integer beyond a double's range names its point
+        (lambda: RealFunction(ABC, {"a": 1.0, "b": 10**400, "c": 0.0}),
+         "int too large to convert to float at point 'b'"),
+        (lambda: UnitFunction(ABC, {"a": 0.0, "b": 0.5, "c": -10**400}),
+         "int too large to convert to float at point 'c'"),
     ],
 )
 def test_function_constructor_error_texts(make, message):
