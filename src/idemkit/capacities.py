@@ -26,6 +26,12 @@ and shilkret_integral stay scalar scans, the independent cross-check of the
 batch.  Each scans a function's vector (idemkit.spaces keeps every real
 function as a vector in point order, with a label dict besides when built
 from one), gathered into the capacity's point order.
+
+check_characterization samples the three conditions that make a functional
+such an integral.  It draws every trial of a condition first, each from its
+own stream of seeding.trial_streams, into rows of one block, and evaluates
+the block through probe_values too: an integral functional integrates a
+condition in one batch, with the floats of the scalar scan.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .measures import MaxTimesDensity, MetaTimesDensity, multiply
-from .seeding import trial_stream
+from .seeding import trial_streams
 from .semiring import (
     BOTTOM,
     log_bridge,
@@ -51,8 +57,6 @@ from .spaces import (
     SubsetMask,
     check_probe_bound,
     checked_block,
-    fn_max,
-    fn_shift,
     in_point_order,
     probe_values,
     stored,
@@ -368,18 +372,33 @@ def check_characterization(
     """Sample the three integral conditions and report per-condition results.
 
     Comonotone pairs are produced as two non-decreasing reshapings of one
-    shared ranking function, which covers ties; translations draw a random
-    constant and a random function.
+    shared ranking function (generate.comonotone_rows), which covers ties;
+    translations draw a random function and a random constant.  Trial k of
+    a condition draws from its own stream, so every trial is drawn first:
+    trial k stacks the rows (max(phi, psi), phi, psi), the max keeping phi
+    on ties as fn_max does, or (phi + lam, phi), and the oracle evaluates
+    each condition's rows in one block through spaces.probe_values (a block
+    per PROBE_BLOCK_CELLS values when a condition has more).  A condition
+    reports its first failing trial, with phi's and psi's values by label
+    and the floats compared.
+
+    An oracle with a `batch` method, such as an integral_functional, gets
+    each block whole.  Any other is called once per row, in order: first on
+    the constant 1, then on (max(phi, psi), phi, psi) for k = 0, 1, ...,
+    then on (phi + lam, phi) for k = 0, 1, ...; it is called on every row
+    of the block holding a condition's first failure, the rows after that
+    failure included.
     """
-    from .generate import random_comonotone_pair, random_real_function
+    from .generate import comonotone_rows, real_row
 
     if trials <= 0:
         raise ValueError("trials must be positive")
     tol = resolve_tolerance(tol)
+    como_streams, trans_streams = trial_streams(seed, tag=1), trial_streams(seed, tag=2)
     report = CharacterizationReport()
+    n = len(space)
 
-    ones = RealFunction.constant(space, 1.0)
-    v = float(oracle(ones))
+    v = float(probe_values(oracle, space, np.ones((1, n)))[0])
     report.outcomes.append(
         ConditionOutcome(
             "normalization",
@@ -389,36 +408,79 @@ def check_characterization(
         )
     )
 
-    como = ConditionOutcome("comonotone-maxitivity", trials, True)
-    for k in range(trials):
-        rng = trial_stream(seed, k, tag=1)
-        phi, psi = random_comonotone_pair(rng, space)
-        left = float(oracle(fn_max(phi, psi)))
-        right = max(float(oracle(phi)), float(oracle(psi)))
-        if not score_eq(left, right, tol):
-            como.passed = False
-            como.witness = {
-                "phi": phi.values,
-                "psi": psi.values,
-                "joined": left,
-                "max_of_parts": right,
-            }
-            break
-    report.outcomes.append(como)
+    def labelled(vec: np.ndarray) -> dict[str, float]:
+        return dict(zip(space.points, vec.tolist()))
 
-    trans = ConditionOutcome("translation", trials, True)
-    for k in range(trials):
-        rng = trial_stream(seed, k, tag=2)
-        phi = random_real_function(rng, space)
+    def draw_pair(rng, rows) -> None:
+        phi, psi = comonotone_rows(rng, n)
+        rows[0], rows[1], rows[2] = np.where(psi > phi, psi, phi), phi, psi
+
+    def maxitive(rows, values, _) -> dict | None:
+        left, right = values[0], max(values[1], values[2])
+        if score_eq(left, right, tol):
+            return None
+        return {
+            "phi": labelled(rows[1]),
+            "psi": labelled(rows[2]),
+            "joined": left,
+            "max_of_parts": right,
+        }
+
+    def draw_shift(rng, rows) -> float:
+        rows[1] = real_row(rng, n)
         lam = float(rng.uniform(-3.0, 3.0))
-        left = float(oracle(fn_shift(phi, lam)))
-        right = lam + float(oracle(phi))
-        if not score_eq(left, right, tol):
-            trans.passed = False
-            trans.witness = {"phi": phi.values, "lam": lam, "shifted": left, "direct": right}
-            break
-    report.outcomes.append(trans)
+        rows[0] = rows[1] + lam
+        return lam
+
+    def affine(rows, values, lam) -> dict | None:
+        left, right = values[0], lam + values[1]
+        if score_eq(left, right, tol):
+            return None
+        return {"phi": labelled(rows[1]), "lam": lam, "shifted": left, "direct": right}
+
+    report.outcomes.append(
+        _sampled_condition(
+            "comonotone-maxitivity", oracle, space, trials, como_streams, 3, draw_pair, maxitive
+        )
+    )
+    report.outcomes.append(
+        _sampled_condition("translation", oracle, space, trials, trans_streams, 2, draw_shift, affine)
+    )
     return report
+
+
+def _sampled_condition(
+    name: str,
+    oracle: Callable[[RealFunction], float],
+    space: FiniteSpace,
+    trials: int,
+    stream: Callable[[int], np.random.Generator],
+    width: int,
+    draw: Callable,
+    verdict: Callable,
+) -> ConditionOutcome:
+    """The outcome of one condition over `trials` trials of `width` rows.
+
+    Trial k fills its rows, an (width, n) slice of a block, with
+    draw(stream(k), rows), which returns what the verdict needs besides the
+    values.  One probe_values call evaluates a block of trials, as many as
+    PROBE_BLOCK_CELLS values hold (at least one); verdict(rows, values,
+    drawn) then gives each trial's witness, None when the condition holds,
+    and the first witness ends the scan."""
+    outcome = ConditionOutcome(name, trials, True)
+    n = len(space)
+    step = max(1, PROBE_BLOCK_CELLS // (width * n))
+    for start in range(0, trials, step):
+        m = min(step, trials - start)
+        block = np.empty((m, width, n))
+        drawn = [draw(stream(start + j), block[j]) for j in range(m)]
+        values = probe_values(oracle, space, block.reshape(m * width, n))
+        for rows, vals, extra in zip(block, values.reshape(m, width).tolist(), drawn):
+            witness = verdict(rows, vals, extra)
+            if witness is not None:
+                outcome.passed, outcome.witness = False, witness
+                return outcome
+    return outcome
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,10 @@ from .spaces import FiniteSpace, PointMap, RealFunction
 __all__ = [
     "trial_stream",
     "random_space",
+    "real_row",
     "random_real_function",
     "random_point_map",
+    "comonotone_rows",
     "random_comonotone_pair",
     "random_maxplus_density",
     "random_maxtimes_density",
@@ -56,10 +58,15 @@ def random_space(rng: np.random.Generator, max_points: int = 5, min_points: int 
     return FiniteSpace(tuple(_LABELS[:size]))
 
 
+def real_row(rng: np.random.Generator, n: int, lo: float = -5.0, hi: float = 5.0) -> np.ndarray:
+    """The values of a random real function on n points, in point order."""
+    return rng.uniform(lo, hi, n)
+
+
 def random_real_function(
     rng: np.random.Generator, space: FiniteSpace, lo: float = -5.0, hi: float = 5.0
 ) -> RealFunction:
-    return RealFunction.from_vector(space, rng.uniform(lo, hi, len(space)))
+    return RealFunction.from_vector(space, real_row(rng, len(space), lo, hi))
 
 
 def random_point_map(
@@ -71,20 +78,29 @@ def random_point_map(
     )
 
 
+def comonotone_rows(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values on n points, in point order, of two non-decreasing
+    reshapings of one shared ranking; ties included.  The draws: the
+    ranking (`integers`), then per reshaping its increments (`uniform`),
+    which of them are flat (`random`) and its offset (`uniform`)."""
+    ranks = rng.integers(0, n, n)
+
+    def reshape() -> np.ndarray:
+        incs = rng.uniform(0.0, 2.0, n)
+        incs[rng.random(n) < 0.3] = 0.0  # flat stretches cover ties
+        table = float(rng.uniform(-3.0, 3.0)) + incs.cumsum()
+        return table[ranks]
+
+    return reshape(), reshape()
+
+
 def random_comonotone_pair(
     rng: np.random.Generator, space: FiniteSpace
 ) -> tuple[RealFunction, RealFunction]:
-    """Two non-decreasing reshapings of one shared ranking; ties included."""
-    n = len(space)
-    ranks = rng.integers(0, n, n)
-
-    def reshape() -> RealFunction:
-        incs = rng.uniform(0.0, 2.0, n)
-        incs[rng.random(n) < 0.3] = 0.0  # flat stretches cover ties
-        table = float(rng.uniform(-3.0, 3.0)) + np.cumsum(incs)
-        return RealFunction.from_vector(space, table[ranks])
-
-    return reshape(), reshape()
+    """Two non-decreasing reshapings of one shared ranking: the functions
+    of comonotone_rows."""
+    phi, psi = comonotone_rows(rng, len(space))
+    return RealFunction.from_vector(space, phi), RealFunction.from_vector(space, psi)
 
 
 def random_maxplus_density(

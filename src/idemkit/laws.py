@@ -5,8 +5,10 @@ decorator above it with its name, its stream tag and the law it checks;
 `SUITES` lists the suites in the order they are registered.  A trial draws
 seeded instances, evaluates one law, and returns None or a failure with a
 minimized witness (spaces are shrunk pointwise and supports pairwise while
-the failure persists).  Trial i of a suite always draws from
-`trial_stream(seed, i, tag)`, so identical seeds give identical reports.
+the failure persists).  Trial i of a suite always draws what
+`trial_stream(seed, i, tag)` draws, so identical seeds give identical
+reports; `run_suite` re-keys one generator of its own per trial
+(`seeding.trial_streams`), and a trial must not keep it past its return.
 Adding a suite means one decorated trial function with a new, unique tag;
 renumbering a tag changes every draw of its suite.
 
@@ -88,7 +90,7 @@ from .measures import (
     normalize,
     pushforward,
 )
-from .seeding import trial_stream
+from .seeding import trial_stream, trial_streams
 from .semiring import is_bottom, resolve_tolerance, score_eq
 from .spaces import FiniteSpace, PointMap, compose_maps
 
@@ -547,9 +549,10 @@ def run_suite(
     spec = SUITES[name]
     run = _checked_run(trials, seed, max_space, mutate, tol)
     start = time.perf_counter()
+    stream = trial_streams(seed, spec.tag)
     failures = []
     for i in range(trials):
-        rng = trial_stream(seed, i, tag=spec.tag)
+        rng = stream(i)
         try:
             outcome = spec.trial(rng, run)
         except Exception as exc:

@@ -62,6 +62,7 @@ from .spaces import (
     probe_values,
     row_views,
     stored,
+    take_over,
     validate_map,
 )
 
@@ -149,25 +150,28 @@ class Density(Frozen):
         """One density per row of an (m, len(space)) block of weights in
         point order, each row a view of the block.  The block is checked
         once, with the invariants of the constructor, and taken over like a
-        probe block: marked read-only.  An error names the row and the
+        probe block (`spaces.take_over`).  An error names the row and the
         point."""
-        return cls._from_block(space, block, lambda r: f" in row {r}")
+        return row_views(cls, space, cls._checked(space, block, lambda r: f" in row {r}"))
 
     @classmethod
     def from_vector(cls, space: FiniteSpace, vector) -> "Density":
         """The density whose weights in point order are `vector`, checked as
         one row of `rows`; an error names the point.  The density takes the
-        array over: a float64 array is kept without a copy and marked
-        read-only."""
+        array over (`spaces.take_over`): a float64 array is kept without a
+        copy and marked read-only, unless it views memory another array can
+        still write."""
         vec = np.asarray(vector, dtype=float)
         if vec.ndim != 1:
             raise ValueError(f"a density vector must be 1-d, got shape {vec.shape}")
-        (f,) = cls._from_block(space, vec[None, :], lambda r: "")
-        vec.setflags(write=False)
+        cls._checked(space, vec[None, :], lambda r: "")
+        (f,) = row_views(cls, space, take_over(vec)[None, :])
         return f
 
     @classmethod
-    def _from_block(cls, space: FiniteSpace, block, where) -> list["Density"]:
+    def _checked(cls, space: FiniteSpace, block, where) -> np.ndarray:
+        """The block as floats, once every row holds the invariants of the
+        constructor; where(r) names row r in an error."""
         side, n = cls.side, len(space)
         block = np.asarray(block, dtype=float)
         if block.ndim != 2 or block.shape[1] != n:
@@ -184,7 +188,7 @@ class Density(Frozen):
                 f"peak weight is {float(peaks[r])!r} at point {space.points[block[r].argmax()]!r}"
                 f"{where(r)}, expected {side.peak!r} (use normalize)"
             )
-        return row_views(cls, space, block)
+        return block
 
     @stored
     def weights(self) -> dict[str, float]:

@@ -20,7 +20,9 @@ PROBE_BLOCK_CELLS values.  probe_values evaluates an oracle on a block: an
 oracle with a `batch(block, space)` method gets it whole, any other is called
 once per row, in order.  in_point_order gathers values listed in one space's
 point order into an equal space's, and row_views makes one object per row of
-a checked block, for `RealFunction.rows` and `Density.rows` alike.
+a checked block, for `RealFunction.rows` and `Density.rows` alike.  A
+function or density keeps the array it is built from (`take_over`), unless
+another array could still write that memory.
 """
 
 from __future__ import annotations
@@ -141,8 +143,9 @@ class RealFunction(Frozen):
     def from_vector(cls, space: FiniteSpace, vector) -> "RealFunction":
         """The function whose values in point order are `vector`, checked
         like a row of `rows`; an error names the point.  The function takes
-        the array over: a float64 array is kept without a copy and marked
-        read-only."""
+        the array over (`take_over`): a float64 array is kept without a copy
+        and marked read-only, unless it views memory another array can still
+        write."""
         vec = np.asarray(vector, dtype=float)
         n = len(space)
         if vec.ndim != 1 or len(vec) > n:
@@ -152,9 +155,8 @@ class RealFunction(Frozen):
         if len(vec) < n:
             raise ValueError(f"missing value for point {space.points[len(vec)]!r}")
         cls.check_range(space, vec)
-        vec.setflags(write=False)
         phi = cls.__new__(cls)
-        phi.__dict__.update(space=space, vector=vec)
+        phi.__dict__.update(space=space, vector=take_over(vec))
         return phi
 
     @classmethod
@@ -223,11 +225,26 @@ class UnitFunction(RealFunction):
         return f"value {v!r} at point {p!r} outside [0, 1]"
 
 
+def take_over(array: np.ndarray) -> np.ndarray:
+    """The array, read-only, for a function or density to keep: the array
+    itself, marked read-only, when it owns its memory or views memory that
+    only read-only arrays hold; else a read-only copy, so that no write
+    through a writable base, or a buffer numpy does not own, reaches the
+    keeper."""
+    base = array.base
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is not None:
+        array = array.copy()
+    array.setflags(write=False)
+    return array
+
+
 def row_views(cls, space: FiniteSpace, block: np.ndarray) -> list:
     """One `cls` object per row of a checked (m, len(space)) block, made
     without its constructor: its `space` is `space` and its `vector` the
-    row, a view.  The block is taken over and marked read-only."""
-    block.setflags(write=False)
+    row, a view.  The block is taken over (`take_over`)."""
+    block = take_over(block)
     out = []
     for row in block:
         obj = cls.__new__(cls)

@@ -23,6 +23,7 @@ from idemkit.capacities import (
     subset_bits,
 )
 from idemkit.generate import (
+    comonotone_rows,
     random_capacity,
     random_comonotone_pair,
     random_meta_possibility,
@@ -473,6 +474,150 @@ def test_check_characterization_max_oracle_passes_and_recovers_ones():
     assert report.passed
     recovered = recover_capacity(oracle, ABC, 40.0)
     assert np.all(recovered.table[1:] == 1.0)
+
+
+def _characterization_one_call_at_a_time(oracle, space, trials, seed, tol=None):
+    """check_characterization as it was before it drew in bulk: one fresh
+    stream and one oracle call per function, stopping at the first failure."""
+    tol = capacities.resolve_tolerance(tol)
+    v = float(oracle(RealFunction.constant(space, 1.0)))
+    report = capacities.CharacterizationReport()
+    report.outcomes.append(
+        capacities.ConditionOutcome(
+            "normalization", 1, abs(v - 1.0) <= tol, None if abs(v - 1.0) <= tol else {"value": v}
+        )
+    )
+    como = capacities.ConditionOutcome("comonotone-maxitivity", trials, True)
+    for k in range(trials):
+        phi, psi = random_comonotone_pair(trial_stream(seed, k, tag=1), space)
+        left = float(oracle(fn_max(phi, psi)))
+        right = max(float(oracle(phi)), float(oracle(psi)))
+        if not capacities.score_eq(left, right, tol):
+            como.passed = False
+            como.witness = {"phi": phi.values, "psi": psi.values, "joined": left, "max_of_parts": right}
+            break
+    report.outcomes.append(como)
+    trans = capacities.ConditionOutcome("translation", trials, True)
+    for k in range(trials):
+        rng = trial_stream(seed, k, tag=2)
+        phi = random_real_function(rng, space)
+        lam = float(rng.uniform(-3.0, 3.0))
+        left = float(oracle(fn_shift(phi, lam)))
+        right = lam + float(oracle(phi))
+        if not capacities.score_eq(left, right, tol):
+            trans.passed = False
+            trans.witness = {"phi": phi.values, "lam": lam, "shifted": left, "direct": right}
+            break
+    report.outcomes.append(trans)
+    return report
+
+
+def _reports_equal(a, b) -> bool:
+    # repr tells -0.0 from 0.0, which == does not
+    return repr(a.outcomes) == repr(b.outcomes)
+
+
+def test_check_characterization_batch_equals_the_scalar_integral():
+    pairs = failing = 0
+    for i in range(60):
+        rng = trial_stream(618, i)
+        space = random_space(rng, 5)
+        c = random_capacity(rng, space)
+        scalar = lambda phi, c=c: maxplus_integral(c, phi)
+        # tol = 0 fails translation on rounding, so the witnesses are compared too
+        for tol in (None, 0.0):
+            batch = check_characterization(integral_functional(c), space, trials=20, seed=i, tol=tol)
+            plain = check_characterization(scalar, space, trials=20, seed=i, tol=tol)
+            before = _characterization_one_call_at_a_time(scalar, space, 20, i, tol)
+            assert _reports_equal(batch, plain) and _reports_equal(batch, before), (i, tol)
+            pairs += 1
+            failing += not batch.passed
+    assert pairs >= 100 and failing > 0
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        lambda phi: sum(phi.values.values()),
+        lambda phi: max(phi.values.values()),
+        lambda phi: phi("a") + 0.5,
+        lambda phi: min(phi.values.values()) + (phi("b") > 0),
+    ],
+)
+def test_check_characterization_keeps_the_reports_of_one_call_at_a_time(oracle):
+    for seed, space in ((0, ABC), (1, FiniteSpace(("c", "a", "b", "d"))), (2, AB)):
+        for tol in (None, 0.0):
+            assert _reports_equal(
+                check_characterization(oracle, space, trials=40, seed=seed, tol=tol),
+                _characterization_one_call_at_a_time(oracle, space, 40, seed, tol),
+            )
+
+
+def test_check_characterization_calls_a_plain_oracle_on_every_row_in_order():
+    seen = []
+
+    def recording(phi):
+        seen.append(phi.vector.tolist())
+        return max(phi.values.values())
+
+    space, trials = FiniteSpace(("b", "a", "c", "d")), 6
+    assert check_characterization(recording, space, trials=trials, seed=3).passed
+    expected = [[1.0] * 4]
+    for k in range(trials):
+        phi, psi = random_comonotone_pair(trial_stream(3, k, tag=1), space)
+        expected += [fn_max(phi, psi).vector.tolist(), phi.vector.tolist(), psi.vector.tolist()]
+    for k in range(trials):
+        rng = trial_stream(3, k, tag=2)
+        phi = random_real_function(rng, space)
+        lam = float(rng.uniform(-3.0, 3.0))
+        expected += [(phi.vector + lam).tolist(), phi.vector.tolist()]
+    assert seen == expected
+
+
+def test_a_plain_oracle_sees_the_rows_after_a_failure_in_its_block():
+    calls = []
+    oracle = lambda phi: calls.append(phi) or sum(phi.values.values())
+    report = check_characterization(oracle, ABC, trials=50, seed=0)
+    assert {o.name for o in report.failing()} >= {"translation"}
+    assert len(calls) == 1 + 3 * 50 + 2 * 50
+
+
+def test_check_characterization_takes_blocks_within_the_probe_budget(monkeypatch):
+    space = FiniteSpace(tuple("abcde"))
+    c = random_capacity(trial_stream(619, 0), space)
+    shapes = []
+
+    class Spy:
+        def __init__(self):
+            self.inner = integral_functional(c)
+
+        def batch(self, block, space):
+            shapes.append(block.shape)
+            return self.inner.batch(block, space)
+
+    monkeypatch.setattr(capacities, "PROBE_BLOCK_CELLS", 70)  # 4 comonotone trials, 7 translations
+    report = check_characterization(Spy(), space, trials=10, seed=5)
+    assert report.passed
+    assert shapes == [(1, 5), (12, 5), (12, 5), (6, 5), (14, 5), (6, 5)]
+    scalar = lambda phi: maxplus_integral(c, phi)
+    assert _reports_equal(report, _characterization_one_call_at_a_time(scalar, space, 10, 5))
+
+
+def test_comonotone_rows_draw_in_the_recorded_order():
+    for n in range(1, 7):
+        new, old = trial_stream(620, n), trial_stream(620, n)
+        got = comonotone_rows(new, n)
+        ranks = old.integers(0, n, n)
+        for row in got:
+            incs = old.uniform(0.0, 2.0, n)
+            incs[old.random(n) < 0.3] = 0.0
+            offset = float(old.uniform(-3.0, 3.0))
+            assert repr(row.tolist()) == repr((offset + np.cumsum(incs))[ranks].tolist())
+        assert new.random() == old.random()  # no draw more or less
+        phi, psi = random_comonotone_pair(trial_stream(620, n), FiniteSpace(tuple("abcdef"[:n])))
+        assert repr((phi.vector.tolist(), psi.vector.tolist())) == repr(
+            tuple(row.tolist() for row in got)
+        )
 
 
 def test_integral_translation_and_comonotone_maxitivity():

@@ -243,6 +243,7 @@ BAD_ARGUMENTS = [
 def _no_trial_may_run(monkeypatch):
     drawn = []
     monkeypatch.setattr(laws, "trial_stream", lambda *args, **kwargs: drawn.append(args))
+    monkeypatch.setattr(laws, "trial_streams", lambda *args, **kwargs: drawn.append(args))
     return drawn
 
 

@@ -574,6 +574,21 @@ def test_density_rows_are_read_only_views_with_their_label_dicts():
         f.weights = {}
 
 
+def test_a_density_keeps_its_weights_when_the_base_of_its_vector_is_written():
+    w = np.array([0.0, -1.0, -2.0])
+    f = MaxPlusDensity.from_vector(AB, w[:2])
+    w[1] = 5.0
+    assert f.weights == {"a": 0.0, "b": -1.0} and f.vector.tolist() == [0.0, -1.0]
+    block = np.array([[0.0, -1.0, 7.0], [-3.0, 0.0, 7.0]])
+    rows = MaxPlusDensity.rows(AB, block[:, :2])
+    block[:] = 9.0
+    assert [g.vector.tolist() for g in rows] == [[0.0, -1.0], [-3.0, 0.0]]
+    # a view of memory no array can write is kept as it is
+    frozen = np.array([0.0, -1.0, -2.0])
+    frozen.setflags(write=False)
+    assert np.shares_memory(MaxPlusDensity.from_vector(AB, frozen[:2]).vector, frozen)
+
+
 def test_density_from_functional_calls_a_plain_oracle_once_per_point_in_order(monkeypatch):
     space = FiniteSpace(tuple(f"p{i}" for i in range(40)))
     f = random_maxplus_density(trial_stream(7005, 0), space)
@@ -691,6 +706,7 @@ def test_a_density_takes_its_vector_over():
     for cls, weights in ((MaxPlusDensity, [0.0, -1.0]), (MaxTimesDensity, [1.0, 0.5])):
         vec = np.array(weights)
         f = cls.from_vector(AB, vec)
+        assert np.shares_memory(f.vector, vec)  # kept without a copy
         with pytest.raises(ValueError, match="read-only"):
             vec[1] = 5.0
         assert f.weights == dict(zip(AB.points, weights))

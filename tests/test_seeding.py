@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from idemkit.cli import main
-from idemkit.seeding import trial_stream
+from idemkit.seeding import trial_stream, trial_streams
 
 
 def _draws(seed):
@@ -50,3 +50,63 @@ def test_seeds_below_two_to_the_63_keep_their_stream():
 def test_laws_rejects_a_seed_outside_the_domain(seed, capsys):
     assert main(["laws", "--suite", "unit", "--trials", "3", f"--seed={seed}"]) == 2
     assert f"seed {seed} outside" in capsys.readouterr().err
+
+
+def _every_kind_of_draw(rng):
+    return (
+        rng.integers(0, 1 << 62, 3).tolist(),
+        rng.integers(0, 2**31),  # a 32-bit draw: leaves half a word behind
+        rng.uniform(-3.0, 3.0, 2).tolist(),
+        rng.random(),
+        rng.normal(size=3).tolist(),
+        rng.integers(0, 5, 4).tolist(),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1 << 63, (1 << 64) - 1])
+def test_trial_streams_draw_what_trial_stream_draws(seed):
+    for tag in (1, 2, 17, 121):
+        stream = trial_streams(seed, tag)
+        for index in (0, 1, 7, 1 << 40):
+            assert _every_kind_of_draw(stream(index)) == _every_kind_of_draw(
+                trial_stream(seed, index, tag)
+            )
+
+
+def test_trial_streams_re_key_a_half_used_generator():
+    stream = trial_streams(9001, tag=17)
+    for index in (3, 3, 4, 0, 1 << 40):
+        rng = stream(index)
+        assert rng is stream(index)  # one generator, re-keyed
+        assert _every_kind_of_draw(rng) == _every_kind_of_draw(trial_stream(9001, index, 17))
+        # the previous trial leaves a buffer half used and a 32-bit half cached
+        rng.integers(0, 2**31)
+        rng.uniform()
+
+
+def test_streams_of_two_loops_do_not_alias():
+    outer, inner = trial_streams(5, tag=1), trial_streams(5, tag=1)
+    rng = outer(2)
+    first = rng.uniform()
+    inner(7).uniform(size=4)
+    reference = trial_stream(5, 2, 1)
+    assert first == reference.uniform() and rng.uniform() == reference.uniform()
+
+
+@pytest.mark.parametrize("seed", [-1, -7, 1 << 64, (1 << 64) + 5])
+def test_trial_streams_reject_a_bad_seed_as_trial_stream_does(seed):
+    with pytest.raises(ValueError, match=rf"^seed {seed} outside \[0, 2\*\*64\)$"):
+        trial_streams(seed)
+
+
+def test_trial_streams_reject_a_bad_index_as_trial_stream_does():
+    stream = trial_streams(0)
+    for index in (-1, -(1 << 70), 1 << 128):
+        with pytest.raises(ValueError) as from_stream:
+            stream(index)
+        with pytest.raises(ValueError) as from_trial_stream:
+            trial_stream(0, index)
+        assert str(from_stream.value) == str(from_trial_stream.value)
+    assert str(from_stream.value) == "trial index must be below 2**128"
+    with pytest.raises(ValueError, match="^trial index must be non-negative$"):
+        stream(-1)

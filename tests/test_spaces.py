@@ -63,10 +63,23 @@ def test_probe_values_are_its_label_dict():
 
 
 def test_probe_vector_is_read_only():
-    phi = Probe(ABC, np.zeros(3))
+    vec = np.zeros(3)
+    phi = Probe(ABC, vec)
+    assert phi.vector is vec  # an owned float64 array is kept without a copy
     assert phi.vector.dtype == np.float64
     with pytest.raises(ValueError):
         phi.vector[0] = 1.0
+
+
+def test_a_function_keeps_its_values_when_the_base_of_its_vector_is_written():
+    w = np.array([0.0, -1.0, -2.0])
+    phi = RealFunction.from_vector(FiniteSpace(("a", "b")), w[:2])
+    w[1] = math.nan
+    assert phi.values == {"a": 0.0, "b": -1.0} and phi.vector.tolist() == [0.0, -1.0]
+    block = np.zeros((2, 4))
+    rows = RealFunction.rows(ABC, block[:, 1:])
+    block[:] = math.inf
+    assert [f.vector.tolist() for f in rows] == [[0.0] * 3] * 2
 
 
 def test_probe_rejects_a_bad_vector_and_names_the_point():
