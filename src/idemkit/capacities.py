@@ -85,6 +85,12 @@ def bits_members(space: FiniteSpace, mask: int) -> tuple[str, ...]:
     return tuple(p for i, p in enumerate(space.points) if mask >> i & 1)
 
 
+def _check_table_points(n: int) -> None:
+    """Refuse a table over n points before its 2**n entries are made."""
+    if n > MAX_TABLE_POINTS:
+        raise ValueError(f"capacity tables support at most {MAX_TABLE_POINTS} points")
+
+
 @dataclass(frozen=True, eq=False)
 class Capacity:
     """Monotone normalized set function on all subsets of a finite space."""
@@ -94,9 +100,11 @@ class Capacity:
 
     def __post_init__(self):
         n = len(self.space)
-        if n > MAX_TABLE_POINTS:
-            raise ValueError(f"capacity tables support at most {MAX_TABLE_POINTS} points")
-        table = np.asarray(self.table, dtype=float).copy()
+        _check_table_points(n)
+        try:
+            table = np.asarray(self.table, dtype=float).copy()
+        except (TypeError, OverflowError) as exc:  # a ValueError keeps its own text
+            raise ValueError(f"{exc} in the capacity table") from None
         if table.shape != (1 << n,):
             raise ValueError(f"capacity table needs {1 << n} entries, got {table.shape}")
         # np.min and np.max propagate NaN, which then fails both comparisons
@@ -167,7 +175,9 @@ def _maxitive_table(values) -> np.ndarray:
 
 
 def capacity_from_profile(pi: PossibilityProfile) -> Capacity:
-    """Expand a profile to its full maxitive table."""
+    """Expand a profile to its full maxitive table, once its size is
+    checked."""
+    _check_table_points(len(pi.space))
     return Capacity(pi.space, _maxitive_table([pi.weights[p] for p in pi.space.points]))
 
 
@@ -312,8 +322,7 @@ def recover_capacity(
     """
     check_probe_bound(bound)
     n = len(space)
-    if n > MAX_TABLE_POINTS:
-        raise ValueError(f"capacity tables support at most {MAX_TABLE_POINTS} points")
+    _check_table_points(n)
     table = np.zeros(1 << n)
     point_bits = 1 << np.arange(n)
     step = max(1, PROBE_BLOCK_CELLS // n)

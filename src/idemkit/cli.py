@@ -62,11 +62,12 @@ def cmd_integrate(args) -> int:
     space = space_from_doc(_load_doc(args.space))
     cdoc = _load_doc(args.capacity)
     kind = cdoc.get("kind") if isinstance(cdoc, dict) else None
-    profile = None
     if kind == "possibility":
         profile = possibility_from_doc(cdoc, space)
         cap = capacity_from_profile(profile)
     elif kind == "capacity":
+        if args.both:  # refused before anything is computed or printed
+            raise ValueError("--both applies to possibility documents only")
         cap = capacity_from_doc(cdoc, space)
     else:
         raise ValueError(f"capacity document must have kind 'capacity' or 'possibility', got {kind!r}")
@@ -74,8 +75,6 @@ def cmd_integrate(args) -> int:
     value = maxplus_integral(cap, phi)
     print(format_score(value))
     if args.both:
-        if profile is None:
-            raise ValueError("--both applies to possibility documents only")
         pointwise = possibility_integral(profile, phi)
         print(f"pointwise {format_score(pointwise)}")
         print(f"diff {format_score(abs(value - pointwise))}")

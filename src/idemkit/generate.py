@@ -4,6 +4,12 @@ All generators take a numpy Generator and produce canonically normalized
 values: max-plus peaks are exact zeros (a draw minus the running maximum),
 multiplicative peaks are exact ones (a draw divided by the maximum), so the
 constructors' normalization invariants hold without rounding slack.
+
+Each kind of weight has one drawer: random_weight_vector draws the
+max-plus weights of random_maxplus_density too, and one private unit-weight
+drawer serves random_maxtimes_density and the unquantized
+random_possibility_profile, so equal draws make equal weights on both.
+random_space has one label per letter and refuses to draw a larger space.
 """
 
 from __future__ import annotations
@@ -54,6 +60,12 @@ _LABELS = string.ascii_lowercase
 
 
 def random_space(rng: np.random.Generator, max_points: int = 5, min_points: int = 1) -> FiniteSpace:
+    """A space of min_points to max_points points, labelled by letters in
+    order; asking for more points than there are letters raises."""
+    if max_points > len(_LABELS):
+        raise ValueError(
+            f"random_space has {len(_LABELS)} labels, asked for up to {max_points} points"
+        )
     size = int(rng.integers(min_points, max_points + 1))
     return FiniteSpace(tuple(_LABELS[:size]))
 
@@ -109,31 +121,28 @@ def random_maxplus_density(
     min_weight: float = -8.0,
     bottom_rate: float = 0.25,
 ) -> MaxPlusDensity:
-    n = len(space)
-    finite = rng.random(n) >= bottom_rate
-    if not finite.any():
-        finite[int(rng.integers(0, n))] = True
-    draws = rng.uniform(min_weight, 0.0, n)
-    peak = draws[finite].max()
-    weights = {
-        p: float(draws[i]) - peak if finite[i] else BOTTOM
-        for i, p in enumerate(space.points)
-    }
-    return MaxPlusDensity(space, weights)
+    """The density whose weights in point order are those of
+    random_weight_vector."""
+    weights = random_weight_vector(rng, len(space), min_weight, bottom_rate)
+    return MaxPlusDensity(space, dict(zip(space.points, weights.tolist())))
+
+
+def _unit_weights(rng: np.random.Generator, n: int, zero_rate: float) -> np.ndarray:
+    """n weights in [0, 1] with peak exactly 1: uniform draws, each set to
+    0 with probability zero_rate (one drawn point set to 1 if all are),
+    over their max."""
+    draws = rng.uniform(0.0, 1.0, n)
+    draws[rng.random(n) < zero_rate] = 0.0
+    if draws.max() <= 0.0:
+        draws[int(rng.integers(0, n))] = 1.0
+    return draws / draws.max()
 
 
 def random_maxtimes_density(
     rng: np.random.Generator, space: FiniteSpace, zero_rate: float = 0.25
 ) -> MaxTimesDensity:
-    n = len(space)
-    draws = rng.uniform(0.0, 1.0, n)
-    draws[rng.random(n) < zero_rate] = 0.0
-    if draws.max() <= 0.0:
-        draws[int(rng.integers(0, n))] = 1.0
-    peak = draws.max()
-    return MaxTimesDensity(
-        space, {p: float(v) / peak for p, v in zip(space.points, draws)}
-    )
+    weights = _unit_weights(rng, len(space), zero_rate)
+    return MaxTimesDensity(space, dict(zip(space.points, weights.tolist())))
 
 
 def _random_level(
@@ -224,12 +233,8 @@ def random_possibility_profile(
         draws = rng.integers(0, quantum + 1, n) / float(quantum)
         draws[int(rng.integers(0, n))] = 1.0
     else:
-        draws = rng.uniform(0.0, 1.0, n)
-        draws[rng.random(n) < zero_rate] = 0.0
-        if draws.max() <= 0.0:
-            draws[int(rng.integers(0, n))] = 1.0
-        draws = draws / draws.max()
-    return PossibilityProfile(space, {p: float(v) for p, v in zip(space.points, draws)})
+        draws = _unit_weights(rng, n, zero_rate)
+    return PossibilityProfile(space, dict(zip(space.points, draws.tolist())))
 
 
 def random_meta_possibility(
@@ -247,12 +252,15 @@ def random_meta_possibility(
 def random_weight_vector(
     rng: np.random.Generator, count: int, min_weight: float = -6.0, bottom_rate: float = 0.2
 ) -> np.ndarray:
+    """count max-plus weights with peak exactly 0: which are finite
+    (`random`, each bottom with probability bottom_rate, one drawn point
+    kept if none is), then uniform draws in [min_weight, 0] (`uniform`),
+    less the max of the finite ones."""
     finite = rng.random(count) >= bottom_rate
     if not finite.any():
         finite[int(rng.integers(0, count))] = True
     draws = rng.uniform(min_weight, 0.0, count)
-    out = np.where(finite, draws - draws[finite].max(), BOTTOM)
-    return out
+    return np.where(finite, draws - draws[finite].max(), BOTTOM)
 
 
 def random_generator_set(

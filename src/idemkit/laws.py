@@ -15,8 +15,9 @@ renumbering a tag changes every draw of its suite.
 `run_suite` and `run_all` check their arguments once, before any trial
 runs, and hand every trial the same frozen `Run`: the seed, the largest
 space to draw, the tolerance resolved once, and the multiplication.  A bad
-trial count, space size, mutation or tolerance, or a bad IDEMKIT_TOLERANCE,
-raises ValueError instead of reading as a failed law.
+trial count, space size (1 to capacities.MAX_TABLE_POINTS), mutation or
+tolerance, or a bad IDEMKIT_TOLERANCE, raises ValueError instead of
+reading as a failed law.
 
 The drop-weight mutation deliberately corrupts the monad multiplication
 (it discards the last support entry) so the harness can demonstrate that the
@@ -36,6 +37,7 @@ import numpy as np
 
 from .capacities import (
     DEFAULT_RECOVERY_BOUND,
+    MAX_TABLE_POINTS,
     MetaPossibility,
     check_characterization,
     check_repr,
@@ -169,18 +171,6 @@ def _minimize(value, fails: Callable, shrinks: Callable):
 # shrinking
 
 
-def _density_shrinks(f: Density) -> Iterator[Density]:
-    pts = f.space.points
-    if len(pts) <= 1:
-        return
-    bottom = f.side.bottom
-    for drop in pts:
-        rest = {p: w for p, w in f.weights.items() if p != drop}
-        if all(w == bottom for w in rest.values()):
-            continue
-        yield normalize(FiniteSpace(tuple(p for p in pts if p != drop)), rest, f.side)
-
-
 def _restrict(x: Density | Meta, smaller: FiniteSpace):
     """A density, or every density inside a meta at any depth, restricted to
     a smaller space and renormalized."""
@@ -189,12 +179,26 @@ def _restrict(x: Density | Meta, smaller: FiniteSpace):
     return type(x)(tuple((_restrict(e, smaller), w) for e, w in x.support))
 
 
+def _point_drops(x: Density | Meta) -> Iterator:
+    """x restricted to its space less one point (`_restrict`), for each
+    point in order; a restriction that cannot renormalize, its weights all
+    at bottom, is skipped.  The shrinks of a density, and the last kind of
+    shrink of a meta."""
+    pts = x.space.points
+    if len(pts) > 1:
+        for drop in pts:
+            try:
+                yield _restrict(x, FiniteSpace(tuple(p for p in pts if p != drop)))
+            except ValueError:
+                continue
+
+
 def _meta_shrinks(F: Meta, keep_space: bool = False) -> Iterator[Meta]:
     """Shrinks of a meta of any depth, in order: drop one support entry and
     renormalize the rest; shrink one entry that is itself a meta; drop one
-    point of the space everywhere.  With keep_space the last kind is left
-    out: an entry shrunk beside other entries must stay on their space, or
-    the enclosing constructor rejects it."""
+    point of the space everywhere (`_point_drops`).  With keep_space the
+    last kind is left out: an entry shrunk beside other entries must stay
+    on their space, or the enclosing constructor rejects it."""
     sup = F.support
     if len(sup) > 1:
         residual = F.side.residual
@@ -213,13 +217,8 @@ def _meta_shrinks(F: Meta, keep_space: bool = False) -> Iterator[Meta]:
                     yield type(F)(tuple((cand if k == i else e, w) for k, (e, w) in enumerate(sup)))
                 except ValueError:
                     continue
-    pts = F.space.points
-    if len(pts) > 1 and not keep_space:
-        for drop in pts:
-            try:
-                yield _restrict(F, FiniteSpace(tuple(p for p in pts if p != drop)))
-            except ValueError:
-                continue
+    if not keep_space:
+        yield from _point_drops(F)
 
 
 def _third_to_doc(G: Meta) -> dict:
@@ -301,7 +300,7 @@ def _unit(rng, run: Run):
     law = partial(check_unit_laws, tol=run.tol, multiply_fn=run.multiply)
     for side, d in (("max-plus", f), ("max-times", g)):
         desc = f"unit laws fail for a {side} density"
-        if found := _falsified(d, law, _density_shrinks, desc, density_to_doc):
+        if found := _falsified(d, law, _point_drops, desc, density_to_doc):
             return found
     return None
 
@@ -340,7 +339,7 @@ def _roundtrip(rng, run: Run):
         return all(score_eq(eval_measure(recovered, phi), oracle(phi), run.tol) for phi in probes)
 
     desc = "density/functional round trip fails"
-    return _falsified(f, law, _density_shrinks, desc, density_to_doc)
+    return _falsified(f, law, _point_drops, desc, density_to_doc)
 
 
 @_suite(
@@ -527,6 +526,10 @@ def suite_names() -> list[str]:
 def _checked_run(trials: int, seed: int, max_space: int, mutate: str | None, tol) -> Run:
     if max_space < 1:
         raise ValueError("max-space must be at least 1")
+    if max_space > MAX_TABLE_POINTS:  # the capacity suites draw spaces up to max-space
+        raise ValueError(
+            f"max-space must be at most {MAX_TABLE_POINTS}, the most points a capacity table holds"
+        )
     mult = _resolve_mutation(mutate, multiply)
     if trials <= 0:
         raise ValueError("trials must be positive")

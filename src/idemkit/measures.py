@@ -17,14 +17,16 @@ of idemkit.spaces (`probe_values`), so an oracle with a `batch` form, such
 as the one behind measure_multiplication, evaluates each block whole.
 
 A density stores a label dict or a weight vector in point order, whichever
-it was built from, and makes the other on first read.  `Density.rows`
-checks a whole block of weight vectors at once.  On spaces of at least
-ARRAY_MIN_POINTS points, multiply is one (x) broadcast and a max over the
-stacked weight vectors, pushforward one np.maximum.at over the target
-index of each point, and the closeness of two densities one comparison of
-their weight vectors; multiply and pushforward keep the first of equal
-weights, as their label-dict loops do, so even a zero keeps its sign.  On
-smaller spaces, the only ones the law suites draw, the loops are faster,
+it was built from, and makes the other on first read.  Its vector
+constructors are those of every per-point type (`spaces.PointValues`):
+`from_vector` checks one weight vector and `rows` a whole block at once,
+through the side's range and, on top, the peak (`Density.check_range`).
+On spaces of at least ARRAY_MIN_POINTS points, multiply is one (x)
+broadcast and a max over the stacked weight vectors, pushforward one
+np.maximum.at over the target index of each point, and the closeness of
+two densities one comparison of their weight vectors; multiply and
+pushforward keep the first of equal weights, as their label-dict loops do,
+so even a zero keeps its sign.  On smaller spaces, the only ones the law suites draw, the loops are faster,
 because numpy's cost per call outweighs its cost per point there.
 The public classes only fix a side and an entry type, and every operation
 reads the side off its argument; the *_times names are aliases kept for
@@ -54,15 +56,13 @@ from .semiring import BOTTOM, resolve_tolerance
 from .spaces import (
     PROBE_BLOCK_CELLS,
     FiniteSpace,
-    Frozen,
     PointMap,
+    PointValues,
     RealFunction,
     check_probe_bound,
     in_point_order,
     probe_values,
-    row_views,
     stored,
-    take_over,
     validate_map,
 )
 
@@ -97,12 +97,6 @@ class Side:
     residual: Callable[[float, float], float]
     slack: float
 
-    def check(self, w) -> float:
-        w = float(w)
-        if not self.bottom <= w <= self.peak:  # also rejects NaN
-            raise ValueError(self.outside(w))
-        return w
-
     def outside(self, w: float) -> str:
         """The error text for a weight outside [bottom, peak]."""
         return f"weight {w!r} outside [{self.bottom}, {self.peak}]"
@@ -112,83 +106,72 @@ MAXPLUS = Side("maxplus", BOTTOM, 0.0, operator.add, operator.sub, 0.0)
 MAXTIMES = Side("maxtimes", 0.0, 1.0, operator.mul, operator.truediv, TIMES_NORM_SLACK)
 
 
-class Density(Frozen):
+class Density(PointValues):
     """A weight in [bottom, peak] for every point of the space, attaining the
     peak; weights at bottom mark points outside the support.
 
     A density holds its weights either as the label dict `weights` or as
     the read-only float64 vector `vector` in point order, whichever it was
     built from; the other is made on first read and stored.  The
-    constructor takes a label dict; `rows` and `from_vector` take weights in
-    point order and check them in numpy."""
+    constructor takes a label dict; `from_vector` and `rows`, those of
+    every per-point type (`spaces.PointValues`), take weights in point
+    order and check them in numpy, through the range of the side
+    (`inside`, `outside`) and the peak check of `check_range`."""
 
     side: ClassVar[Side]
 
     def __init__(self, space: FiniteSpace, weights: Mapping[str, float]):
         side = self.side
         if weights.keys() != space.label_set:
-            _reject_labels(side, space, weights)
+            extra = weights.keys() - space.label_set
+            if extra:
+                raise ValueError(f"weights given for unknown points: {sorted(extra)}")
         bottom, top = side.bottom, side.peak
         vals = {}
         for p in space.points:
+            if p not in weights:
+                raise ValueError(f"missing weight for point {p!r}")
             try:
                 w = float(weights[p])
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{exc} at point {p!r}") from None
-            if not bottom <= w <= top:  # Side.check, inline
-                raise ValueError(f"{side.outside(w)} at point {p!r}")
+            if not bottom <= w <= top:  # inside(), for one weight
+                raise ValueError(self.outside(w, p))
             vals[p] = w
         peak = max(vals.values())
         if abs(peak - side.peak) > side.slack:
-            raise ValueError(
-                f"peak weight is {peak!r}, expected {side.peak!r} (use normalize)"
-            )
+            raise ValueError(f"peak weight is {peak!r}, expected {side.peak!r} (use normalize)")
         self.__dict__.update(space=space, weights=vals)
 
     @classmethod
-    def rows(cls, space: FiniteSpace, block) -> list["Density"]:
-        """One density per row of an (m, len(space)) block of weights in
-        point order, each row a view of the block.  The block is checked
-        once, with the invariants of the constructor, and taken over like a
-        probe block (`spaces.take_over`).  An error names the row and the
-        point."""
-        return row_views(cls, space, cls._checked(space, block, lambda r: f" in row {r}"))
+    def inside(cls, values: np.ndarray) -> np.ndarray:
+        """Which weights lie in [bottom, peak] of the side."""
+        side = cls.side
+        return (values >= side.bottom) & (values <= side.peak)  # also rejects NaN
 
     @classmethod
-    def from_vector(cls, space: FiniteSpace, vector) -> "Density":
-        """The density whose weights in point order are `vector`, checked as
-        one row of `rows`; an error names the point.  The density takes the
-        array over (`spaces.take_over`): a float64 array is kept without a
-        copy and marked read-only, unless it views memory another array can
-        still write."""
-        vec = np.asarray(vector, dtype=float)
-        if vec.ndim != 1:
-            raise ValueError(f"a density vector must be 1-d, got shape {vec.shape}")
-        cls._checked(space, vec[None, :], lambda r: "")
-        (f,) = row_views(cls, space, take_over(vec)[None, :])
-        return f
+    def outside(cls, w: float, p: str) -> str:
+        """The error text for a weight outside [bottom, peak], at point p."""
+        return f"{cls.side.outside(w)} at point {p!r}"
 
     @classmethod
-    def _checked(cls, space: FiniteSpace, block, where) -> np.ndarray:
-        """The block as floats, once every row holds the invariants of the
-        constructor; where(r) names row r in an error."""
-        side, n = cls.side, len(space)
-        block = np.asarray(block, dtype=float)
-        if block.ndim != 2 or block.shape[1] != n:
-            raise ValueError(f"densities on {n} points need an (m, {n}) block, got shape {block.shape}")
-        inside = (block >= side.bottom) & (block <= side.peak)  # also rejects NaN
-        if not inside.all():
-            r, i = np.argwhere(~inside)[0].tolist()
-            raise ValueError(f"{side.outside(float(block[r, i]))} at point {space.points[i]!r}{where(r)}")
+    def check_range(cls, space: FiniteSpace, values: np.ndarray) -> None:
+        """The range check of `PointValues`, then the peak: a vector, or
+        each row of a block, must attain the side's peak within its slack.
+        The error names the point of the highest weight and, in a block,
+        its row."""
+        super().check_range(space, values)
+        side = cls.side
+        block = values.reshape(-1, len(space))
         peaks = block.max(axis=1)
         off = np.abs(peaks - side.peak) > side.slack
         if off.any():
             r = int(off.argmax())
+            where = f" in row {r}" if values.ndim == 2 else ""
             raise ValueError(
                 f"peak weight is {float(peaks[r])!r} at point {space.points[block[r].argmax()]!r}"
-                f"{where(r)}, expected {side.peak!r} (use normalize)"
+                f"{where}, expected {side.peak!r} (use normalize)"
             )
-        return block
 
     @stored
     def weights(self) -> dict[str, float]:
@@ -211,22 +194,6 @@ class Density(Frozen):
     def support(self) -> tuple[str, ...]:
         bottom = self.side.bottom
         return tuple(p for p in self.space.points if self.weights[p] != bottom)
-
-
-def _reject_labels(side: Side, space: FiniteSpace, weights: Mapping[str, float]) -> None:
-    """Raise the first error of weights whose labels are not the space's,
-    in the order the checks have always run: unknown labels first, then,
-    point by point, a missing weight or a weight out of range."""
-    extra = weights.keys() - space.label_set
-    if extra:
-        raise ValueError(f"weights given for unknown points: {sorted(extra)}")
-    for p in space.points:
-        if p not in weights:
-            raise ValueError(f"missing weight for point {p!r}")
-        try:
-            side.check(weights[p])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{exc} at point {p!r}") from None
 
 
 class MaxPlusDensity(Density):
@@ -360,11 +327,6 @@ class ThirdLevelTimes(Meta):
     """Meta max-times densities weighted in [0, 1], peak weight 1."""
 
     side, entry = MAXTIMES, MetaTimesDensity
-
-
-def meta_close(a: Meta, b: Meta, tol: float | None = None) -> bool:
-    """Supports match pairwise: same carriers within tolerance, close weights."""
-    return _close(a, b, resolve_tolerance(tol))
 
 
 # the classes of each side, by document kind tag

@@ -4,14 +4,19 @@ On a finite space every function is continuous and every subset is both
 closed and open, so no topology objects are needed: level sets, pushforwards
 and comonotonicity all reduce to exact finite computations.
 
-One class holds every real function: `RealFunction` keeps its values as a
-read-only float vector in point order, checked in numpy, and as a label dict
-when built from one (a function built from a vector makes its dict on first
-read).  `UnitFunction` only narrows the range check to [0, 1], and `Probe`
-is the vector constructor under its own name.  Consumers read whichever form
-suits their size: eval_measure reduces the vector in numpy from
-measures.ARRAY_MIN_POINTS points on and loops over the dict below, and the
-level-set integrals scan the vector.
+Every per-point type shares one vector layer, `PointValues`: the values as
+a read-only float vector in point order, built by `from_vector` (one
+vector) or `rows` (one object per row of a block) and checked in numpy by
+`check_range`, through the `inside` and `outside` hooks of the class.  One
+class holds every real function: `RealFunction` keeps that vector, and a
+label dict when built from one (a function built from a vector makes its
+dict on first read).  `UnitFunction` only narrows the range check to
+[0, 1], and `Probe` is the vector constructor under its own name; the
+densities of idemkit.measures are the other per-point types, whose range
+check adds the peak.  Consumers read whichever form suits their size:
+eval_measure reduces the vector in numpy from measures.ARRAY_MIN_POINTS
+points on and loops over the dict below, and the level-set integrals scan
+the vector.
 
 This module is also the probe layer that density_from_functional and
 recover_capacity share.  A probe is a function built from a float vector in
@@ -20,9 +25,9 @@ PROBE_BLOCK_CELLS values.  probe_values evaluates an oracle on a block: an
 oracle with a `batch(block, space)` method gets it whole, any other is called
 once per row, in order.  in_point_order gathers values listed in one space's
 point order into an equal space's, and row_views makes one object per row of
-a checked block, for `RealFunction.rows` and `Density.rows` alike.  A
-function or density keeps the array it is built from (`take_over`), unless
-another array could still write that memory.
+a block that checked_block has checked, for `PointValues.rows`.  A function
+or density keeps the array it is built from (`take_over`), unless another
+array could still write that memory.
 """
 
 from __future__ import annotations
@@ -114,15 +119,64 @@ class FiniteSpace:
             return False
 
 
-class RealFunction(Frozen):
+class PointValues(Frozen):
+    """A value for every point of a space, held as the read-only float64
+    vector `vector` in point order: the one layer that real functions and
+    densities share.  `from_vector` and `rows` take values in point order
+    and check them in numpy through `check_range`, which reads the range off
+    a subclass's `inside` and the error text off its `outside`."""
+
+    @classmethod
+    def from_vector(cls, space: FiniteSpace, vector):
+        """The object whose values in point order are `vector`, checked like
+        a row of `rows`; an error names the point.  The object takes the
+        array over (`take_over`): a float64 array is kept without a copy and
+        marked read-only, unless it views memory another array can still
+        write."""
+        vec = np.asarray(vector, dtype=float)
+        n = len(space)
+        if vec.ndim != 1 or len(vec) > n:
+            raise ValueError(
+                f"a {cls.__name__} on {n} points needs a 1-d vector of {n} values,"
+                f" got shape {vec.shape}"
+            )
+        if len(vec) < n:
+            raise ValueError(f"missing value for point {space.points[len(vec)]!r}")
+        cls.check_range(space, vec)
+        obj = cls.__new__(cls)
+        obj.__dict__.update(space=space, vector=take_over(vec))
+        return obj
+
+    @classmethod
+    def rows(cls, space: FiniteSpace, matrix) -> list:
+        """One object per row of an (m, len(space)) block, each a view of
+        it.  The block is checked once, with the invariants of the
+        constructor, and taken over like a single object's vector: marked
+        read-only."""
+        return row_views(cls, space, checked_block(space, matrix, f"{cls.__name__} rows", cls))
+
+    @classmethod
+    def check_range(cls, space: FiniteSpace, values: np.ndarray) -> None:
+        """Reject a vector, or a block with one object per row, holding a
+        value outside the range; the error names the first such value's
+        point and, in a block, its row."""
+        inside = cls.inside(values)
+        if np.count_nonzero(inside) != inside.size:
+            *row, i = np.argwhere(~inside)[0].tolist()
+            where = f" in row {row[0]}" if row else ""
+            raise ValueError(cls.outside(float(values[(*row, i)]), space.points[i]) + where)
+
+
+class RealFunction(PointValues):
     """A finite value for every point of the space.
 
     A function holds its values as the read-only float64 vector `vector` in
     point order, and as the label dict `values` when it was built from one;
     a function built from a vector makes its dict on first read and stores
-    it.  The constructor takes a label dict; `from_vector` and `rows` take
-    values in point order.  All three check the values in numpy, through
-    `inside` and `outside`, the range check a subclass overrides."""
+    it.  The constructor takes a label dict, `from_vector` and `rows` of
+    `PointValues` values in point order; all three check the values in
+    numpy, through `inside` and `outside`, the range check a subclass
+    overrides."""
 
     def __init__(self, space: FiniteSpace, values: Mapping[str, float]):
         extra = values.keys() - space.label_set
@@ -140,47 +194,8 @@ class RealFunction(Frozen):
         self.__dict__.update(self.from_vector(space, vec).__dict__, values=vals)
 
     @classmethod
-    def from_vector(cls, space: FiniteSpace, vector) -> "RealFunction":
-        """The function whose values in point order are `vector`, checked
-        like a row of `rows`; an error names the point.  The function takes
-        the array over (`take_over`): a float64 array is kept without a copy
-        and marked read-only, unless it views memory another array can still
-        write."""
-        vec = np.asarray(vector, dtype=float)
-        n = len(space)
-        if vec.ndim != 1 or len(vec) > n:
-            raise ValueError(
-                f"a probe on {n} points needs a 1-d vector of {n} values, got shape {vec.shape}"
-            )
-        if len(vec) < n:
-            raise ValueError(f"missing value for point {space.points[len(vec)]!r}")
-        cls.check_range(space, vec)
-        phi = cls.__new__(cls)
-        phi.__dict__.update(space=space, vector=take_over(vec))
-        return phi
-
-    @classmethod
-    def rows(cls, space: FiniteSpace, matrix) -> list["RealFunction"]:
-        """One function per row of an (m, len(space)) block, each a view of
-        it.  The block is checked once, with the invariants of the
-        constructor, and taken over like a single function's vector: marked
-        read-only."""
-        return row_views(cls, space, checked_block(space, matrix, "probe rows", cls))
-
-    @classmethod
     def constant(cls, space: FiniteSpace, value: float) -> "RealFunction":
         return cls.from_vector(space, np.full(len(space), value, dtype=float))
-
-    @classmethod
-    def check_range(cls, space: FiniteSpace, values: np.ndarray) -> None:
-        """Reject a vector, or a block with one function per row, holding a
-        value outside the range; the error names the first such value's
-        point and, in a block, its row."""
-        inside = cls.inside(values)
-        if np.count_nonzero(inside) != inside.size:
-            *row, i = np.argwhere(~inside)[0].tolist()
-            where = f" in row {row[0]}" if row else ""
-            raise ValueError(cls.outside(float(values[(*row, i)]), space.points[i]) + where)
 
     @staticmethod
     def inside(values: np.ndarray) -> np.ndarray:
@@ -255,9 +270,9 @@ def row_views(cls, space: FiniteSpace, block: np.ndarray) -> list:
 
 
 def checked_block(space: FiniteSpace, matrix, what: str, kind=RealFunction) -> np.ndarray:
-    """An (m, len(space)) float block, one function per row with its columns
-    in `space.points` order, every value inside the range of `kind`, a
-    RealFunction class.  An error names the first bad row and point; `what`
+    """An (m, len(space)) float block, one object per row with its columns
+    in `space.points` order, every row inside the range of `kind`, a
+    PointValues class (its `check_range`).  An error names the first bad row and point; `what`
     names the caller's rows in a shape error."""
     block = np.asarray(matrix, dtype=float)
     n = len(space)
@@ -280,7 +295,11 @@ def in_point_order(values: np.ndarray, source: FiniteSpace, space: FiniteSpace) 
 def check_probe_bound(bound: float) -> None:
     """Probes sit at -bound off their points, so bound must be a finite
     positive number."""
-    if not (math.isfinite(bound) and bound > 0.0):
+    try:
+        ok = math.isfinite(bound) and bound > 0.0
+    except (TypeError, OverflowError):  # not a real number, or beyond a double
+        ok = False
+    if not ok:
         raise ValueError(f"probe bound must be finite and positive, got bound={bound!r}")
 
 

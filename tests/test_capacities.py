@@ -86,6 +86,16 @@ def test_capacity_validation():
         Capacity(AB, [0.0, 0.8, 0.5, 0.7])  # not monotone
     with pytest.raises(ValueError):
         Capacity(FiniteSpace(tuple(f"p{i}" for i in range(21))), [0.0])
+    with pytest.raises(ValueError, match="^int too large to convert to float in the capacity table$"):
+        Capacity(FiniteSpace(("a",)), [0, 10**400])
+
+
+def test_capacity_from_profile_checks_the_size_before_the_table():
+    # 2**40 entries would be 8 TiB; the size check comes first
+    space = FiniteSpace(tuple(f"p{i}" for i in range(40)))
+    profile = PossibilityProfile(space, {p: 1.0 for p in space.points})
+    with pytest.raises(ValueError, match="^capacity tables support at most 20 points$"):
+        capacity_from_profile(profile)
 
 
 def _first_monotonicity_witness(space, table):
@@ -334,7 +344,7 @@ def test_recover_capacity_zero_entries_floor():
 
 def test_recover_capacity_rejects_bad_bound():
     c = Capacity(AB, np.array([0.0, 0.5, 0.5, 1.0]))
-    for bound in (0.0, -1.0, math.inf, math.nan):
+    for bound in (0.0, -1.0, math.inf, math.nan, "x", None, 10**400):
         with pytest.raises(ValueError, match="bound"):
             recover_capacity(integral_functional(c), AB, bound)
 

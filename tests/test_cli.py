@@ -92,6 +92,9 @@ def test_integrate_both_requires_possibility(docs, capsys):
          "--function", docs["fn.json"], "--both"]
     )
     assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # refused before the integral is printed
+    assert "--both applies to possibility documents only" in err
 
 
 def test_hull_member(docs, capsys):
@@ -225,6 +228,13 @@ def test_bad_tolerance_env_is_an_input_error(monkeypatch, capsys):
     monkeypatch.setenv("IDEMKIT_TOLERANCE", "-1")
     assert main(["laws", "--suite", "convexity", "--trials", "3"]) == 2
     assert "IDEMKIT_TOLERANCE" in capsys.readouterr().err
+
+
+def test_laws_max_space_beyond_capacity_tables_is_an_input_error(capsys):
+    assert main(["laws", "--suite", "repr", "--trials", "2", "--max-space", "21"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # no trial ran
+    assert "max-space must be at most 20" in err
 
 
 def test_missing_file_is_an_input_error(capsys):

@@ -1,12 +1,18 @@
 """No module of idemkit forks on the representation of a real function.
 One class, RealFunction, stores every function; Probe and UnitFunction are
 names for its vector constructor and its [0, 1] range, so a reader that
-tells them apart with isinstance would bring back a second code path."""
+tells them apart with isinstance would bring back a second code path.
+Densities build from vectors and blocks with the same constructors as real
+functions, so those are defined once."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from idemkit.capacities import PossibilityProfile
+from idemkit.measures import MaxPlusDensity, MaxTimesDensity
+from idemkit.spaces import Probe, RealFunction, UnitFunction
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "idemkit"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
@@ -45,3 +51,13 @@ def test_the_check_sees_a_fork():
         "fine = isinstance(phi, RealFunction)\n"
     )
     assert representation_forks(source) == ["Probe (line 1)", "UnitFunction (line 3)"]
+
+
+@pytest.mark.parametrize(
+    "cls", [MaxPlusDensity, MaxTimesDensity, PossibilityProfile, Probe, UnitFunction]
+)
+def test_every_per_point_type_builds_from_vectors_through_one_layer(cls):
+    # a density's own vector and block constructors cannot come back
+    assert cls.from_vector.__func__ is RealFunction.from_vector.__func__
+    assert cls.rows.__func__ is RealFunction.rows.__func__
+    assert not hasattr(cls, "_checked")

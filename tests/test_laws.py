@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from idemkit import generate, laws
-from idemkit.capacities import MetaPossibility
+from idemkit.capacities import MetaPossibility, PossibilityProfile
 from idemkit.generate import (
     random_maxplus_density,
     random_maxtimes_density,
@@ -21,11 +21,13 @@ from idemkit.laws import (
 )
 from idemkit.measures import (
     MaxPlusDensity,
+    MaxTimesDensity,
     MetaDensity,
     MetaTimesDensity,
     ThirdLevel,
     ThirdLevelTimes,
     multiply,
+    normalize,
 )
 from idemkit.seeding import trial_stream
 from idemkit.semiring import BOTTOM
@@ -181,13 +183,41 @@ def _level(rng, k, side):
     return draws / draws.max() if draws.max() > 0 else np.ones(k)
 
 
+def _density_as_before(rng, space, which):
+    """The density generators as each drew its weights with its own code."""
+    n = len(space)
+    if which == "random_maxplus_density":
+        finite = rng.random(n) >= 0.25
+        if not finite.any():
+            finite[int(rng.integers(0, n))] = True
+        draws = rng.uniform(-8.0, 0.0, n)
+        peak = draws[finite].max()
+        return MaxPlusDensity(space, {
+            p: float(draws[i]) - peak if finite[i] else BOTTOM for i, p in enumerate(space.points)
+        })
+    zero_rate = 0.25 if which == "random_maxtimes_density" else 0.2
+    draws = rng.uniform(0.0, 1.0, n)
+    draws[rng.random(n) < zero_rate] = 0.0
+    if draws.max() <= 0.0:
+        draws[int(rng.integers(0, n))] = 1.0
+    peak = draws.max()
+    cls = MaxTimesDensity if which == "random_maxtimes_density" else PossibilityProfile
+    return cls(space, {p: float(v) / peak for p, v in zip(space.points, draws)})
+
+
 def _drawn_as_before(rng, space, which):
-    """The five meta generators as each drew its value on its own: the
-    number of entries, then the weight level, then each entry."""
+    """The density and meta generators as each drew its value on its own:
+    for a meta, the number of entries, then the weight level, then each
+    entry."""
+    if which.endswith(("density", "profile")):
+        return _density_as_before(rng, space, which)
     cls, side, entry = {
-        "random_meta": (MetaDensity, "plus", lambda: random_maxplus_density(rng, space, -8.0)),
+        "random_meta": (
+            MetaDensity, "plus", lambda: _drawn_as_before(rng, space, "random_maxplus_density")
+        ),
         "random_meta_times": (
-            MetaTimesDensity, "times", lambda: random_maxtimes_density(rng, space)
+            MetaTimesDensity, "times",
+            lambda: _drawn_as_before(rng, space, "random_maxtimes_density"),
         ),
         "random_meta_possibility": (
             MetaPossibility, "times", lambda: random_possibility_profile(rng, space, quantum=8)
@@ -202,15 +232,56 @@ def _drawn_as_before(rng, space, which):
 
 
 def test_meta_generators_draw_in_the_recorded_order():
-    for which in ("random_meta", "random_meta_times", "random_meta_possibility",
-                  "random_third", "random_third_times"):
+    # the density generators, their entries, too
+    for which in ("random_maxplus_density", "random_maxtimes_density",
+                  "random_possibility_profile", "random_meta", "random_meta_times",
+                  "random_meta_possibility", "random_third", "random_third_times"):
         kwargs = {"quantum": 8} if which == "random_meta_possibility" else {}
         for seed in range(25):
-            space = FiniteSpace(tuple("abcde"[: 1 + seed % 5]))
+            space = FiniteSpace(tuple("abcdefgh"[: 1 + seed % 8]))
             new, old = trial_stream(8800, seed), trial_stream(8800, seed)
             got = getattr(generate, which)(new, space, **kwargs)
             assert repr(got) == repr(_drawn_as_before(old, space, which))
             assert new.random() == old.random()  # no draw more or less
+    # the max-plus density is the draw of random_weight_vector
+    space = FiniteSpace(tuple("abcde"))
+    f = random_maxplus_density(trial_stream(8802, 0), space, -3.0, 0.5)
+    w = generate.random_weight_vector(trial_stream(8802, 0), 5, -3.0, 0.5)
+    assert f.weights == dict(zip(space.points, w.tolist()))
+
+
+def _reprs(f):
+    return [(p, repr(w)) for p, w in f.weights.items()]
+
+
+def _density_shrinks_as_before(f):
+    pts = f.space.points
+    if len(pts) <= 1:
+        return
+    for drop in pts:
+        rest = {p: w for p, w in f.weights.items() if p != drop}
+        if all(w == f.side.bottom for w in rest.values()):
+            continue
+        yield normalize(FiniteSpace(tuple(p for p in pts if p != drop)), rest, f.side)
+
+
+def test_density_shrinks_are_the_point_drops_of_metas():
+    abc = FiniteSpace(("a", "b", "c"))
+    cases = [
+        MaxPlusDensity(abc, {"a": 0.0, "b": BOTTOM, "c": BOTTOM}),  # dropping a leaves only bottom
+        MaxPlusDensity(abc, {"a": -1.0, "b": 0.0, "c": -0.0}),
+        MaxTimesDensity(abc, {"a": 0.0, "b": 1.0, "c": 0.0}),
+        MaxTimesDensity(abc, {"a": 0.5, "b": 1.0, "c": 0.25}),
+        MaxPlusDensity(FiniteSpace(("a",)), {"a": 0.0}),
+    ]
+    for seed in range(40):
+        space = FiniteSpace(tuple("abcde"[: 1 + seed % 5]))
+        cases.append(random_maxplus_density(trial_stream(8803, seed), space))
+        cases.append(random_maxtimes_density(trial_stream(8803, seed), space))
+    for f in cases:
+        got = [_reprs(g) for g in laws._point_drops(f)]
+        assert got == [_reprs(g) for g in _density_shrinks_as_before(f)]
+    assert [g.space.points for g in laws._point_drops(cases[0])] == [("a", "c"), ("a", "b")]
 
 
 # the registry as the streams were first tagged: a renumbered tag changes
@@ -237,6 +308,8 @@ BAD_ARGUMENTS = [
     ({"tol": float("nan")}, "tol must be finite and non-negative, got nan"),
     ({"tol": -1.0}, "tol must be finite and non-negative, got -1.0"),
     ({"tol": "x"}, "tol must be a number, got 'x'"),
+    # capacity tables stop at 20 points, so the capacity suites would raise
+    ({"max_space": 21}, "max-space must be at most 20"),
 ]
 
 
@@ -269,3 +342,10 @@ def test_bad_arguments_raise_before_any_trial(monkeypatch, name):
 def test_every_suite_accepts_drop_weight(name):
     report = run_suite(name, trials=2, seed=0, mutate="drop-weight")
     assert report.suite == name and report.trials == 2
+
+
+def test_random_space_refuses_more_points_than_labels():
+    assert len(generate.random_space(trial_stream(8804, 0), 26, min_points=26)) == 26
+    for max_points in (27, 40):
+        with pytest.raises(ValueError, match=f"26 labels, asked for up to {max_points} points"):
+            generate.random_space(trial_stream(8804, 0), max_points, min_points=max_points)

@@ -207,7 +207,7 @@ def test_density_from_functional_examples():
 def test_density_from_functional_rejects_bad_bound():
     with pytest.raises(ValueError):
         density_from_functional(lambda phi: 0.0, AB, 0.0)
-    for bound in (-1.0, math.inf, math.nan):
+    for bound in (-1.0, math.inf, math.nan, "x", None, 10**400):
         with pytest.raises(ValueError, match="bound"):
             density_from_functional(lambda phi: 0.0, AB, bound)
 
