@@ -5,11 +5,19 @@ values: max-plus peaks are exact zeros (a draw minus the running maximum),
 multiplicative peaks are exact ones (a draw divided by the maximum), so the
 constructors' normalization invariants hold without rounding slack.
 
-Each kind of weight has one drawer: random_weight_vector draws the
-max-plus weights of random_maxplus_density too, and one private unit-weight
-drawer serves random_maxtimes_density and the unquantized
+Each kind of weight has one drawer: `_plus_weights` draws the max-plus
+weights of random_weight_vector and random_maxplus_density, and
+`_unit_weights` those of random_maxtimes_density and the unquantized
 random_possibility_profile, so equal draws make equal weights on both.
-random_space has one label per letter and refuses to draw a larger space.
+A drawer splits at the library's one size rule, measures.ARRAY_MIN_POINTS:
+below it, on the small spaces the law suites draw, it works on Python floats
+taken from its draws with `.tolist()`, which costs less than numpy's calls,
+and the density is built by its label-dict constructor; from it on it stays
+in numpy and the density is built by `from_vector`.  Both bodies make the
+same Philox draws in the same order and give bitwise-equal floats.  A meta
+level (`_random_level`) normalizes its few weights as Python floats alone,
+since the meta constructor reads them one by one.  random_space has one
+label per letter and refuses to draw a larger space.
 """
 
 from __future__ import annotations
@@ -22,7 +30,9 @@ import numpy as np
 from .capacities import Capacity, MetaPossibility, PossibilityProfile
 from .convexity import GeneratorSet, index_space
 from .measures import (
+    ARRAY_MIN_POINTS,
     MAXPLUS,
+    Density,
     MaxPlusDensity,
     MaxTimesDensity,
     Meta,
@@ -115,6 +125,36 @@ def random_comonotone_pair(
     return RealFunction.from_vector(space, phi), RealFunction.from_vector(space, psi)
 
 
+def _built(cls: type[Density], space: FiniteSpace, weights: list[float] | np.ndarray) -> Density:
+    """The `cls` density whose weights in point order are those a drawer
+    gave on `space`: a list, built through the label-dict constructor, below
+    ARRAY_MIN_POINTS points, and an array, built through `from_vector`, from
+    it on."""
+    if len(space.points) < ARRAY_MIN_POINTS:
+        return cls(space, dict(zip(space.points, weights)))
+    return cls.from_vector(space, weights)
+
+
+def _plus_weights(
+    rng: np.random.Generator, n: int, min_weight: float, bottom_rate: float
+) -> list[float] | np.ndarray:
+    """The n weights of random_weight_vector, as a list below
+    ARRAY_MIN_POINTS and an array from it on; both bodies make the same
+    draws and give bitwise-equal floats."""
+    if n < ARRAY_MIN_POINTS:
+        finite = [u >= bottom_rate for u in rng.random(n).tolist()]
+        if not any(finite):
+            finite[int(rng.integers(0, n))] = True
+        draws = rng.uniform(min_weight, 0.0, n).tolist()
+        peak = max(d for d, keep in zip(draws, finite) if keep)
+        return [d - peak if keep else BOTTOM for d, keep in zip(draws, finite)]
+    finite = rng.random(n) >= bottom_rate
+    if not finite.any():
+        finite[int(rng.integers(0, n))] = True
+    draws = rng.uniform(min_weight, 0.0, n)
+    return np.where(finite, draws - draws[finite].max(), BOTTOM)
+
+
 def random_maxplus_density(
     rng: np.random.Generator,
     space: FiniteSpace,
@@ -123,14 +163,22 @@ def random_maxplus_density(
 ) -> MaxPlusDensity:
     """The density whose weights in point order are those of
     random_weight_vector."""
-    weights = random_weight_vector(rng, len(space), min_weight, bottom_rate)
-    return MaxPlusDensity(space, dict(zip(space.points, weights.tolist())))
+    return _built(MaxPlusDensity, space, _plus_weights(rng, len(space), min_weight, bottom_rate))
 
 
-def _unit_weights(rng: np.random.Generator, n: int, zero_rate: float) -> np.ndarray:
-    """n weights in [0, 1] with peak exactly 1: uniform draws, each set to
-    0 with probability zero_rate (one drawn point set to 1 if all are),
-    over their max."""
+def _unit_weights(rng: np.random.Generator, n: int, zero_rate: float) -> list[float] | np.ndarray:
+    """n weights in [0, 1] with peak exactly 1, as a list below
+    ARRAY_MIN_POINTS and an array from it on: uniform draws, each set to 0
+    with probability zero_rate (one drawn point set to 1 if all are), over
+    their max."""
+    if n < ARRAY_MIN_POINTS:
+        draws = rng.uniform(0.0, 1.0, n).tolist()
+        zeroed = rng.random(n).tolist()
+        draws = [0.0 if z < zero_rate else d for d, z in zip(draws, zeroed)]
+        peak = max(draws)
+        if peak <= 0.0:
+            draws[int(rng.integers(0, n))] = peak = 1.0
+        return [d / peak for d in draws]
     draws = rng.uniform(0.0, 1.0, n)
     draws[rng.random(n) < zero_rate] = 0.0
     if draws.max() <= 0.0:
@@ -141,8 +189,7 @@ def _unit_weights(rng: np.random.Generator, n: int, zero_rate: float) -> np.ndar
 def random_maxtimes_density(
     rng: np.random.Generator, space: FiniteSpace, zero_rate: float = 0.25
 ) -> MaxTimesDensity:
-    weights = _unit_weights(rng, len(space), zero_rate)
-    return MaxTimesDensity(space, dict(zip(space.points, weights.tolist())))
+    return _built(MaxTimesDensity, space, _unit_weights(rng, len(space), zero_rate))
 
 
 def _random_level(
@@ -155,15 +202,18 @@ def _random_level(
     """A `meta` value of 1 to max_support entries.  It draws their number,
     then their weights, normalized to the peak of the meta's side (in
     [min_weight, 0] less their max on the max-plus side, in [0, 1] over
-    their max on the max-times side), then each entry with draw_entry()."""
+    their max on the max-times side), as Python floats, then each entry
+    with draw_entry()."""
     k = int(rng.integers(1, max_support + 1))
     if meta.side is MAXPLUS:
-        draws = rng.uniform(min_weight, 0.0, k)
-        weights = draws - draws.max()
+        draws = rng.uniform(min_weight, 0.0, k).tolist()
+        peak = max(draws)
+        weights = [d - peak for d in draws]
     else:
-        draws = rng.uniform(0.0, 1.0, k)
-        weights = draws / draws.max() if draws.max() > 0 else np.ones(k)
-    return meta(tuple((draw_entry(), float(w)) for w in weights))
+        draws = rng.uniform(0.0, 1.0, k).tolist()
+        peak = max(draws)
+        weights = [d / peak for d in draws] if peak > 0 else [1.0] * k
+    return meta(tuple((draw_entry(), w) for w in weights))
 
 
 def random_meta(
@@ -229,12 +279,11 @@ def random_possibility_profile(
     """Random profile with peak exactly 1; with `quantum`, every value is a
     multiple of 1/quantum so it lies on the matching threshold sweep grid."""
     n = len(space)
-    if quantum is not None:
-        draws = rng.integers(0, quantum + 1, n) / float(quantum)
-        draws[int(rng.integers(0, n))] = 1.0
-    else:
-        draws = _unit_weights(rng, n, zero_rate)
-    return PossibilityProfile(space, dict(zip(space.points, draws.tolist())))
+    if quantum is None:
+        return _built(PossibilityProfile, space, _unit_weights(rng, n, zero_rate))
+    draws = rng.integers(0, quantum + 1, n) / float(quantum)
+    draws[int(rng.integers(0, n))] = 1.0
+    return _built(PossibilityProfile, space, draws.tolist() if n < ARRAY_MIN_POINTS else draws)
 
 
 def random_meta_possibility(
@@ -252,15 +301,12 @@ def random_meta_possibility(
 def random_weight_vector(
     rng: np.random.Generator, count: int, min_weight: float = -6.0, bottom_rate: float = 0.2
 ) -> np.ndarray:
-    """count max-plus weights with peak exactly 0: which are finite
-    (`random`, each bottom with probability bottom_rate, one drawn point
-    kept if none is), then uniform draws in [min_weight, 0] (`uniform`),
-    less the max of the finite ones."""
-    finite = rng.random(count) >= bottom_rate
-    if not finite.any():
-        finite[int(rng.integers(0, count))] = True
-    draws = rng.uniform(min_weight, 0.0, count)
-    return np.where(finite, draws - draws[finite].max(), BOTTOM)
+    """count max-plus weights with peak exactly 0, as a float64 array: which
+    are finite (`random`, each bottom with probability bottom_rate, one
+    drawn point kept if none is), then uniform draws in [min_weight, 0]
+    (`uniform`), less the max of the finite ones.  random_maxplus_density
+    draws its weights the same way (`_plus_weights`)."""
+    return np.asarray(_plus_weights(rng, count, min_weight, bottom_rate), dtype=float)
 
 
 def random_generator_set(

@@ -9,6 +9,11 @@ the failure persists).  Trial i of a suite always draws what
 `trial_stream(seed, i, tag)` draws, so identical seeds give identical
 reports; `run_suite` re-keys one generator of its own per trial
 (`seeding.trial_streams`), and a trial must not keep it past its return.
+A trial that checks a law on two sides (`unit`, `assoc`, `l-iso`) draws
+each side's input just before it checks it, so a trial that fails on its
+first side never draws the second.  A check and its shrinking draw
+nothing, so this order leaves every draw, and every report, as it would be
+with every side drawn first.
 Adding a suite means one decorated trial function with a new, unique tag;
 renumbering a tag changes every draw of its suite.
 
@@ -17,7 +22,8 @@ runs, and hand every trial the same frozen `Run`: the seed, the largest
 space to draw, the tolerance resolved once, and the multiplication.  A bad
 trial count, space size (1 to capacities.MAX_TABLE_POINTS), mutation or
 tolerance, or a bad IDEMKIT_TOLERANCE, raises ValueError instead of
-reading as a failed law.
+reading as a failed law; so does a trial count, space size or seed that is
+not an integer (a bool, float or str), with the field named.
 
 The drop-weight mutation deliberately corrupts the monad multiplication
 (it discards the last support entry) so the harness can demonstrate that the
@@ -28,6 +34,7 @@ catch broken laws.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -295,12 +302,11 @@ def _falsified(x, law: Callable, shrinks: Callable, description: str, to_doc: Ca
 )
 def _unit(rng, run: Run):
     space = random_space(rng, run.max_space)
-    f = random_maxplus_density(rng, space)
-    g = random_maxtimes_density(rng, space)
     law = partial(check_unit_laws, tol=run.tol, multiply_fn=run.multiply)
-    for side, d in (("max-plus", f), ("max-times", g)):
+    sides = (("max-plus", random_maxplus_density), ("max-times", random_maxtimes_density))
+    for side, draw in sides:
         desc = f"unit laws fail for a {side} density"
-        if found := _falsified(d, law, _point_drops, desc, density_to_doc):
+        if found := _falsified(draw(rng, space), law, _point_drops, desc, density_to_doc):
             return found
     return None
 
@@ -311,12 +317,10 @@ def _unit(rng, run: Run):
 )
 def _assoc(rng, run: Run):
     space = random_space(rng, run.max_space)
-    G = random_third(rng, space)
-    H = random_third_times(rng, space)
     law = partial(check_associativity, tol=run.tol, multiply_fn=run.multiply)
-    for side, x in (("max-plus", G), ("max-times", H)):
+    for side, draw in (("max-plus", random_third), ("max-times", random_third_times)):
         desc = f"associativity fails for the {side} multiplication"
-        if found := _falsified(x, law, _meta_shrinks, desc, _third_to_doc):
+        if found := _falsified(draw(rng, space), law, _meta_shrinks, desc, _third_to_doc):
             return found
     return None
 
@@ -390,12 +394,11 @@ def _s_iso(rng, run: Run):
 )
 def _l_iso(rng, run: Run):
     space = random_space(rng, run.max_space)
-    F = random_meta(rng, space)
-    f = random_maxplus_density(rng, space)
     law = partial(check_l_morphism, tol=run.tol)
     desc = "exp does not commute with multiplication"
-    if found := _falsified(F, law, _meta_shrinks, desc, meta_to_doc):
+    if found := _falsified(random_meta(rng, space), law, _meta_shrinks, desc, meta_to_doc):
         return found
+    f = random_maxplus_density(rng, space)
     if not density_close(density_log(density_exp(f)), f, 1e-12):
         return "exp/log round trip fails", density_to_doc(f)
     return None
@@ -523,7 +526,19 @@ def suite_names() -> list[str]:
     return list(SUITES)
 
 
-def _checked_run(trials: int, seed: int, max_space: int, mutate: str | None, tol) -> Run:
+def _integer(field: str, value) -> int:
+    """value as an int; a bool, or any value that is not an integer, raises
+    ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _checked_run(
+    trials: int, seed: int, max_space: int, mutate: str | None, tol
+) -> tuple[int, Run]:
+    """The trial count, as an int, and the Run of these arguments."""
+    max_space = _integer("max-space", max_space)
     if max_space < 1:
         raise ValueError("max-space must be at least 1")
     if max_space > MAX_TABLE_POINTS:  # the capacity suites draw spaces up to max-space
@@ -531,9 +546,10 @@ def _checked_run(trials: int, seed: int, max_space: int, mutate: str | None, tol
             f"max-space must be at most {MAX_TABLE_POINTS}, the most points a capacity table holds"
         )
     mult = _resolve_mutation(mutate, multiply)
+    trials = _integer("trials", trials)
     if trials <= 0:
         raise ValueError("trials must be positive")
-    return Run(seed, max_space, resolve_tolerance(tol), mult)
+    return trials, Run(_integer("seed", seed), max_space, resolve_tolerance(tol), mult)
 
 
 def run_suite(
@@ -550,9 +566,9 @@ def run_suite(
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
     spec = SUITES[name]
-    run = _checked_run(trials, seed, max_space, mutate, tol)
+    trials, run = _checked_run(trials, seed, max_space, mutate, tol)
     start = time.perf_counter()
-    stream = trial_streams(seed, spec.tag)
+    stream = trial_streams(run.seed, spec.tag)
     failures = []
     for i in range(trials):
         rng = stream(i)
@@ -562,7 +578,7 @@ def run_suite(
             outcome = (f"trial raised {type(exc).__name__}: {exc}", {})
         if outcome is not None:
             failures.append(Failure(i, *outcome))
-    return RunReport(name, trials, seed, failures, time.perf_counter() - start)
+    return RunReport(name, trials, run.seed, failures, time.perf_counter() - start)
 
 
 def run_all(

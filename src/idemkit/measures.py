@@ -7,6 +7,9 @@ tensor *).  A density peaks at its side's peak and doubles as a
 finite-support measure: its functional sends phi to max(f(x) (x) phi(x)).
 Meta densities (finitely supported densities over densities) carry the monad
 multiplications, and a third nesting level feeds the associativity checks.
+Densities and metas share the frozen base `spaces.Frozen`: a constructor
+writes each attribute once through the instance dict, and assigning or
+deleting one raises FrozenInstanceError.
 A real function (idemkit.spaces) is one class that holds a vector in point
 order and, when built from one, a label dict.  eval_measure reduces a
 density against it by the size rule of multiply below: one numpy reduction
@@ -56,6 +59,7 @@ from .semiring import BOTTOM, resolve_tolerance
 from .spaces import (
     PROBE_BLOCK_CELLS,
     FiniteSpace,
+    Frozen,
     PointMap,
     PointValues,
     RealFunction,
@@ -246,29 +250,33 @@ def density_close(f: Density, g: Density, tol: float | None = None) -> bool:
     return _close(f, g, resolve_tolerance(tol))
 
 
-@dataclass(frozen=True, eq=False)
-class Meta:
+class Meta(Frozen):
     """Finitely supported density over `entry` values sharing one space:
     pairs (entry, weight in [bottom, peak]) with the peak weight attained.
     Bottom-weight pairs are dropped and pairs whose entries are close merge,
     keeping the larger weight.  Closeness is under the default tolerance,
     read when the merge compares entries: only when two or more pairs are
-    kept, so a bad IDEMKIT_TOLERANCE fails those constructions alone."""
+    kept, so a bad IDEMKIT_TOLERANCE fails those constructions alone.
+
+    A meta is frozen (`spaces.Frozen`): the constructor writes `support`
+    once, through the instance dict, and assigning or deleting it raises
+    FrozenInstanceError.  Equality and hashing are by identity, and the
+    repr reads `MetaDensity(support=(...))`."""
 
     support: tuple[tuple[object, float], ...]
     side: ClassVar[Side]
     entry: ClassVar[type]
 
-    def __post_init__(self):
+    def __init__(self, support):
         side, entry = self.side, self.entry
         bottom, top = side.bottom, side.peak
         kept = []
-        for k, (item, w) in enumerate(self.support):
+        for k, (item, w) in enumerate(support):
             try:
                 w = float(w)
             except (TypeError, OverflowError) as exc:  # a ValueError keeps its own text
                 raise ValueError(f"{exc} at support position {k}") from None
-            if not bottom <= w <= top:  # Side.check, inline
+            if not bottom <= w <= top:  # the side's range, for one weight
                 raise ValueError(side.outside(w))
             if w == bottom:
                 continue
@@ -298,7 +306,10 @@ class Meta:
             peak = max(w for _, w in merged)
         if abs(peak - side.peak) > side.slack:
             raise ValueError(f"peak support weight is {peak!r}, expected {side.peak!r}")
-        object.__setattr__(self, "support", tuple(merged))
+        self.__dict__["support"] = tuple(merged)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(support={self.support!r})"
 
     @property
     def space(self) -> FiniteSpace:

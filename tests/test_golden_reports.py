@@ -3,9 +3,11 @@
 The clean reports hold little more than `"ok": true`, but the drop-weight
 reports hold every shrunk witness, with its weights, so a change that moves
 a float, the order of a support or the path of the shrinker changes their
-bytes.  The hashes were recorded before the constructors' fast paths went
-in; a deliberate change to the reports must record them again and list the
-cause in the change log.
+bytes.  The 100-trial hashes were recorded before the constructors' fast
+paths went in, and the two 300-trial drop-weight ones, the self-test's own
+size, before each trial drew a side only when it checks it; a deliberate
+change to the reports must record them again and list the cause in the
+change log.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ GOLDEN_REPORTS = {
     ("assoc", 100, 0, True): "35d7702b6e164321ad0027fb26897b010c648c0a12c768f28f9ac67d5f5c0965",
     ("assoc", 100, 1, True): "21bf8dbb80e51e685e4b49218fac775da51b4e656f1f2553c6f5b7bd0358a964",
     ("all", 100, 0, False): "22d6c36eefa8ada7fbb6b333b74c747c0e9f0181686709ae8384f1eb8e1a974d",
+    ("unit", 300, 42, True): "a63d6994fec502bfdab9ce1ce009edd2786474cf0827b15d61ee3d3821274857",
+    ("assoc", 300, 42, True): "98e9fc294a003b3fdffc2dd95a5be8ba785b8e3886bca17420c185c7ba104baf",
 }
 
 

@@ -338,6 +338,32 @@ def test_bad_arguments_raise_before_any_trial(monkeypatch, name):
     assert drawn == []
 
 
+NON_INTEGERS = [
+    ("trials", "3"), ("trials", True), ("trials", 3.0),
+    ("max_space", "x"), ("max_space", 2.5), ("max_space", True),
+    ("seed", 1.5), ("seed", "0"), ("seed", False),
+]
+
+
+@pytest.mark.parametrize("field, value", NON_INTEGERS)
+def test_non_integer_arguments_raise_before_any_trial(monkeypatch, field, value):
+    drawn = _no_trial_may_run(monkeypatch)
+    kwargs = {"trials": 2, "seed": 0, "max_space": 3, field: value}
+    message = f"{field.replace('_', '-')} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_suite("unit", **kwargs)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_all(**kwargs)
+    assert drawn == []
+
+
+def test_numpy_integer_arguments_run_as_ints():
+    report = run_suite("unit", trials=np.int64(3), seed=np.uint64(7), max_space=np.int32(4))
+    assert report.to_doc() == run_suite("unit", trials=3, seed=7, max_space=4).to_doc()
+    assert type(report.trials) is int and type(report.seed) is int
+    json.dumps(report.to_doc())
+
+
 @pytest.mark.parametrize("name", [name for name, _ in REGISTERED])
 def test_every_suite_accepts_drop_weight(name):
     report = run_suite(name, trials=2, seed=0, mutate="drop-weight")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from idemkit.measures import (
     MaxTimesDensity,
     MetaDensity,
     MetaTimesDensity,
+    ThirdLevelTimes,
     check_associativity,
     check_associativity_times,
     check_unit_laws,
@@ -293,6 +295,32 @@ def test_meta_constructor_contracts():
         MetaDensity(((f1, -0.5),))
     with pytest.raises(ValueError):
         MetaDensity(((f1, BOTTOM),))
+
+
+def test_meta_stays_frozen_with_its_repr_and_identity():
+    f = MaxPlusDensity(AB, {"a": 0.0, "b": -1.0})
+    F = MetaDensity(((f, 0.0),))
+    with pytest.raises(FrozenInstanceError, match="cannot assign to field 'support'"):
+        F.support = ()
+    with pytest.raises(FrozenInstanceError, match="cannot delete field 'support'"):
+        del F.support
+    with pytest.raises(FrozenInstanceError, match="cannot assign to field 'other'"):
+        F.other = 1
+    assert F.support == ((f, 0.0),)
+    # the text a frozen dataclass printed
+    assert repr(F) == (
+        "MetaDensity(support=((MaxPlusDensity(space=FiniteSpace(points=('a', 'b')),"
+        " weights={'a': 0.0, 'b': -1.0}), 0.0),))"
+    )
+    G = ThirdLevelTimes(support=((MetaTimesDensity(((dirac_times("a", AB), 1.0),)), 1.0),))
+    assert repr(G) == (
+        "ThirdLevelTimes(support=((MetaTimesDensity(support=((MaxTimesDensity("
+        "space=FiniteSpace(points=('a', 'b')), weights={'a': 1.0, 'b': 0.0}), 1.0),)), 1.0),))"
+    )
+    # equality and hashing by identity
+    twin = MetaDensity(((f, 0.0),))
+    assert F == F and F != twin and repr(F) == repr(twin)
+    assert hash(F) == object.__hash__(F) and len({F, twin}) == 2
 
 
 def test_measure_multiplication_examples():
