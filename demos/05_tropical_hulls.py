@@ -49,7 +49,9 @@ N = MetaDensity(((mu1, 0.0), (mu2, -0.5)))
 print("algebra law:", check_algebra(gens2, N))
 
 # and on a grid over the bounding box, hull membership coincides with
-# barycenter reachability
+# barycenter reachability: every verdict carries a certificate, weights whose
+# barycenter is the point or a half-space that holds the generators but not
+# the point, and the check accepts them all
 grid = bounding_grid(gens, per_axis=11)
 print("grid size:", grid.shape, "equivalence:", check_convexity_equivalence(gens, grid))
 

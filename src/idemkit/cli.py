@@ -17,7 +17,7 @@ from .capacities import (
     maxplus_integral,
     possibility_integral,
 )
-from .convexity import barycenter, combine, hull_member
+from .convexity import as_point, barycenter, certify_members, combine, hull_member
 from .documents import (
     capacity_from_doc,
     decode_number,
@@ -81,12 +81,36 @@ def cmd_integrate(args) -> int:
     return 0
 
 
+def _explain_member(point, gens) -> list[str]:
+    """The verdict on one point and its certificate: the weights that reach
+    a point that is in; for a point that is out, rho, q and the coordinate
+    of p beyond the half-space max(-rho, max_t(z_t - q_t)) <= max(0,
+    max_t(z_t - p_t)), or the constant term -rho when that is larger."""
+    p = as_point(point, gens.dimension)
+    verdicts = certify_members(p[None, :], gens)
+    if verdicts.member[0]:
+        return ["true", f"weights {_format_point(verdicts.weights[0])}"]
+    rho = float(verdicts.peak[0])
+    q = verdicts.projection[0]
+    gaps = p - q
+    t = int(gaps.argmax())
+    if gaps[t] >= -rho:
+        broken = f"coordinate {t}: p - q = {format_score(float(gaps[t]))}"
+    else:
+        broken = f"constant term: -rho = {format_score(-rho)}"
+    return ["false", f"rho {format_score(rho)}", f"q {_format_point(q)}", f"broken at {broken}"]
+
+
 def cmd_hull_member(args) -> int:
     gens = generators_from_doc(_load_doc(args.generators))
     doc = _load_doc(args.point)
     if not isinstance(doc, list):
         raise ValueError("a point is a JSON array of coordinates")
-    print("true" if hull_member([decode_number(v) for v in doc], gens) else "false")
+    point = [decode_number(v) for v in doc]
+    if args.explain:
+        print("\n".join(_explain_member(point, gens)))
+    else:
+        print("true" if hull_member(point, gens) else "false")
     return 0
 
 
@@ -179,6 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
     m = hull_sub.add_parser("member", help="is a point in the generated hull?")
     m.add_argument("--generators", required=True, help="points document")
     m.add_argument("--point", required=True, help="coordinate array (path or inline JSON)")
+    m.add_argument(
+        "--explain",
+        action="store_true",
+        help="also print the certificate: the weights that reach a point that is in, or the "
+        "half-space (rho, q) that excludes a point that is out and the coordinate beyond it",
+    )
     m.set_defaults(func=cmd_hull_member)
     c = hull_sub.add_parser("combine", help="max-plus combination of the generators")
     c.add_argument("--generators", required=True, help="points document")

@@ -6,8 +6,28 @@ the continuum of admissible combinations.  Membership in the generated hull
 is decided by residuation: the greatest admissible weight vector is the only
 candidate that can ever reproduce a point, because combinations are monotone
 in every weight.  Membership is decided for a batch of points at once: the
-candidates of every point come from one broadcast over (point, generator,
-coordinate), and the single-point functions pass a batch of one row.
+candidates of every point come from one pass over the coordinates, each a
+broadcast over (point, generator), and the single-point functions pass a
+batch of one row.  Every max and min over the coordinates or the generators
+runs one slice at a time (`_fold`), since numpy reduces a short axis several
+times slower; max and min are exact, so the floats do not depend on it.
+
+Every verdict carries a certificate from that same residuation
+(`certify_members`).  A point that is in carries its weights, a max-plus
+density over the generators whose combination lands on it.  A point that is
+out carries a separating max-plus half-space (Zimmermann 1977; Cohen,
+Gaubert & Quadrat 2004): with the greatest weights lam, their peak rho and
+the projection q_t = max_i(lam_i + x_it), the set
+
+    {z : max(-rho, max_t(z_t - q_t)) <= max(0, max_t(z_t - p_t))}
+
+holds every generator and so the whole hull, but not p.  `check_certificates`
+reads only the certificates, the generators and the points: the weights of
+the members pass as one block of densities, every generator must lie in its
+half-space, and every point that is out must lie beyond its own.  The
+weights must be the clamped ones, lam_i = min(0, min_t(p_t - x_it)): without
+the clamp, a point strictly above a generator gets rho > 0 and q = p, and
+its half-space no longer excludes it.
 
 The barycenter map takes a normalized weight vector (a max-plus density over
 the generators) to the point whose coordinates are the induced measures of
@@ -24,7 +44,7 @@ import numpy as np
 
 from .measures import MaxPlusDensity, MetaDensity, multiply
 from .semiring import resolve_tolerance
-from .spaces import FiniteSpace
+from .spaces import FiniteSpace, checked_block
 
 POINT_SLACK = 1e-9
 
@@ -79,31 +99,36 @@ def _as_grid(points, dimension: int) -> np.ndarray:
     return pts
 
 
-def _check_weights(lam: np.ndarray) -> np.ndarray:
-    # value checks on weight vectors held in the last axis
-    if np.any(np.isnan(lam)) or np.any(lam == np.inf):
-        raise ValueError("weights must be scores (finite or -inf)")
-    if np.any(lam > 0.0):
-        raise ValueError("weights must be non-positive")
-    peaks = lam.max(axis=-1)
-    if np.any(peaks != 0.0):
-        raise ValueError(f"max weight is {np.min(peaks)!r}, expected 0")
-    return lam
-
-
 def as_weight_vector(weights, count: int) -> np.ndarray:
     """Validate weights: one per generator, each in [-inf, 0], peak exactly 0."""
     lam = np.asarray(weights, dtype=float)
     if lam.ndim != 1 or lam.size != count:
         raise ValueError(f"expected {count} weights, got shape {lam.shape}")
-    return _check_weights(lam)
+    if np.any(np.isnan(lam)) or np.any(lam == np.inf):
+        raise ValueError("weights must be scores (finite or -inf)")
+    if np.any(lam > 0.0):
+        raise ValueError("weights must be non-positive")
+    peak = lam.max()
+    if peak != 0.0:
+        raise ValueError(f"max weight is {peak!r}, expected 0")
+    return lam
+
+
+def _fold(op, terms) -> np.ndarray:
+    # op over the terms, one at a time, in order, as np.max or np.min reduce
+    # an axis; the first term is copied, so it may be a view
+    terms = iter(terms)
+    acc = np.array(next(terms))
+    for term in terms:
+        op(acc, term, out=acc)
+    return acc
 
 
 def _max_combination(points: np.ndarray, lam: np.ndarray) -> np.ndarray:
     # the one max-combination expression, so every route that combines the
     # generators agrees bit for bit; a (m, k) batch of weight rows gives an
     # (m, d) batch of points
-    return np.max(points + lam[..., :, None], axis=-2)
+    return _fold(np.maximum, (lam[..., i, None] + points[i] for i in range(len(points))))
 
 
 def combine(gens: GeneratorSet, lam) -> np.ndarray:
@@ -123,32 +148,72 @@ def residual_weights(p: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     """Greatest admissible weights: lam_i = min(0, min_t(p_t - x_it)).
 
     A batch of points, one per row, gives one row of weights per point."""
-    return np.minimum(0.0, np.min(p[..., None, :] - gens.points, axis=-1))
+    if p.shape[-1:] != (gens.dimension,):
+        raise ValueError(f"points must have dimension {gens.dimension}, got shape {p.shape}")
+    x = gens.points
+    gaps = (p[..., t, None] - x[:, t] for t in range(gens.dimension))
+    return np.minimum(0.0, _fold(np.minimum, gaps))
 
 
-def _members(points, gens: GeneratorSet, tol: float | None, route) -> np.ndarray:
-    """Residuation verdicts for each row of an (m, d) array.  Rows whose
-    candidate peaks below -tol are out; route turns the remaining candidates,
-    shifted to peak 0, into the weights that are combined and compared."""
-    tol = resolve_tolerance(tol)
-    pts = _as_grid(points, gens.dimension)
+# slack on the one check without tol, that a generator lies in a half-space:
+# its two sides round differences of the same coordinates differently
+HALF_SPACE_SLACK = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class HullVerdicts:
+    """Verdicts on an (m, d) batch of points with their certificates.
+
+    `member` holds one verdict per point.  `weights` holds one row per
+    member, in point order: normalized weights whose combination lands on
+    it.  `peak` (rho) and `projection` (q) hold one entry and one row per
+    point that is out, in point order: its separating half-space."""
+
+    member: np.ndarray
+    weights: np.ndarray
+    peak: np.ndarray
+    projection: np.ndarray
+
+
+def _lands(points: np.ndarray, gens: GeneratorSet, weights: np.ndarray, tol: float) -> np.ndarray:
+    # the one comparison of a combination with its point, shared by the
+    # verdicts and the check of their weights, so the two agree bit for bit
+    return _fold(np.maximum, np.abs(_max_combination(gens.points, weights) - points).T) <= tol
+
+
+def _max_gap(floor, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # max(floor, max_t(u_t - v_t)) over the coordinates, the last axis
+    return np.maximum(floor, _fold(np.maximum, (u[..., t] - v[..., t] for t in range(u.shape[-1]))))
+
+
+def _certify(pts: np.ndarray, gens: GeneratorSet, tol: float) -> HullVerdicts:
     lam = residual_weights(pts, gens)
-    peak = lam.max(axis=1, keepdims=True)
-    live = peak[:, 0] >= -tol
-    weights = _check_weights(route(lam[live] - peak[live]))
-    member = np.zeros(len(pts), dtype=bool)
-    member[live] = np.max(np.abs(_max_combination(gens.points, weights) - pts[live]), axis=1) <= tol
-    return member
+    peak = _fold(np.maximum, lam.T)
+    member = peak >= -tol
+    shifted = lam[member] - peak[member, None]
+    landed = _lands(pts[member], gens, shifted, tol)
+    member[member] = landed
+    out = ~member
+    return HullVerdicts(member, shifted[landed], peak[out], _max_combination(gens.points, lam[out]))
 
 
-def hull_members(points, gens: GeneratorSet, tol: float | None = None) -> np.ndarray:
-    """Membership in the generated hull for each row of an (m, d) array.
+def certify_members(points, gens: GeneratorSet, tol: float | None = None) -> HullVerdicts:
+    """Membership in the generated hull for each row of an (m, d) array,
+    with a certificate for each verdict, all from one residuation.
 
     Combinations are monotone in each weight, so the residuation candidate
     succeeds iff any admissible weight vector does; if even its peak sits
-    below 0 no normalized combination can dominate the point.
+    below -tol no normalized combination can come near the point.  A member
+    is certified by that candidate shifted to peak 0, a point that is out by
+    the candidate's peak and projection.
     """
-    return _members(points, gens, tol, lambda lam: lam)
+    return _certify(_as_grid(points, gens.dimension), gens, resolve_tolerance(tol))
+
+
+def hull_members(points, gens: GeneratorSet, tol: float | None = None) -> np.ndarray:
+    """Membership in the generated hull for each row of an (m, d) array:
+    the verdicts of `certify_members`."""
+    return certify_members(points, gens, tol).member
 
 
 def hull_member(point, gens: GeneratorSet, tol: float | None = None) -> bool:
@@ -167,19 +232,25 @@ def density_weights(f: MaxPlusDensity) -> np.ndarray:
     return np.array(f.vector)
 
 
+def _reaches(points: np.ndarray, gens: GeneratorSet, weights, tol: float) -> np.ndarray:
+    # the in-certificate check: the weight rows pass as one block of max-plus
+    # densities on the generator index space, and each lands on its point
+    block = checked_block(index_space(len(gens)), weights, "barycenter weights", MaxPlusDensity)
+    return _lands(points, gens, block, tol)
+
+
 def barycenter_members(points, gens: GeneratorSet, tol: float | None = None) -> np.ndarray:
-    """Membership decided through the barycenter route for each row of an
-    (m, d) array: does some weight density land on the point?  Uses the same
-    residuation candidates but walks each one through the density type and
-    the barycenter map; the candidates are checked as densities in one
-    block."""
-    space = index_space(len(gens))
-
-    def through_densities(lam):
-        dens = MaxPlusDensity.rows(space, lam)
-        return np.array([density_weights(f) for f in dens]).reshape(-1, len(gens))
-
-    return _members(points, gens, tol, through_densities)
+    """Barycenter reachability for each row of an (m, d) array: does some
+    weight density land on the point?  The residuation's weights for the
+    members of the hull are checked as one block of densities, and their
+    barycenters compared with the points; a point that is out of the hull
+    is reached by no density."""
+    tol = resolve_tolerance(tol)
+    pts = _as_grid(points, gens.dimension)
+    verdicts = _certify(pts, gens, tol)
+    reached = np.zeros(len(pts), dtype=bool)
+    reached[verdicts.member] = _reaches(pts[verdicts.member], gens, verdicts.weights, tol)
+    return reached
 
 
 def barycenter_member(point, gens: GeneratorSet, tol: float | None = None) -> bool:
@@ -204,15 +275,61 @@ def check_algebra(gens: GeneratorSet, N: MetaDensity, tol: float | None = None) 
     return bool(np.max(np.abs(left - right)) <= tol)
 
 
+def _certificates_hold(pts: np.ndarray, gens: GeneratorSet, v: HullVerdicts, tol: float) -> bool:
+    if not _reaches(pts[v.member], gens, v.weights, tol).all():
+        return False
+    x = gens.points
+    outside = pts[~v.member]
+    # every generator lies in the half-space of every point that is out; the
+    # right side comes from the points, not from the certificate
+    held = _max_gap(-v.peak[:, None], x, v.projection[:, None, :])
+    bound = _max_gap(0.0, x, outside[:, None, :])
+    if not np.all(held <= bound + HALF_SPACE_SLACK):
+        return False
+    # and the point itself lies beyond it, where the right side is 0
+    return bool(np.all(_max_gap(-v.peak, outside, v.projection) > tol))
+
+
+def check_certificates(
+    gens: GeneratorSet, points, verdicts: HullVerdicts, tol: float | None = None
+) -> bool:
+    """Do the certificates prove their verdicts on each row of an (m, d)
+    array?  The weights of the members must be max-plus densities whose
+    combinations land within tol of their points; every generator must lie
+    in the half-space of every point that is out, to within
+    HALF_SPACE_SLACK, and each such point beyond its own by more than tol.
+    A certificate of the wrong shape raises ValueError."""
+    tol = resolve_tolerance(tol)
+    pts = _as_grid(points, gens.dimension)
+    member = np.asarray(verdicts.member)
+    if member.dtype != bool or member.shape != (len(pts),):
+        raise ValueError(f"member must hold one bool per point, got {member.dtype} {member.shape}")
+    inside = int(member.sum())
+    outside = len(pts) - inside
+    weights = np.asarray(verdicts.weights, dtype=float)
+    if weights.ndim != 2 or len(weights) != inside:
+        raise ValueError(f"weights need one row per member ({inside}), got shape {weights.shape}")
+    peak = np.asarray(verdicts.peak, dtype=float)
+    projection = np.asarray(verdicts.projection, dtype=float)
+    if peak.shape != (outside,) or projection.shape != (outside, gens.dimension):
+        raise ValueError(
+            f"peak and projection need one entry per point that is out ({outside}),"
+            f" got shapes {peak.shape} and {projection.shape}"
+        )
+    return _certificates_hold(pts, gens, HullVerdicts(member, weights, peak, projection), tol)
+
+
 def check_convexity_equivalence(
     gens: GeneratorSet, grid, tol: float | None = None
 ) -> bool:
     """Hull membership and barycenter reachability give the same verdict on
-    every probe point."""
+    every probe point, proved verdict by verdict: each member's weights are
+    a density whose barycenter is the point, and each point that is out lies
+    beyond a half-space that holds every generator, so no barycenter reaches
+    it (`check_certificates` on the certificates of `certify_members`)."""
     tol = resolve_tolerance(tol)
-    return bool(
-        np.array_equal(hull_members(grid, gens, tol), barycenter_members(grid, gens, tol))
-    )
+    pts = _as_grid(grid, gens.dimension)
+    return _certificates_hold(pts, gens, _certify(pts, gens, tol), tol)
 
 
 def bounding_grid(gens: GeneratorSet, per_axis: int = 11) -> np.ndarray:

@@ -42,13 +42,18 @@ def default_tolerance() -> float:
 
 def resolve_tolerance(tol: float | None) -> float:
     """The tolerance to compare with: the library default for None, else
-    `tol` itself, which must be a finite non-negative number."""
+    `tol` itself, which must be a finite non-negative number and not a
+    bool."""
     if tol is None:
         return default_tolerance()
+    if isinstance(tol, bool):  # float(True) is 1.0
+        raise ValueError(f"tol must be a number, got {tol!r}")
     try:
         value = float(tol)
     except (TypeError, ValueError):
         raise ValueError(f"tol must be a number, got {tol!r}") from None
+    except OverflowError:  # an int beyond the range of a double
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}") from None
     if not math.isfinite(value) or value < 0.0:
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     return value

@@ -1,7 +1,9 @@
+import functools
 import json
 
 import pytest
 
+from idemkit import cli, laws
 from idemkit.cli import main
 
 
@@ -102,6 +104,31 @@ def test_hull_member(docs, capsys):
     assert main(["hull", "member", "--generators", docs["gens.json"], "--point", "[3,0]"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out == ["true", "false"]
+
+
+def test_hull_member_explains_a_point_that_is_in(docs, capsys):
+    argv = ["hull", "member", "--generators", docs["gens.json"], "--point", "[1,3]", "--explain"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == ["true", "weights [0,-1]"]
+
+
+def test_hull_member_explains_a_point_that_is_out(docs, capsys):
+    argv = ["hull", "member", "--generators", docs["gens.json"], "--explain", "--point"]
+    assert main(argv + ["[3,0]"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "false", "rho 0", "q [2,0]", "broken at coordinate 0: p - q = 1",
+    ]
+    # below both generators, the constant term -rho is what excludes it
+    assert main(argv + ["[-5,-5]"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "false", "rho -7", "q [-5,-5]", "broken at constant term: -rho = 7",
+    ]
+
+
+def test_hull_member_output_without_explain_is_one_word(docs, capsys):
+    for point, verdict in (("[1,3]", "true"), ("[3,0]", "false"), ("[-5,-5]", "false")):
+        assert main(["hull", "member", "--generators", docs["gens.json"], "--point", point]) == 0
+        assert capsys.readouterr().out == verdict + "\n"
 
 
 def test_hull_combine(docs, capsys):
@@ -228,6 +255,17 @@ def test_bad_tolerance_env_is_an_input_error(monkeypatch, capsys):
     monkeypatch.setenv("IDEMKIT_TOLERANCE", "-1")
     assert main(["laws", "--suite", "convexity", "--trials", "3"]) == 2
     assert "IDEMKIT_TOLERANCE" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", [True, 10**400], ids=["True", "10**400"])
+def test_bad_explicit_tolerance_is_an_input_error(monkeypatch, capsys, tol):
+    # no flag sets tol, so the suite runner is handed one: the error must
+    # reach exit 2 before any trial, not run as 1.0 or exit 1 on an overflow
+    monkeypatch.setattr(cli, "run_suite", functools.partial(laws.run_suite, tol=tol))
+    assert main(["laws", "--suite", "unit", "--trials", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "tol must be" in err
 
 
 def test_laws_max_space_beyond_capacity_tables_is_an_input_error(capsys):

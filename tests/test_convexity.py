@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from idemkit import convexity
 from idemkit.convexity import (
     GeneratorSet,
+    HullVerdicts,
     as_weight_vector,
     barycenter,
     barycenter_member,
     barycenter_members,
     bounding_grid,
+    certify_members,
     check_algebra,
+    check_certificates,
     check_convexity_equivalence,
     combine,
     density_weights,
@@ -214,6 +216,9 @@ def test_batched_membership_matches_per_point_residuation():
         assert expected[-40:-20].all()
         assert np.array_equal(hull_members(probes, gens), expected)
         assert np.array_equal(barycenter_members(probes, gens), expected)
+        certified = certify_members(probes, gens)
+        assert np.array_equal(certified.member, expected)
+        assert check_certificates(gens, probes, certified)
         verdicts.update(expected.tolist())
     assert verdicts == {True, False}
 
@@ -222,9 +227,12 @@ def test_batched_membership_validates_the_grid():
     empty = np.empty((0, 2))
     assert hull_members(empty, GENS).shape == (0,)
     assert barycenter_members(empty, GENS).shape == (0,)
+    assert check_certificates(GENS, empty, certify_members(empty, GENS))
     for bad in (np.zeros((3, 3)), np.array([[np.nan, 0.0]]), np.array([1.0, 3.0])):
         with pytest.raises(ValueError):
             hull_members(bad, GENS)
+        with pytest.raises(ValueError):
+            certify_members(bad, GENS)
         with pytest.raises(ValueError):
             barycenter_members(bad, GENS)
         with pytest.raises(ValueError):
@@ -239,22 +247,145 @@ def test_membership_rejects_a_bad_explicit_tolerance(tol):
     with pytest.raises(ValueError, match="tol"):
         barycenter_member([1.0, 3.0], GENS, tol=tol)
     with pytest.raises(ValueError, match="tol"):
+        certify_members(np.array([[1.0, 3.0]]), GENS, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
         check_convexity_equivalence(GENS, bounding_grid(GENS, per_axis=3), tol)
 
 
-def test_convexity_equivalence_catches_a_corrupted_barycenter_route(monkeypatch):
+def _half_space(p, gens):
+    # the residual half-space of one point: its peak and projection
+    lam = residual_weights(p, gens)
+    return lam.max(), np.max(gens.points + lam[:, None], axis=0)
+
+
+def _certified_draws(tag, count=100):
+    # the suite's kind of draws, each grid with generators added so that
+    # it holds members and, mostly, points that are out
+    for i in range(count):
+        rng = trial_stream(tag, i)
+        gens = random_generator_set(rng, 2 if i % 2 else 3)
+        probes = np.concatenate([bounding_grid(gens, per_axis=5), gens.points])
+        verdicts = certify_members(probes, gens)
+        assert check_certificates(gens, probes, verdicts)
+        yield rng, gens, probes, verdicts
+
+
+def test_certificates_reject_a_member_flipped_out_with_its_own_half_space():
+    for rng, gens, probes, v in _certified_draws(410):
+        j = int(rng.choice(np.flatnonzero(v.member)))
+        member = v.member.copy()
+        member[j] = False
+        slot = int(np.count_nonzero(~member[:j]))
+        rho, q = _half_space(probes[j], gens)
+        kept = np.flatnonzero(v.member) != j
+        forged = HullVerdicts(
+            member,
+            v.weights[kept],
+            np.insert(v.peak, slot, rho),
+            np.insert(v.projection, slot, q, axis=0),
+        )
+        assert not check_certificates(gens, probes, forged)
+
+
+def test_certificates_reject_a_point_flipped_in_with_its_residual_weights():
+    flipped = 0
+    for rng, gens, probes, v in _certified_draws(411):
+        if v.member.all():
+            continue
+        j = int(rng.choice(np.flatnonzero(~v.member)))
+        member = v.member.copy()
+        member[j] = True
+        slot = int(np.count_nonzero(member[:j]))
+        lam = residual_weights(probes[j], gens)
+        kept = np.flatnonzero(~v.member) != j
+        forged = HullVerdicts(
+            member,
+            np.insert(v.weights, slot, lam - lam.max(), axis=0),
+            v.peak[kept],
+            v.projection[kept],
+        )
+        assert not check_certificates(gens, probes, forged)
+        flipped += 1
+    assert flipped >= 90
+
+
+def test_certificates_reject_a_lowered_half_space():
+    # a raised q is still a valid half-space, so only lowering corrupts it
+    lowered = 0
+    for rng, gens, probes, v in _certified_draws(412):
+        if v.member.all():
+            continue
+        r = int(rng.integers(0, len(v.peak)))
+        projection = v.projection.copy()
+        projection[r] -= 0.5
+        forged = HullVerdicts(v.member, v.weights, v.peak, projection)
+        assert not check_certificates(gens, probes, forged)
+        # where -rho alone separates the point, a raised q still holds the
+        # generators and still excludes the point
+        deep = -v.peak > 1e-9
+        raised = v.projection.copy()
+        raised[deep] += 0.5
+        assert check_certificates(gens, probes, HullVerdicts(v.member, v.weights, v.peak, raised))
+        lowered += 1
+    assert lowered >= 90
+
+
+def test_certificates_reject_weights_that_drop_their_last_generator():
     grid = bounding_grid(GENS, per_axis=5)
-    assert check_convexity_equivalence(GENS, grid)
-    honest = convexity.density_weights
+    v = certify_members(grid, GENS)
+    assert check_certificates(GENS, grid, v)
+    weights = v.weights.copy()
+    last = weights[:, -1]
+    assert (last < 0.0).any()
+    last[last < 0.0] = BOTTOM
+    assert not check_certificates(GENS, grid, HullVerdicts(v.member, weights, v.peak, v.projection))
+    # one row alone: [1, 3] is reached only through its weight -1 on g1
+    j = int(np.flatnonzero(np.all(grid[v.member] == [1.0, 3.0], axis=1))[0])
+    weights = v.weights.copy()
+    assert weights[j, -1] == -1.0
+    weights[j, -1] = BOTTOM
+    assert not check_certificates(GENS, grid, HullVerdicts(v.member, weights, v.peak, v.projection))
 
-    def drop_last_weight(f):
-        w = honest(f)
-        if w[-1] < 0.0:
-            w[-1] = BOTTOM
-        return w
 
-    monkeypatch.setattr(convexity, "density_weights", drop_last_weight)
-    assert not check_convexity_equivalence(GENS, grid)
+def test_certificates_of_the_wrong_shape_raise():
+    grid = bounding_grid(GENS, per_axis=3)
+    v = certify_members(grid, GENS)
+    for forged in (
+        HullVerdicts(v.member[1:], v.weights, v.peak, v.projection),
+        HullVerdicts(v.member.astype(int), v.weights, v.peak, v.projection),
+        HullVerdicts(v.member, v.weights[1:], v.peak, v.projection),
+        HullVerdicts(v.member, v.weights, v.peak[1:], v.projection),
+        HullVerdicts(v.member, v.weights, v.peak, v.projection[:, :1]),
+    ):
+        with pytest.raises(ValueError):
+            check_certificates(GENS, grid, forged)
+    bad = v.weights.copy()
+    bad[0] -= 1.0  # peak no longer 0: not a density
+    with pytest.raises(ValueError, match="peak"):
+        check_certificates(GENS, grid, HullVerdicts(v.member, bad, v.peak, v.projection))
+
+
+def test_points_above_a_generator_get_accepted_half_spaces():
+    # the clamp in the residual weights keeps rho <= 0: without it, a point
+    # strictly above a generator gets rho > 0 and q = p, which excludes nothing
+    above = GENS.points + 1.0
+    v = certify_members(above, GENS)
+    assert not v.member.any()
+    assert check_certificates(GENS, above, v)
+    unclamped = np.min(above[:, None, :] - GENS.points, axis=-1)
+    rho = unclamped.max(axis=1)
+    q = np.max(GENS.points + unclamped[:, :, None], axis=1)
+    assert (rho > 0.0).all() and np.array_equal(q, above)
+    assert not check_certificates(GENS, above, HullVerdicts(v.member, v.weights, rho, q))
+    strict = 0
+    for i in range(100):
+        rng = trial_stream(413, i)
+        gens = random_generator_set(rng, 2 if i % 2 else 3)
+        probes = gens.points + rng.uniform(0.01, 2.0, size=gens.points.shape)
+        v = certify_members(probes, gens)
+        assert check_certificates(gens, probes, v)
+        strict += int(np.count_nonzero(~v.member))
+    assert strict > 0
 
 
 def test_bounding_grid_shape():

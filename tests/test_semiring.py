@@ -146,7 +146,11 @@ def test_tolerance_env_rejects_bad_values(monkeypatch, raw):
         score_eq(1.0, 1.0)
 
 
-@pytest.mark.parametrize("tol", [-1, -1e-12, float("nan"), float("inf"), float("-inf"), "abc"])
+# True would run as 1.0, and 10**400 overflows a double
+@pytest.mark.parametrize(
+    "tol", [-1, -1e-12, float("nan"), float("inf"), float("-inf"), "abc", True, False,
+     pytest.param(10**400, id="10**400")]
+)
 def test_explicit_tolerance_rejects_bad_values(tol):
     with pytest.raises(ValueError, match="tol"):
         resolve_tolerance(tol)
