@@ -26,13 +26,10 @@ from .capacities import (
 )
 from .convexity import (
     GeneratorSet,
-    HullVerdicts,
     barycenter,
     barycenter_members,
     bounding_grid,
-    certify_members,
     check_algebra,
-    check_certificates,
     check_convexity_equivalence,
     combine,
     hull_member,

@@ -6,11 +6,8 @@ the continuum of admissible combinations.  Membership in the generated hull
 is decided by residuation: the greatest admissible weight vector is the only
 candidate that can ever reproduce a point, because combinations are monotone
 in every weight.  Membership is decided for a batch of points at once: the
-candidates of every point come from one pass over the coordinates, each a
-broadcast over (point, generator), and the single-point functions pass a
-batch of one row.  Every max and min over the coordinates or the generators
-runs one slice at a time (`_fold`), since numpy reduces a short axis several
-times slower; max and min are exact, so the floats do not depend on it.
+candidates of every point come from one broadcast over (point, generator,
+coordinate), and the single-point functions pass a batch of one row.
 
 Every verdict carries a certificate from that same residuation
 (`certify_members`).  A point that is in carries its weights, a max-plus
@@ -21,13 +18,14 @@ the projection q_t = max_i(lam_i + x_it), the set
 
     {z : max(-rho, max_t(z_t - q_t)) <= max(0, max_t(z_t - p_t))}
 
-holds every generator and so the whole hull, but not p.  `check_certificates`
-reads only the certificates, the generators and the points: the weights of
-the members pass as one block of densities, every generator must lie in its
-half-space, and every point that is out must lie beyond its own.  The
-weights must be the clamped ones, lam_i = min(0, min_t(p_t - x_it)): without
-the clamp, a point strictly above a generator gets rho > 0 and q = p, and
-its half-space no longer excludes it.
+holds every generator and so the whole hull, but not p.  The check in
+`check_convexity_equivalence` reads only the certificates, the generators
+and the points: the weights of the members pass as one block of densities,
+every generator must lie in its half-space (to within a slack of a few
+thousand ulps of the largest coordinate), and every point that is out must
+lie beyond its own.  The weights must be the clamped ones,
+lam_i = min(0, min_t(p_t - x_it)): without the clamp, a point strictly above
+a generator gets rho > 0 and q = p, and its half-space no longer excludes it.
 
 The barycenter map takes a normalized weight vector (a max-plus density over
 the generators) to the point whose coordinates are the induced measures of
@@ -114,21 +112,11 @@ def as_weight_vector(weights, count: int) -> np.ndarray:
     return lam
 
 
-def _fold(op, terms) -> np.ndarray:
-    # op over the terms, one at a time, in order, as np.max or np.min reduce
-    # an axis; the first term is copied, so it may be a view
-    terms = iter(terms)
-    acc = np.array(next(terms))
-    for term in terms:
-        op(acc, term, out=acc)
-    return acc
-
-
 def _max_combination(points: np.ndarray, lam: np.ndarray) -> np.ndarray:
     # the one max-combination expression, so every route that combines the
     # generators agrees bit for bit; a (m, k) batch of weight rows gives an
     # (m, d) batch of points
-    return _fold(np.maximum, (lam[..., i, None] + points[i] for i in range(len(points))))
+    return np.max(points + lam[..., :, None], axis=-2)
 
 
 def combine(gens: GeneratorSet, lam) -> np.ndarray:
@@ -148,15 +136,14 @@ def residual_weights(p: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     """Greatest admissible weights: lam_i = min(0, min_t(p_t - x_it)).
 
     A batch of points, one per row, gives one row of weights per point."""
-    if p.shape[-1:] != (gens.dimension,):
-        raise ValueError(f"points must have dimension {gens.dimension}, got shape {p.shape}")
-    x = gens.points
-    gaps = (p[..., t, None] - x[:, t] for t in range(gens.dimension))
-    return np.minimum(0.0, _fold(np.minimum, gaps))
+    return np.minimum(0.0, np.min(p[..., None, :] - gens.points, axis=-1))
 
 
-# slack on the one check without tol, that a generator lies in a half-space:
-# its two sides round differences of the same coordinates differently
+# relative slack on the one check without tol, that a generator lies in a
+# half-space: its two sides round differences of the same coordinates
+# differently, by a few ulps of the largest coordinate involved, so the slack
+# is this many times the largest magnitude among the generators and the
+# points that are out (and never less than this itself)
 HALF_SPACE_SLACK = 1e-12
 
 
@@ -178,23 +165,31 @@ class HullVerdicts:
 def _lands(points: np.ndarray, gens: GeneratorSet, weights: np.ndarray, tol: float) -> np.ndarray:
     # the one comparison of a combination with its point, shared by the
     # verdicts and the check of their weights, so the two agree bit for bit
-    return _fold(np.maximum, np.abs(_max_combination(gens.points, weights) - points).T) <= tol
+    return np.max(np.abs(_max_combination(gens.points, weights) - points), axis=-1) <= tol
 
 
 def _max_gap(floor, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     # max(floor, max_t(u_t - v_t)) over the coordinates, the last axis
-    return np.maximum(floor, _fold(np.maximum, (u[..., t] - v[..., t] for t in range(u.shape[-1]))))
+    return np.maximum(floor, np.max(u - v, axis=-1))
 
 
-def _certify(pts: np.ndarray, gens: GeneratorSet, tol: float) -> HullVerdicts:
+def _verdicts(pts: np.ndarray, gens: GeneratorSet, tol: float):
+    # the one residuation: the verdicts, the members' weights shifted to peak
+    # 0, and every point's residual weights and their peaks
     lam = residual_weights(pts, gens)
-    peak = _fold(np.maximum, lam.T)
+    peak = lam.max(axis=-1)
     member = peak >= -tol
     shifted = lam[member] - peak[member, None]
     landed = _lands(pts[member], gens, shifted, tol)
     member[member] = landed
+    return member, shifted[landed], lam, peak
+
+
+def _certify(pts: np.ndarray, gens: GeneratorSet, tol: float) -> HullVerdicts:
+    # the verdicts with the half-spaces of the points that are out
+    member, weights, lam, peak = _verdicts(pts, gens, tol)
     out = ~member
-    return HullVerdicts(member, shifted[landed], peak[out], _max_combination(gens.points, lam[out]))
+    return HullVerdicts(member, weights, peak[out], _max_combination(gens.points, lam[out]))
 
 
 def certify_members(points, gens: GeneratorSet, tol: float | None = None) -> HullVerdicts:
@@ -212,8 +207,9 @@ def certify_members(points, gens: GeneratorSet, tol: float | None = None) -> Hul
 
 def hull_members(points, gens: GeneratorSet, tol: float | None = None) -> np.ndarray:
     """Membership in the generated hull for each row of an (m, d) array:
-    the verdicts of `certify_members`."""
-    return certify_members(points, gens, tol).member
+    the verdicts of `certify_members`, without their half-spaces."""
+    pts = _as_grid(points, gens.dimension)
+    return _verdicts(pts, gens, resolve_tolerance(tol))[0]
 
 
 def hull_member(point, gens: GeneratorSet, tol: float | None = None) -> bool:
@@ -247,9 +243,9 @@ def barycenter_members(points, gens: GeneratorSet, tol: float | None = None) -> 
     is reached by no density."""
     tol = resolve_tolerance(tol)
     pts = _as_grid(points, gens.dimension)
-    verdicts = _certify(pts, gens, tol)
+    member, weights, _, _ = _verdicts(pts, gens, tol)
     reached = np.zeros(len(pts), dtype=bool)
-    reached[verdicts.member] = _reaches(pts[verdicts.member], gens, verdicts.weights, tol)
+    reached[member] = _reaches(pts[member], gens, weights, tol)
     return reached
 
 
@@ -276,57 +272,35 @@ def check_algebra(gens: GeneratorSet, N: MetaDensity, tol: float | None = None) 
 
 
 def _certificates_hold(pts: np.ndarray, gens: GeneratorSet, v: HullVerdicts, tol: float) -> bool:
+    # do the certificates prove their verdicts?  Reads only the certificates,
+    # the generators and the points
     if not _reaches(pts[v.member], gens, v.weights, tol).all():
         return False
     x = gens.points
     outside = pts[~v.member]
     # every generator lies in the half-space of every point that is out; the
-    # right side comes from the points, not from the certificate
+    # right side comes from the points, not from the certificate, and so does
+    # the scale of the slack
     held = _max_gap(-v.peak[:, None], x, v.projection[:, None, :])
     bound = _max_gap(0.0, x, outside[:, None, :])
-    if not np.all(held <= bound + HALF_SPACE_SLACK):
+    scale = max(1.0, np.abs(x).max(), np.abs(outside).max(initial=0.0))
+    if not np.all(held <= bound + HALF_SPACE_SLACK * scale):
         return False
     # and the point itself lies beyond it, where the right side is 0
     return bool(np.all(_max_gap(-v.peak, outside, v.projection) > tol))
-
-
-def check_certificates(
-    gens: GeneratorSet, points, verdicts: HullVerdicts, tol: float | None = None
-) -> bool:
-    """Do the certificates prove their verdicts on each row of an (m, d)
-    array?  The weights of the members must be max-plus densities whose
-    combinations land within tol of their points; every generator must lie
-    in the half-space of every point that is out, to within
-    HALF_SPACE_SLACK, and each such point beyond its own by more than tol.
-    A certificate of the wrong shape raises ValueError."""
-    tol = resolve_tolerance(tol)
-    pts = _as_grid(points, gens.dimension)
-    member = np.asarray(verdicts.member)
-    if member.dtype != bool or member.shape != (len(pts),):
-        raise ValueError(f"member must hold one bool per point, got {member.dtype} {member.shape}")
-    inside = int(member.sum())
-    outside = len(pts) - inside
-    weights = np.asarray(verdicts.weights, dtype=float)
-    if weights.ndim != 2 or len(weights) != inside:
-        raise ValueError(f"weights need one row per member ({inside}), got shape {weights.shape}")
-    peak = np.asarray(verdicts.peak, dtype=float)
-    projection = np.asarray(verdicts.projection, dtype=float)
-    if peak.shape != (outside,) or projection.shape != (outside, gens.dimension):
-        raise ValueError(
-            f"peak and projection need one entry per point that is out ({outside}),"
-            f" got shapes {peak.shape} and {projection.shape}"
-        )
-    return _certificates_hold(pts, gens, HullVerdicts(member, weights, peak, projection), tol)
 
 
 def check_convexity_equivalence(
     gens: GeneratorSet, grid, tol: float | None = None
 ) -> bool:
     """Hull membership and barycenter reachability give the same verdict on
-    every probe point, proved verdict by verdict: each member's weights are
-    a density whose barycenter is the point, and each point that is out lies
-    beyond a half-space that holds every generator, so no barycenter reaches
-    it (`check_certificates` on the certificates of `certify_members`)."""
+    every probe point, proved verdict by verdict from the certificates of
+    `certify_members`.  The members' weights pass as one block of max-plus
+    densities whose barycenters must land within tol of their points.  Every
+    generator must lie in the half-space of every point that is out, to
+    within HALF_SPACE_SLACK relative to the largest coordinate, so no
+    barycenter reaches that point; and each such point must lie beyond its
+    own half-space by more than tol."""
     tol = resolve_tolerance(tol)
     pts = _as_grid(grid, gens.dimension)
     return _certificates_hold(pts, gens, _certify(pts, gens, tol), tol)

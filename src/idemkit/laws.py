@@ -503,7 +503,8 @@ def _possmult(rng, run: Run):
 
 @_suite(
     "convexity", 20,
-    "hull membership, barycenter reachability, and the algebra laws agree on generator systems",
+    "every hull verdict carries a certificate that a separate check accepts, and the algebra"
+    " laws hold on generator systems",
 )
 def _convexity(rng, run: Run):
     dim = 2 if rng.random() < 0.5 else 3
@@ -511,7 +512,7 @@ def _convexity(rng, run: Run):
     witness = {"generators": generators_to_doc(gens)}
     grid = bounding_grid(gens, per_axis=11)
     if not check_convexity_equivalence(gens, grid, run.tol):
-        return "hull membership and barycenter reachability disagree", witness
+        return "a hull verdict has no valid certificate", witness
     N = random_meta_on_generators(rng, len(gens))
     if not check_algebra(gens, N, run.tol):
         return "barycenter does not absorb multiplication", {**witness, "meta": meta_to_doc(N)}

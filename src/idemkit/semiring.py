@@ -46,7 +46,11 @@ def resolve_tolerance(tol: float | None) -> float:
     bool."""
     if tol is None:
         return default_tolerance()
-    if isinstance(tol, bool):  # float(True) is 1.0
+    # float(True) is 1.0: refuse a bool, Python's or numpy's, behind one class
+    # test on the common path, the resolved float that law suites pass on
+    if tol.__class__ is not float and (
+        isinstance(tol, bool) or getattr(tol, "dtype", None) == bool
+    ):
         raise ValueError(f"tol must be a number, got {tol!r}")
     try:
         value = float(tol)

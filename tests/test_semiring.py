@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -146,9 +147,10 @@ def test_tolerance_env_rejects_bad_values(monkeypatch, raw):
         score_eq(1.0, 1.0)
 
 
-# True would run as 1.0, and 10**400 overflows a double
+# True would run as 1.0, numpy's bools too, and 10**400 overflows a double
 @pytest.mark.parametrize(
     "tol", [-1, -1e-12, float("nan"), float("inf"), float("-inf"), "abc", True, False,
+     pytest.param(np.True_, id="np.True_"), pytest.param(np.array(False), id="array(False)"),
      pytest.param(10**400, id="10**400")]
 )
 def test_explicit_tolerance_rejects_bad_values(tol):
@@ -163,5 +165,9 @@ def test_explicit_tolerance_rejects_bad_values(tol):
 def test_explicit_tolerance_is_used_as_given():
     assert resolve_tolerance(0) == 0.0
     assert resolve_tolerance(0.5) == 0.5
+    # numpy numbers that are not bools pass as their float
+    assert resolve_tolerance(np.float64(0.25)) == 0.25
+    assert resolve_tolerance(np.int64(2)) == 2.0
+    assert resolve_tolerance(np.array(1e-3)) == 1e-3
     assert score_eq(1.0, 1.4, tol=0.5)
     assert not score_eq(1.0, 1.0 + 1e-12, tol=0.0)
