@@ -9,12 +9,13 @@ Each kind of weight has one drawer: `_plus_weights` draws the max-plus
 weights of random_weight_vector and random_maxplus_density, and
 `_unit_weights` those of random_maxtimes_density and the unquantized
 random_possibility_profile, so equal draws make equal weights on both.
-A drawer splits at the library's one size rule, measures.ARRAY_MIN_POINTS:
-below it, on the small spaces the law suites draw, it works on Python floats
-taken from its draws with `.tolist()`, which costs less than numpy's calls,
-and the density is built by its label-dict constructor; from it on it stays
-in numpy and the density is built by `from_vector`.  Both bodies make the
-same Philox draws in the same order and give bitwise-equal floats.  A meta
+A drawer's arithmetic splits at the library's one size rule,
+spaces.ARRAY_MIN_POINTS: below it, on the small spaces the law suites draw,
+it works on Python floats taken from its draws with `.tolist()`, which costs
+less than numpy's calls; from it on it stays in numpy.  Both bodies make the
+same Philox draws in the same order and give bitwise-equal floats, and the
+density is built by `PointValues._built`, through the label-dict constructor
+below the rule and `from_vector` from it on.  A meta
 level (`_random_level`) normalizes its few weights as Python floats alone,
 since the meta constructor reads them one by one.  random_space has one
 label per letter and refuses to draw a larger space.
@@ -30,9 +31,7 @@ import numpy as np
 from .capacities import Capacity, MetaPossibility, PossibilityProfile
 from .convexity import GeneratorSet, index_space
 from .measures import (
-    ARRAY_MIN_POINTS,
     MAXPLUS,
-    Density,
     MaxPlusDensity,
     MaxTimesDensity,
     Meta,
@@ -43,7 +42,7 @@ from .measures import (
 )
 from .seeding import trial_stream
 from .semiring import BOTTOM
-from .spaces import FiniteSpace, PointMap, RealFunction
+from .spaces import ARRAY_MIN_POINTS, FiniteSpace, PointMap, RealFunction
 
 __all__ = [
     "trial_stream",
@@ -125,16 +124,6 @@ def random_comonotone_pair(
     return RealFunction.from_vector(space, phi), RealFunction.from_vector(space, psi)
 
 
-def _built(cls: type[Density], space: FiniteSpace, weights: list[float] | np.ndarray) -> Density:
-    """The `cls` density whose weights in point order are those a drawer
-    gave on `space`: a list, built through the label-dict constructor, below
-    ARRAY_MIN_POINTS points, and an array, built through `from_vector`, from
-    it on."""
-    if len(space.points) < ARRAY_MIN_POINTS:
-        return cls(space, dict(zip(space.points, weights)))
-    return cls.from_vector(space, weights)
-
-
 def _plus_weights(
     rng: np.random.Generator, n: int, min_weight: float, bottom_rate: float
 ) -> list[float] | np.ndarray:
@@ -163,7 +152,7 @@ def random_maxplus_density(
 ) -> MaxPlusDensity:
     """The density whose weights in point order are those of
     random_weight_vector."""
-    return _built(MaxPlusDensity, space, _plus_weights(rng, len(space), min_weight, bottom_rate))
+    return MaxPlusDensity._built(space, _plus_weights(rng, len(space), min_weight, bottom_rate))
 
 
 def _unit_weights(rng: np.random.Generator, n: int, zero_rate: float) -> list[float] | np.ndarray:
@@ -189,7 +178,7 @@ def _unit_weights(rng: np.random.Generator, n: int, zero_rate: float) -> list[fl
 def random_maxtimes_density(
     rng: np.random.Generator, space: FiniteSpace, zero_rate: float = 0.25
 ) -> MaxTimesDensity:
-    return _built(MaxTimesDensity, space, _unit_weights(rng, len(space), zero_rate))
+    return MaxTimesDensity._built(space, _unit_weights(rng, len(space), zero_rate))
 
 
 def _random_level(
@@ -280,10 +269,10 @@ def random_possibility_profile(
     multiple of 1/quantum so it lies on the matching threshold sweep grid."""
     n = len(space)
     if quantum is None:
-        return _built(PossibilityProfile, space, _unit_weights(rng, n, zero_rate))
+        return PossibilityProfile._built(space, _unit_weights(rng, n, zero_rate))
     draws = rng.integers(0, quantum + 1, n) / float(quantum)
     draws[int(rng.integers(0, n))] = 1.0
-    return _built(PossibilityProfile, space, draws.tolist() if n < ARRAY_MIN_POINTS else draws)
+    return PossibilityProfile._built(space, draws.tolist())
 
 
 def random_meta_possibility(

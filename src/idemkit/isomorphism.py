@@ -3,17 +3,16 @@
 Pointwise exp turns a max-plus density into a max-times one and is compatible
 with units, pushforwards, and both multiplications; pointwise log inverts it.
 The morphism checks below recompute both sides of each compatibility square
-through independent code paths.
+through independent code paths.  Each direction has one body, on Python
+floats, whatever the size of the space; the result is built by the size rule
+of `spaces.PointValues._built`.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .measures import (
-    ARRAY_MIN_POINTS,
     DEFAULT_PROBE_BOUND,
     MAXTIMES,
     MaxPlusDensity,
@@ -25,15 +24,13 @@ from .measures import (
     measure_multiplication,
     multiply,
 )
-from .semiring import BOTTOM, exp_bridge, log_bridge
+from .semiring import BOTTOM, exp_bridge
 
 
 def density_exp(f: MaxPlusDensity) -> MaxTimesDensity:
     """Pointwise exp; the peak at 0 lands exactly on 1."""
-    if len(f.space) < ARRAY_MIN_POINTS:
-        return MaxTimesDensity(f.space, {p: exp_bridge(w) for p, w in f.weights.items()})
     # exp_bridge only adds a check for positive weights, which f has none of
-    return MaxTimesDensity.from_vector(f.space, list(map(math.exp, f.vector.tolist())))
+    return MaxTimesDensity._built(f.space, list(map(math.exp, f.vector.tolist())))
 
 
 def density_log(g: MaxTimesDensity) -> MaxPlusDensity:
@@ -43,25 +40,17 @@ def density_log(g: MaxTimesDensity) -> MaxPlusDensity:
     result is shifted by that maximum (a move bounded by the slack) so the
     output satisfies the exact peak-0 invariant.
 
-    Both directions map math.exp or math.log over the weights on every size
-    of space, as exp_bridge and log_bridge do: np.log differs from math.log
-    in the last bit on some inputs.
+    Both directions map math.exp or math.log over the weight vector's
+    floats, as exp_bridge and log_bridge do (np.log differs from math.log in
+    the last bit on some inputs), and build the result by the size rule of
+    `PointValues._built`.
     """
-    if len(g.space) < ARRAY_MIN_POINTS:
-        weights = {p: log_bridge(w) for p, w in g.weights.items()}
-        peak = max(weights.values())
-        if peak != 0.0:
-            weights = {p: w - peak for p, w in weights.items()}
-        return MaxPlusDensity(g.space, weights)
-    # log_bridge: bottom at the zeros, math.log elsewhere
-    weights = g.vector
-    inside = weights != 0.0
-    logs = np.full(len(weights), BOTTOM)
-    logs[inside] = list(map(math.log, weights[inside].tolist()))
-    peak = logs.max()
+    log = math.log
+    logs = [log(w) if w != 0.0 else BOTTOM for w in g.vector.tolist()]  # log_bridge
+    peak = max(logs)
     if peak != 0.0:
-        logs -= peak
-    return MaxPlusDensity.from_vector(g.space, logs)
+        logs = [w - peak for w in logs]
+    return MaxPlusDensity._built(g.space, logs)
 
 
 def meta_exp(F: MetaDensity) -> MetaTimesDensity:

@@ -10,27 +10,28 @@ multiplications, and a third nesting level feeds the associativity checks.
 Densities and metas share the frozen base `spaces.Frozen`: a constructor
 writes each attribute once through the instance dict, and assigning or
 deleting one raises FrozenInstanceError.
-A real function (idemkit.spaces) is one class that holds a vector in point
-order and, when built from one, a label dict.  eval_measure reduces a
-density against it by the size rule of multiply below: one numpy reduction
-over the two vectors from ARRAY_MIN_POINTS points on, a loop over the two
-label dicts below it.  density_from_functional builds its probes in blocks
-of at most PROBE_BLOCK_CELLS values and hands each block to the probe layer
-of idemkit.spaces (`probe_values`), so an oracle with a `batch` form, such
-as the one behind measure_multiplication, evaluates each block whole.
+A real function (idemkit.spaces) and a density are built and stored by one
+class, `spaces.PointValues`: one label-dict constructor, `from_vector` for
+one vector and `rows` for a block, each checking the range (for a density
+[bottom, peak] of its side) and, for a density, the peak.  An object stores
+the label dict (`weights`, `values`) or the vector in point order, whichever
+it was built from, and makes the other on first read; `PointValues._built`
+picks the constructor by the size rule, ARRAY_MIN_POINTS, for the results of
+density_from_functional, the bridge and the drawers.
+density_from_functional builds its probes in blocks of at most
+PROBE_BLOCK_CELLS values and hands each block to the probe layer of
+idemkit.spaces (`probe_values`), so an oracle with a `batch` form, such as
+the one behind measure_multiplication, evaluates each block whole.
 
-A density stores a label dict or a weight vector in point order, whichever
-it was built from, and makes the other on first read.  Its vector
-constructors are those of every per-point type (`spaces.PointValues`):
-`from_vector` checks one weight vector and `rows` a whole block at once,
-through the side's range and, on top, the peak (`Density.check_range`).
-On spaces of at least ARRAY_MIN_POINTS points, multiply is one (x)
-broadcast and a max over the stacked weight vectors, pushforward one
-np.maximum.at over the target index of each point, and the closeness of
-two densities one comparison of their weight vectors; multiply and
-pushforward keep the first of equal weights, as their label-dict loops do,
-so even a zero keeps its sign.  On smaller spaces, the only ones the law suites draw, the loops are faster,
-because numpy's cost per call outweighs its cost per point there.
+The compute forks on the same rule.  On spaces of at least ARRAY_MIN_POINTS
+points, eval_measure is one numpy reduction over the two vectors, multiply
+one (x) broadcast and a max over the stacked weight vectors, pushforward one
+np.maximum.at over the target index of each point, and the closeness of two
+densities one comparison of their weight vectors; multiply and pushforward
+keep the first of equal weights, as their label-dict loops do, so even a
+zero keeps its sign.  On smaller spaces, the only ones the law suites draw,
+the loops are faster, because numpy's cost per call outweighs its cost per
+point there.
 The public classes only fix a side and an entry type, and every operation
 reads the side off its argument; the *_times names are aliases kept for
 callers.
@@ -38,8 +39,9 @@ callers.
 Constructors reject unnormalized input instead of silently renormalizing;
 normalize divides out the peak explicitly (shifting on the max-plus side,
 scaling on the max-times side).  Each checks its input in one pass and
-reports the first fault in a fixed order: for a density, unknown labels,
-then point by point a missing or bad weight, then the peak.
+reports the first fault in a fixed order: for a density, and for normalize
+before it divides, unknown labels, then point by point a missing or bad
+weight, then the peak.  A meta names the support position of a bad pair.
 Bottom-weight entries are dropped from meta supports, and support entries
 equal within tolerance are merged by taking the larger weight.  The default
 tolerance (semiring.default_tolerance, which reads IDEMKIT_TOLERANCE) is
@@ -49,6 +51,7 @@ one-entry meta never reads it.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Mapping
@@ -57,6 +60,7 @@ import numpy as np
 
 from .semiring import BOTTOM, resolve_tolerance
 from .spaces import (
+    ARRAY_MIN_POINTS,
     PROBE_BLOCK_CELLS,
     FiniteSpace,
     Frozen,
@@ -66,7 +70,6 @@ from .spaces import (
     check_probe_bound,
     in_point_order,
     probe_values,
-    stored,
     validate_map,
 )
 
@@ -74,15 +77,6 @@ from .spaces import (
 TIMES_NORM_SLACK = 1e-12
 
 DEFAULT_PROBE_BOUND = 64.0
-
-# multiply, pushforward and the exp/log bridge run in numpy from this many
-# points on.  Below it their label-dict loops are faster: numpy's cost per
-# call (about 15-45 us) outweighs its cost per point, so at 4 points the
-# loops are 4-8x faster, and the crossovers timed on 2 vCPUs lie at 48-64
-# points for multiply and the bridge and near 100 for pushforward.  The law
-# suites draw spaces of at most 5 points.
-ARRAY_MIN_POINTS = 64
-
 
 @dataclass(frozen=True)
 class Side:
@@ -114,86 +108,17 @@ class Density(PointValues):
     """A weight in [bottom, peak] for every point of the space, attaining the
     peak; weights at bottom mark points outside the support.
 
-    A density holds its weights either as the label dict `weights` or as
-    the read-only float64 vector `vector` in point order, whichever it was
-    built from; the other is made on first read and stored.  The
-    constructor takes a label dict; `from_vector` and `rows`, those of
-    every per-point type (`spaces.PointValues`), take weights in point
-    order and check them in numpy, through the range of the side
-    (`inside`, `outside`) and the peak check of `check_range`."""
+    Built and stored as every per-point type is (`spaces.PointValues`): the
+    label dict `weights` or the vector `vector`, the range [bottom, peak] of
+    the side, and the peak within the side's slack."""
 
     side: ClassVar[Side]
-
-    def __init__(self, space: FiniteSpace, weights: Mapping[str, float]):
-        side = self.side
-        if weights.keys() != space.label_set:
-            extra = weights.keys() - space.label_set
-            if extra:
-                raise ValueError(f"weights given for unknown points: {sorted(extra)}")
-        bottom, top = side.bottom, side.peak
-        vals = {}
-        for p in space.points:
-            if p not in weights:
-                raise ValueError(f"missing weight for point {p!r}")
-            try:
-                w = float(weights[p])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"{exc} at point {p!r}") from None
-            if not bottom <= w <= top:  # inside(), for one weight
-                raise ValueError(self.outside(w, p))
-            vals[p] = w
-        peak = max(vals.values())
-        if abs(peak - side.peak) > side.slack:
-            raise ValueError(f"peak weight is {peak!r}, expected {side.peak!r} (use normalize)")
-        self.__dict__.update(space=space, weights=vals)
-
-    @classmethod
-    def inside(cls, values: np.ndarray) -> np.ndarray:
-        """Which weights lie in [bottom, peak] of the side."""
-        side = cls.side
-        return (values >= side.bottom) & (values <= side.peak)  # also rejects NaN
+    noun = "weight"
 
     @classmethod
     def outside(cls, w: float, p: str) -> str:
         """The error text for a weight outside [bottom, peak], at point p."""
         return f"{cls.side.outside(w)} at point {p!r}"
-
-    @classmethod
-    def check_range(cls, space: FiniteSpace, values: np.ndarray) -> None:
-        """The range check of `PointValues`, then the peak: a vector, or
-        each row of a block, must attain the side's peak within its slack.
-        The error names the point of the highest weight and, in a block,
-        its row."""
-        super().check_range(space, values)
-        side = cls.side
-        block = values.reshape(-1, len(space))
-        peaks = block.max(axis=1)
-        off = np.abs(peaks - side.peak) > side.slack
-        if off.any():
-            r = int(off.argmax())
-            where = f" in row {r}" if values.ndim == 2 else ""
-            raise ValueError(
-                f"peak weight is {float(peaks[r])!r} at point {space.points[block[r].argmax()]!r}"
-                f"{where}, expected {side.peak!r} (use normalize)"
-            )
-
-    @stored
-    def weights(self) -> dict[str, float]:
-        """The weights by label, in point order."""
-        return dict(zip(self.space.points, self.vector.tolist()))
-
-    @stored
-    def vector(self) -> np.ndarray:
-        """The weights in point order, as a read-only float64 array."""
-        vec = np.fromiter(self.weights.values(), float, len(self.space))
-        vec.setflags(write=False)
-        return vec
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(space={self.space!r}, weights={self.weights!r})"
-
-    def __call__(self, point: str) -> float:
-        return self.weights[point]
 
     def support(self) -> tuple[str, ...]:
         bottom = self.side.bottom
@@ -204,6 +129,7 @@ class MaxPlusDensity(Density):
     """Weights in [-inf, 0] with peak exactly 0."""
 
     side = MAXPLUS
+    bounds, slack = (MAXPLUS.bottom, MAXPLUS.peak), MAXPLUS.slack
 
 
 class MaxTimesDensity(Density):
@@ -211,6 +137,7 @@ class MaxTimesDensity(Density):
     constructors produce an exact 1)."""
 
     side = MAXTIMES
+    bounds, slack = (MAXTIMES.bottom, MAXTIMES.peak), MAXTIMES.slack
 
 
 def _close(a, b, tol: float) -> bool:
@@ -271,7 +198,15 @@ class Meta(Frozen):
         side, entry = self.side, self.entry
         bottom, top = side.bottom, side.peak
         kept = []
-        for k, (item, w) in enumerate(support):
+        try:
+            pairs = enumerate(support)
+        except TypeError:
+            raise ValueError(f"support must be iterable, got {type(support).__name__}") from None
+        for k, pair in pairs:
+            try:
+                item, w = pair
+            except (TypeError, ValueError):
+                raise ValueError(f"support position {k} is not an (entry, weight) pair") from None
             try:
                 w = float(w)
             except (TypeError, OverflowError) as exc:  # a ValueError keeps its own text
@@ -348,12 +283,30 @@ METAS = {cls.side.kind: cls for cls in (MetaDensity, MetaTimesDensity)}
 def normalize(space: FiniteSpace, weights: Mapping[str, float], side: Side = MAXPLUS) -> Density:
     """Divide the peak out of the weights (subtract it on the max-plus side,
     divide by it on the max-times side) so the peak lands exactly on the
-    side's peak."""
-    peak = max(float(w) for w in weights.values())
-    if not peak > side.bottom:
-        raise ValueError(f"cannot normalize: every weight is {side.bottom!r}")
-    residual = side.residual
-    return DENSITIES[side.kind](space, {p: residual(float(w), peak) for p, w in weights.items()})
+    side's peak.  The weights are checked first, in the constructor's order:
+    unknown labels, then point by point a missing or unconvertible weight or
+    one outside [bottom, inf), then a peak at bottom."""
+    try:
+        extra = weights.keys() - space.label_set
+    except AttributeError:
+        raise ValueError(f"weights must be a mapping, got {type(weights).__name__}") from None
+    if extra:
+        raise ValueError(f"weights given for unknown points: {sorted(extra)}")
+    bottom, vals = side.bottom, {}
+    for p in space.points:
+        if p not in weights:
+            raise ValueError(f"missing weight for point {p!r}")
+        try:
+            w = float(weights[p])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{exc} at point {p!r}") from None
+        if not bottom <= w < math.inf:
+            raise ValueError(f"cannot normalize weight {w!r} at point {p!r}: outside [{bottom}, inf)")
+        vals[p] = w
+    peak = max(vals.values())
+    if not peak > bottom:
+        raise ValueError(f"cannot normalize: every weight is {bottom!r}")
+    return DENSITIES[side.kind](space, {p: side.residual(w, peak) for p, w in vals.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +362,7 @@ def density_from_functional(
         block = np.full((min(step, n - start), n), -bound)
         block.reshape(-1)[start :: n + 1] = 0.0  # row r probes point start + r
         values += probe_values(oracle, space, block).tolist()
-    weights = [BOTTOM if v <= cut else v for v in values]
-    if n < ARRAY_MIN_POINTS:
-        return MaxPlusDensity(space, dict(zip(space.points, weights)))
-    return MaxPlusDensity.from_vector(space, weights)
+    return MaxPlusDensity._built(space, [BOTTOM if v <= cut else v for v in values])
 
 
 # ---------------------------------------------------------------------------

@@ -4,19 +4,22 @@ On a finite space every function is continuous and every subset is both
 closed and open, so no topology objects are needed: level sets, pushforwards
 and comonotonicity all reduce to exact finite computations.
 
-Every per-point type shares one vector layer, `PointValues`: the values as
-a read-only float vector in point order, built by `from_vector` (one
-vector) or `rows` (one object per row of a block) and checked in numpy by
-`check_range`, through the `inside` and `outside` hooks of the class.  One
-class holds every real function: `RealFunction` keeps that vector, and a
-label dict when built from one (a function built from a vector makes its
-dict on first read).  `UnitFunction` only narrows the range check to
-[0, 1], and `Probe` is the vector constructor under its own name; the
-densities of idemkit.measures are the other per-point types, whose range
-check adds the peak.  Consumers read whichever form suits their size:
-eval_measure reduces the vector in numpy from measures.ARRAY_MIN_POINTS
-points on and loops over the dict below, and the level-set integrals scan
-the vector.
+Every per-point type is built and stored by one class, `PointValues`: one
+label-dict constructor, `from_vector` (one vector in point order) and `rows`
+(one object per row of a block, checked in numpy by `check_range`).  A
+subclass supplies only its closed range `bounds`, its error text `outside`,
+its `noun`, and, for a density, the `slack` of its peak.  An object stores
+the label dict (under `values` for a function, `weights` for a density) or
+the read-only float vector `vector`, whichever it was built from, and makes
+the other on first read.  `PointValues._built` is the one choice between the
+two constructors, by the size rule ARRAY_MIN_POINTS: a list of floats goes
+through the dict below it, an array through `from_vector` from it on.
+`RealFunction` holds every real function, `UnitFunction` narrows its range
+to [0, 1], and `Probe` is the vector constructor under its own name; the
+densities of idemkit.measures are the other per-point types.  Consumers read
+whichever form suits their size: eval_measure reduces the vector in numpy
+from ARRAY_MIN_POINTS points on and loops over the dict below, and the
+level-set integrals scan the vector.
 
 This module is also the probe layer that density_from_functional and
 recover_capacity share.  A probe is a function built from a float vector in
@@ -33,13 +36,23 @@ array could still write that memory.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Iterator, Mapping
+from typing import ClassVar, Iterator, Mapping
 
 import numpy as np
 
 # absorbs rounding of equal values when a product of differences sits at zero
 COMONOTONE_SLACK = 1e-12
+
+# multiply, pushforward, eval_measure and the closeness of densities run in
+# numpy from this many points on, and PointValues._built builds through
+# from_vector.  Below it label-dict loops and the label-dict constructor are
+# faster: numpy's cost per call (about 15-45 us) outweighs its cost per
+# point, so at 4 points the loops are 4-8x faster, and the crossovers timed
+# on 2 vCPUs lie at 48-64 points for multiply and near 100 for pushforward.
+# The law suites draw spaces of at most 5 points.
+ARRAY_MIN_POINTS = 64
 
 # the most values in one block of probes: 2**16 doubles, 512 KiB, which
 # stays in cache (one 1000 x 1000 block was about 2x slower)
@@ -52,9 +65,9 @@ class stored:
     functools.cached_property does, without the lock it takes on Python
     3.11."""
 
-    def __init__(self, make):
+    def __init__(self, make, name: str | None = None):
         self.make = make
-        self.name = make.__name__
+        self.name = name or make.__name__
         self.__doc__ = make.__doc__
 
     def __get__(self, obj, cls=None):
@@ -120,11 +133,60 @@ class FiniteSpace:
 
 
 class PointValues(Frozen):
-    """A value for every point of a space, held as the read-only float64
-    vector `vector` in point order: the one layer that real functions and
-    densities share.  `from_vector` and `rows` take values in point order
-    and check them in numpy through `check_range`, which reads the range off
-    a subclass's `inside` and the error text off its `outside`."""
+    """A value for every point of a space: the one class that builds and
+    stores real functions and densities alike.  A subclass supplies its
+    range as the closed `bounds` (lo, hi), the error text for a value
+    outside them (`outside`), its `noun` ("value" or "weight"), and, for a
+    density, the `slack` within which its highest value must reach hi.
+
+    The label-dict constructor checks a dict, and `from_vector` and `rows`
+    check values in point order, in numpy, through `check_range`.  An
+    object stores the form it was built from, the label dict under the
+    plural of its noun (`values`, `weights`) or the read-only float64
+    vector `vector` in point order, and makes the other on first read."""
+
+    bounds: ClassVar[tuple[float, float]]
+    noun: ClassVar[str]
+    slack: ClassVar[float | None] = None  # None: no peak to reach
+
+    def __init_subclass__(cls):
+        # the label dict is stored, and read, under the plural of the noun
+        if "noun" in cls.__dict__:
+            cls._field = cls.noun + "s"
+            setattr(cls, cls._field, stored(PointValues._by_label, cls._field))
+
+    def __init__(self, space: FiniteSpace, values: Mapping[str, float]):
+        """The object with these values by label.  It reports the first
+        fault in a fixed order: a non-mapping, unknown labels, then point by
+        point a missing, unconvertible or out-of-range value, then a peak
+        off the top of the range."""
+        try:
+            keys = values.keys()
+        except AttributeError:
+            raise ValueError(f"{self._field} must be a mapping, got {type(values).__name__}") from None
+        if keys != space.label_set:
+            extra = keys - space.label_set
+            if extra:
+                raise ValueError(f"{self._field} given for unknown points: {sorted(extra)}")
+        lo, hi = self.bounds
+        vals = {}
+        for p in space.points:
+            if p not in values:
+                raise ValueError(f"missing {self.noun} for point {p!r}")
+            try:
+                v = float(values[p])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{exc} at point {p!r}") from None
+            if not lo <= v <= hi:  # the range check of check_range, for one value
+                raise ValueError(self.outside(v, p))
+            vals[p] = v
+        if self.slack is not None:
+            peak = max(vals.values())
+            if abs(peak - hi) > self.slack:
+                raise ValueError(f"peak {self.noun} is {peak!r}, expected {hi!r} (use normalize)")
+        attrs = self.__dict__
+        attrs["space"] = space
+        attrs[self._field] = vals
 
     @classmethod
     def from_vector(cls, space: FiniteSpace, vector):
@@ -148,6 +210,16 @@ class PointValues(Frozen):
         return obj
 
     @classmethod
+    def _built(cls, space: FiniteSpace, values: list[float] | np.ndarray):
+        """The object whose values in point order are `values`, built by the
+        library's size rule: through the label-dict constructor below
+        ARRAY_MIN_POINTS points, where a list of floats is cheapest, and
+        through `from_vector` from it on, where an array is."""
+        if len(space.points) < ARRAY_MIN_POINTS:
+            return cls(space, dict(zip(space.points, values)))
+        return cls.from_vector(space, values)
+
+    @classmethod
     def rows(cls, space: FiniteSpace, matrix) -> list:
         """One object per row of an (m, len(space)) block, each a view of
         it.  The block is checked once, with the invariants of the
@@ -159,64 +231,59 @@ class PointValues(Frozen):
     def check_range(cls, space: FiniteSpace, values: np.ndarray) -> None:
         """Reject a vector, or a block with one object per row, holding a
         value outside the range; the error names the first such value's
-        point and, in a block, its row."""
-        inside = cls.inside(values)
+        point and, in a block, its row.  Then, with a `slack`, the peak: a
+        vector, or each row of a block, must reach the top of the range
+        within it; the error names the point of the highest value."""
+        lo, hi = cls.bounds
+        inside = (values >= lo) & (values <= hi)  # also rejects NaN
         if np.count_nonzero(inside) != inside.size:
             *row, i = np.argwhere(~inside)[0].tolist()
             where = f" in row {row[0]}" if row else ""
             raise ValueError(cls.outside(float(values[(*row, i)]), space.points[i]) + where)
+        if cls.slack is not None:
+            block = values.reshape(-1, len(space))
+            peaks = block.max(axis=1)
+            off = np.abs(peaks - hi) > cls.slack
+            if off.any():
+                r = int(off.argmax())
+                where = f" in row {r}" if values.ndim == 2 else ""
+                raise ValueError(
+                    f"peak {cls.noun} is {float(peaks[r])!r} at point"
+                    f" {space.points[block[r].argmax()]!r}{where}, expected {hi!r} (use normalize)"
+                )
+
+    def _by_label(self) -> dict[str, float]:
+        """The values by label, in point order."""
+        return dict(zip(self.space.points, self.vector.tolist()))
+
+    @stored
+    def vector(self) -> np.ndarray:
+        """The values in point order, as a read-only float64 array."""
+        return take_over(np.fromiter(self.__dict__[self._field].values(), float, len(self.space)))
+
+    def __repr__(self) -> str:
+        field = self._field
+        return f"{type(self).__name__}(space={self.space!r}, {field}={getattr(self, field)!r})"
+
+    def __call__(self, point: str) -> float:
+        return getattr(self, self._field)[point]
 
 
 class RealFunction(PointValues):
-    """A finite value for every point of the space.
+    """A finite value for every point of the space, held as the label dict
+    `values` or the vector `vector` (`PointValues`)."""
 
-    A function holds its values as the read-only float64 vector `vector` in
-    point order, and as the label dict `values` when it was built from one;
-    a function built from a vector makes its dict on first read and stores
-    it.  The constructor takes a label dict, `from_vector` and `rows` of
-    `PointValues` values in point order; all three check the values in
-    numpy, through `inside` and `outside`, the range check a subclass
-    overrides."""
-
-    def __init__(self, space: FiniteSpace, values: Mapping[str, float]):
-        extra = values.keys() - space.label_set
-        if extra:
-            raise ValueError(f"values given for unknown points: {sorted(extra)}")
-        vals = {}
-        for p in space.points:
-            if p not in values:
-                raise ValueError(f"missing value for point {p!r}")
-            try:
-                vals[p] = float(values[p])
-            except (TypeError, OverflowError) as exc:  # a ValueError keeps its own text
-                raise ValueError(f"{exc} at point {p!r}") from None
-        vec = np.fromiter(vals.values(), float, len(vals))
-        self.__dict__.update(self.from_vector(space, vec).__dict__, values=vals)
+    bounds = (-sys.float_info.max, sys.float_info.max)  # closed, so +-inf and NaN fall outside
+    noun = "value"
 
     @classmethod
     def constant(cls, space: FiniteSpace, value: float) -> "RealFunction":
         return cls.from_vector(space, np.full(len(space), value, dtype=float))
 
     @staticmethod
-    def inside(values: np.ndarray) -> np.ndarray:
-        """Which values lie in the range: here the finite ones."""
-        return np.isfinite(values)
-
-    @staticmethod
     def outside(v: float, p: str) -> str:
         """The error text for a value outside the range, at point p."""
         return f"non-finite value {v!r} at point {p!r}"
-
-    @stored
-    def values(self) -> dict[str, float]:
-        """The values by label, in point order."""
-        return dict(zip(self.space.points, self.vector.tolist()))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(space={self.space!r}, values={self.values!r})"
-
-    def __call__(self, point: str) -> float:
-        return self.values[point]
 
 
 class Probe(RealFunction):
@@ -231,9 +298,7 @@ class Probe(RealFunction):
 class UnitFunction(RealFunction):
     """A value in [0, 1] for every point of the space."""
 
-    @staticmethod
-    def inside(values: np.ndarray) -> np.ndarray:
-        return (values >= 0.0) & (values <= 1.0)  # also rejects NaN
+    bounds = (0.0, 1.0)
 
     @staticmethod
     def outside(v: float, p: str) -> str:

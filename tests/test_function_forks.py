@@ -2,21 +2,26 @@
 One class, RealFunction, stores every function; Probe and UnitFunction are
 names for its vector constructor and its [0, 1] range, so a reader that
 tells them apart with isinstance would bring back a second code path.
-Densities build from vectors and blocks with the same constructors as real
-functions, so those are defined once."""
+Densities build from label dicts, vectors and blocks with the same
+constructors as real functions, so those are defined once, and the size
+rule ARRAY_MIN_POINTS is read only where a body forks on it."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 from idemkit.capacities import PossibilityProfile
 from idemkit.measures import MaxPlusDensity, MaxTimesDensity
-from idemkit.spaces import Probe, RealFunction, UnitFunction
+from idemkit.spaces import PointValues, Probe, RealFunction, UnitFunction
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "idemkit"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 SUBCLASSES = {"Probe", "UnitFunction"}
+# the modules whose bodies fork on the size rule: the constructor choice
+# (spaces), the compute forks (measures) and the drawers (generate)
+SIZE_RULE_READERS = {"spaces.py", "measures.py", "generate.py"}
 
 
 def representation_forks(source: str) -> list[str]:
@@ -61,3 +66,47 @@ def test_every_per_point_type_builds_from_vectors_through_one_layer(cls):
     assert cls.from_vector.__func__ is RealFunction.from_vector.__func__
     assert cls.rows.__func__ is RealFunction.rows.__func__
     assert not hasattr(cls, "_checked")
+
+
+@pytest.mark.parametrize(
+    "cls", [RealFunction, UnitFunction, MaxPlusDensity, MaxTimesDensity, PossibilityProfile]
+)
+def test_every_dict_built_type_has_one_constructor(cls):
+    assert cls.__init__ is PointValues.__init__
+    # one store: the label dict under the type's public name and the vector
+    field = "values" if issubclass(cls, RealFunction) else "weights"
+    assert inspect.getattr_static(cls, field).make is PointValues._by_label
+    for name in ("__repr__", "__call__", "vector", "check_range", "_built"):
+        assert inspect.getattr_static(cls, name) is vars(PointValues)[name], name
+
+
+def size_rule_reads(source: str) -> list[str]:
+    """Each name, attribute or import that reads ARRAY_MIN_POINTS."""
+    reads = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name == "ARRAY_MIN_POINTS":
+            reads.append(f"line {node.lineno}")
+    return reads
+
+
+def test_only_the_forking_modules_read_the_size_rule():
+    readers = {m for m in MODULES if size_rule_reads((PACKAGE / m).read_text(encoding="utf-8"))}
+    assert readers <= SIZE_RULE_READERS
+    assert "spaces.py" in readers  # PointValues._built, the one constructor choice
+
+
+def test_the_check_sees_a_size_rule_read():
+    source = (
+        "from .measures import ARRAY_MIN_POINTS\n"
+        "if n < measures.ARRAY_MIN_POINTS:\n    pass\n"
+        "MIN_POINTS = 64\n"
+    )
+    assert size_rule_reads(source) == ["line 1", "line 2"]

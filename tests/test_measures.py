@@ -4,7 +4,8 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from idemkit import isomorphism, measures
+from idemkit import measures, spaces
+from idemkit.capacities import PossibilityProfile
 from idemkit.generate import (
     random_maxplus_density,
     random_maxtimes_density,
@@ -103,6 +104,33 @@ def test_normalize_helpers():
         normalize_maxplus(AB, {"a": BOTTOM, "b": BOTTOM})
     with pytest.raises(ValueError):
         normalize_maxtimes(AB, {"a": 0.0, "b": 0.0})
+
+
+@pytest.mark.parametrize("side", (MAXPLUS, MAXTIMES), ids=("maxplus", "maxtimes"))
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ({"a": math.nan, "b": -1.0}, "cannot normalize weight nan at point 'a': outside [{bottom}, inf)"),
+        ({"a": math.inf, "b": 0.0}, "cannot normalize weight inf at point 'a': outside [{bottom}, inf)"),
+        ({}, "missing weight for point 'a'"),
+        ({"a": "x", "b": 0.5}, "could not convert string to float: 'x' at point 'a'"),
+        ({"a": 0.5, "b": None}, f"{NOT_A_FLOAT} at point 'b'"),
+        ({"a": 0.5, "b": 0.5, "z": math.nan}, "weights given for unknown points: ['z']"),
+        ([0.5, 0.5], "weights must be a mapping, got list"),
+    ],
+)
+def test_normalize_checks_each_weight_before_dividing(side, weights, message):
+    with pytest.raises(ValueError) as info:
+        measures.normalize(AB, weights, side)
+    assert str(info.value) == message.format(bottom=side.bottom)
+
+
+def test_normalize_takes_bottom_only_on_the_plus_side():
+    assert normalize_maxplus(AB, {"a": 0.5, "b": BOTTOM}).weights == {"a": 0.0, "b": BOTTOM}
+    for w in (-1.0, BOTTOM):
+        with pytest.raises(ValueError) as info:
+            normalize_maxtimes(AB, {"a": w, "b": 0.5})
+        assert str(info.value) == f"cannot normalize weight {w!r} at point 'a': outside [0.0, inf)"
 
 
 def test_eval_measure_examples():
@@ -408,12 +436,13 @@ SIZES = (ARRAY_MIN_POINTS - 1, ARRAY_MIN_POINTS, 1000)
 
 
 def _both_bodies(monkeypatch, fn):
-    """fn() once through the label-dict loops and once through the numpy
-    bodies, whatever the size of its spaces."""
+    """fn() once through the label-dict loops and constructor and once
+    through the numpy bodies and `from_vector`, whatever the size of its
+    spaces."""
     results = []
     for cutoff in (1 << 30, 1):
         monkeypatch.setattr(measures, "ARRAY_MIN_POINTS", cutoff)
-        monkeypatch.setattr(isomorphism, "ARRAY_MIN_POINTS", cutoff)
+        monkeypatch.setattr(spaces, "ARRAY_MIN_POINTS", cutoff)
         results.append(fn())
     return results
 
@@ -691,6 +720,10 @@ def test_density_from_functional_rejects_a_batch_of_the_wrong_shape():
         # when the labels differ (here c is missing)
         (MaxPlusDensity, AB, {"a": 0.0, "b": -10**400}, f"{TOO_LARGE} at point 'b'"),
         (MaxTimesDensity, ABC, {"a": 1.0, "b": 10**400}, f"{TOO_LARGE} at point 'b'"),
+        # weights in point order are for from_vector, not the label-dict constructor
+        (MaxPlusDensity, AB, [0.0, -1.0], "weights must be a mapping, got list"),
+        (MaxTimesDensity, AB, np.ones(2), "weights must be a mapping, got ndarray"),
+        (PossibilityProfile, AB, None, "weights must be a mapping, got NoneType"),
     ],
 )
 def test_density_constructor_error_texts_on_inputs_with_two_faults(density, space, weights, message):
@@ -721,6 +754,14 @@ def test_meta_constructor_error_texts_on_inputs_with_two_faults():
         (MetaDensity, ((f, -1.0), (f, -0.5)), "peak support weight is -0.5, expected 0.0"),
         (MetaTimesDensity, ((t, 0.5), (t, -0.0)), "peak support weight is 0.5, expected 1.0"),
         (MetaDensity, ((f, 0.0), (f, -10**400)), f"{TOO_LARGE} at support position 1"),
+        # an entry that is not an (entry, weight) pair, and a support that is
+        # not iterable
+        (MetaDensity, [1], "support position 0 is not an (entry, weight) pair"),
+        (MetaDensity, [(f,)], "support position 0 is not an (entry, weight) pair"),
+        (MetaDensity, ((f, 0.0), (f, -1.0, 0.0)), "support position 1 is not an (entry, weight) pair"),
+        (MetaTimesDensity, ((t, 1.0), None), "support position 1 is not an (entry, weight) pair"),
+        (MetaDensity, None, "support must be iterable, got NoneType"),
+        (MetaTimesDensity, 1.0, "support must be iterable, got float"),
     ]
     for meta, support, message in cases:
         with pytest.raises(ValueError) as info:

@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from idemkit.capacities import MAX_TABLE_POINTS, maxplus_integral
-from idemkit.documents import function_to_doc
+from idemkit.capacities import MAX_TABLE_POINTS, PossibilityProfile, maxplus_integral
+from idemkit.documents import density_to_doc, function_to_doc, possibility_to_doc
 from idemkit.generate import random_capacity, trial_stream
 from idemkit.measures import MaxPlusDensity, MaxTimesDensity, eval_measure
 from idemkit.semiring import BOTTOM
@@ -206,9 +206,9 @@ NOT_A_FLOAT = "float() argument must be a string or a real number, not 'NoneType
         (lambda: RealFunction(ABC, {"a": 1.0, "b": math.nan, "c": 0.0}),
          "non-finite value nan at point 'b'"),
         (lambda: RealFunction(ABC, {"a": 1.0, "b": None, "c": 0.0}), f"{NOT_A_FLOAT} at point 'b'"),
-        # a ValueError from float() keeps its own text
+        # a ValueError from float() names its point too
         (lambda: RealFunction(ABC, {"a": "x", "b": 0.0, "c": 0.0}),
-         "could not convert string to float: 'x'"),
+         "could not convert string to float: 'x' at point 'a'"),
         (lambda: UnitFunction(ABC, {"a": 0.5, "b": 1.5, "c": -1.0}),
          "value 1.5 at point 'b' outside [0, 1]"),
         (lambda: UnitFunction(ABC, {"a": None, "b": 0.0, "c": 0.0}), f"{NOT_A_FLOAT} at point 'a'"),
@@ -223,6 +223,14 @@ NOT_A_FLOAT = "float() argument must be a string or a real number, not 'NoneType
          "int too large to convert to float at point 'b'"),
         (lambda: UnitFunction(ABC, {"a": 0.0, "b": 0.5, "c": -10**400}),
          "int too large to convert to float at point 'c'"),
+        # two faults: the first in point order, whatever kind each is
+        (lambda: RealFunction(ABC, {"a": 1.0, "b": math.inf, "c": None}),
+         "non-finite value inf at point 'b'"),
+        (lambda: RealFunction(ABC, {"a": None, "b": math.nan, "c": 0.0}), f"{NOT_A_FLOAT} at point 'a'"),
+        (lambda: RealFunction(ABC, {"a": -math.inf, "c": 0.0}), "non-finite value -inf at point 'a'"),
+        # values in point order are for from_vector, not the label-dict constructor
+        (lambda: RealFunction(ABC, [0.0, 1.0, 2.0]), "values must be a mapping, got list"),
+        (lambda: UnitFunction(ABC, np.zeros(3)), "values must be a mapping, got ndarray"),
     ],
 )
 def test_function_constructor_error_texts(make, message):
@@ -258,7 +266,9 @@ def _doc_bytes(phi):
 def test_dict_and_vector_built_functions_agree(n):
     """Every reader gives the same floats, by repr, whichever form a function
     was built from, on a space listing its points in another order than the
-    densities', with signed zeros among the values and at the maxima."""
+    densities', with signed zeros among the values and at the maxima; so do
+    the readers of densities and profiles, and every constructor rejects a
+    value out of its range with the same text either way."""
     rng = trial_stream(1111, n)
     space = FiniteSpace(tuple(f"p{i}" for i in range(n)))
     turned = FiniteSpace(space.points[::-1])
@@ -300,6 +310,41 @@ def test_dict_and_vector_built_functions_agree(n):
         assert repr(fn_max(phi_d, psi_d).values) == repr(fn_max(phi_v, psi_v).values) == joined
         shifted = repr({p: v + 0.75 for p, v in phi_d.values.items()})
         assert repr(fn_shift(phi_d, 0.75).values) == repr(fn_shift(phi_v, 0.75).values) == shifted
+    # densities and profiles, built either way: the same repr and document
+    # bytes, with zeros of both signs among the weights
+    profile = np.where(zero_at, 1.0, np.where(rng.random(n) < 0.3, -0.0, rng.uniform(0.0, 1.0, n)))
+    for cls, values, to_doc in (
+        (MaxPlusDensity, weights, density_to_doc),
+        (MaxTimesDensity, g.vector, density_to_doc),
+        (PossibilityProfile, profile, possibility_to_doc),
+    ):
+        by_dict, by_vector = both(cls, values)
+        assert repr(by_dict) == repr(by_vector)
+        assert _reprs(by_dict) == _reprs(by_vector)
+        assert json.dumps(to_doc(by_dict)).encode() == json.dumps(to_doc(by_vector)).encode()
+    # one value out of range, first, in the middle or last: the same text
+    # from either constructor
+    for cls, values, faults in (
+        (RealFunction, vals, (math.nan, math.inf, -math.inf)),
+        (UnitFunction, unit, (math.nan, 1.5, -0.5)),
+        (MaxPlusDensity, weights, (math.nan, math.inf, 0.5)),
+        (MaxTimesDensity, g.vector, (math.nan, 2.0, -0.5)),
+        (PossibilityProfile, profile, (math.nan, 1.5, -1e-300)),
+    ):
+        for i in (0, n // 2, n - 1):
+            for bad in faults:
+                broken = values.copy()
+                broken[i] = bad
+                texts = []
+                for make in (
+                    lambda: cls(turned, dict(zip(turned.points, broken.tolist()))),
+                    lambda: cls.from_vector(turned, broken),
+                ):
+                    with pytest.raises(ValueError) as info:
+                        make()
+                    texts.append(str(info.value))
+                assert texts[0] == texts[1], (cls.__name__, i, bad)
+                assert repr(bad) in texts[0] and f"at point {turned.points[i]!r}" in texts[0]
 
 
 def test_level_set_example():
