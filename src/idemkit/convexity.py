@@ -27,16 +27,23 @@ lie beyond its own.  The weights must be the clamped ones,
 lam_i = min(0, min_t(p_t - x_it)): without the clamp, a point strictly above
 a generator gets rho > 0 and q = p, and its half-space no longer excludes it.
 
-The barycenter map takes a normalized weight vector (a max-plus density over
-the generators) to the point whose coordinates are the induced measures of
-the coordinate functionals.  Those measures are the max-plus combination of
-the generators under the weights, so barycenter is combine read on the
-measure side, and the two agree bit for bit on identical inputs.
+Weights are a max-plus density on the generator index space
+(`index_space`): `combine` checks them with `MaxPlusDensity.from_vector`, and
+the certificate check reads the member weights as one block of the same
+class, so one weight rule serves both and an error names the generator.  The
+barycenter map takes such a density to the point whose coordinates are the
+induced measures of the coordinate functionals.  Those measures are the
+max-plus combination of the generators under the weights, so barycenter is
+combine read on the measure side, and the two agree bit for bit on identical
+inputs.  Barycenter reachability (`barycenter_members`) is the hull verdict:
+a member's certificate weights are a density that lands on it, and a point
+that is out lies beyond a half-space that holds every barycenter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -97,19 +104,10 @@ def _as_grid(points, dimension: int) -> np.ndarray:
     return pts
 
 
-def as_weight_vector(weights, count: int) -> np.ndarray:
-    """Validate weights: one per generator, each in [-inf, 0], peak exactly 0."""
-    lam = np.asarray(weights, dtype=float)
-    if lam.ndim != 1 or lam.size != count:
-        raise ValueError(f"expected {count} weights, got shape {lam.shape}")
-    if np.any(np.isnan(lam)) or np.any(lam == np.inf):
-        raise ValueError("weights must be scores (finite or -inf)")
-    if np.any(lam > 0.0):
-        raise ValueError("weights must be non-positive")
-    peak = lam.max()
-    if peak != 0.0:
-        raise ValueError(f"max weight is {peak!r}, expected 0")
-    return lam
+@cache  # a space is frozen, so one per count serves every combination
+def index_space(count: int, prefix: str = "g") -> FiniteSpace:
+    """Label space for generator indices, used to put densities on generators."""
+    return FiniteSpace(tuple(f"{prefix}{i}" for i in range(count)))
 
 
 def _max_combination(points: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -120,9 +118,12 @@ def _max_combination(points: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 def combine(gens: GeneratorSet, lam) -> np.ndarray:
-    """Coordinatewise max of (weight + generator); bottom weights drop out."""
-    lam = as_weight_vector(lam, len(gens))
-    return _max_combination(gens.points, lam)
+    """Coordinatewise max of (weight + generator); bottom weights drop out.
+    The weights are a max-plus density on the generator index space, checked
+    by its class, on a copy: the density takes its vector over and marks it
+    read-only, and the caller's array stays writable."""
+    f = MaxPlusDensity.from_vector(index_space(len(gens)), np.array(lam, dtype=float))
+    return _max_combination(gens.points, f.vector)
 
 
 def barycenter(gens: GeneratorSet, weights) -> np.ndarray:
@@ -217,41 +218,23 @@ def hull_member(point, gens: GeneratorSet, tol: float | None = None) -> bool:
     return bool(hull_members(as_point(point, gens.dimension)[None, :], gens, tol)[0])
 
 
-def index_space(count: int, prefix: str = "g") -> FiniteSpace:
-    """Label space for generator indices, used to put densities on generators."""
-    return FiniteSpace(tuple(f"{prefix}{i}" for i in range(count)))
-
-
 def density_weights(f: MaxPlusDensity) -> np.ndarray:
     """Weight vector of a density over an index space, in point order, as a
     writable copy."""
     return np.array(f.vector)
 
 
-def _reaches(points: np.ndarray, gens: GeneratorSet, weights, tol: float) -> np.ndarray:
-    # the in-certificate check: the weight rows pass as one block of max-plus
-    # densities on the generator index space, and each lands on its point
-    block = checked_block(index_space(len(gens)), weights, "barycenter weights", MaxPlusDensity)
-    return _lands(points, gens, block, tol)
-
-
 def barycenter_members(points, gens: GeneratorSet, tol: float | None = None) -> np.ndarray:
     """Barycenter reachability for each row of an (m, d) array: does some
-    weight density land on the point?  The residuation's weights for the
-    members of the hull are checked as one block of densities, and their
-    barycenters compared with the points; a point that is out of the hull
-    is reached by no density."""
-    tol = resolve_tolerance(tol)
-    pts = _as_grid(points, gens.dimension)
-    member, weights, _, _ = _verdicts(pts, gens, tol)
-    reached = np.zeros(len(pts), dtype=bool)
-    reached[member] = _reaches(pts[member], gens, weights, tol)
-    return reached
+    weight density land on the point?  These are the verdicts of
+    `hull_members`, whose member weights are densities that land on their
+    points; `check_convexity_equivalence` proves them from the certificates."""
+    return hull_members(points, gens, tol)
 
 
 def barycenter_member(point, gens: GeneratorSet, tol: float | None = None) -> bool:
-    """Barycenter reachability of one point."""
-    return bool(barycenter_members(as_point(point, gens.dimension)[None, :], gens, tol)[0])
+    """Barycenter reachability of one point: the verdict of `hull_member`."""
+    return hull_member(point, gens, tol)
 
 
 def check_algebra(gens: GeneratorSet, N: MetaDensity, tol: float | None = None) -> bool:
@@ -273,8 +256,11 @@ def check_algebra(gens: GeneratorSet, N: MetaDensity, tol: float | None = None) 
 
 def _certificates_hold(pts: np.ndarray, gens: GeneratorSet, v: HullVerdicts, tol: float) -> bool:
     # do the certificates prove their verdicts?  Reads only the certificates,
-    # the generators and the points
-    if not _reaches(pts[v.member], gens, v.weights, tol).all():
+    # the generators and the points.  The weight rows pass as one block of
+    # max-plus densities on the generator index space, and each lands on its
+    # point: barycenter reachability itself
+    block = checked_block(index_space(len(gens)), v.weights, "barycenter weights", MaxPlusDensity)
+    if not _lands(pts[v.member], gens, block, tol).all():
         return False
     x = gens.points
     outside = pts[~v.member]

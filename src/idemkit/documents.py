@@ -113,11 +113,13 @@ def density_from_doc(doc, space: FiniteSpace | None = None):
 
 
 def meta_to_doc(F: Meta) -> dict:
-    return {
-        "support": [
-            {"density": density_to_doc(f), "weight": encode_score(w)} for f, w in F.support
-        ]
-    }
+    """The support as a list of entries with their weights: an entry that is
+    itself a meta under "meta", at any depth, and a density under "density"."""
+    support = []
+    for e, w in F.support:
+        doc = {"meta": meta_to_doc(e)} if isinstance(e, Meta) else {"density": density_to_doc(e)}
+        support.append({**doc, "weight": encode_score(w)})
+    return {"support": support}
 
 
 def meta_from_doc(doc, space: FiniteSpace | None = None):

@@ -100,7 +100,7 @@ from .measures import (
     pushforward,
 )
 from .seeding import trial_stream, trial_streams
-from .semiring import is_bottom, resolve_tolerance, score_eq
+from .semiring import resolve_tolerance, score_eq
 from .spaces import FiniteSpace, PointMap, compose_maps
 
 MUTATIONS = ("drop-weight",)
@@ -228,15 +228,6 @@ def _meta_shrinks(F: Meta, keep_space: bool = False) -> Iterator[Meta]:
         yield from _point_drops(F)
 
 
-def _third_to_doc(G: Meta) -> dict:
-    return {
-        "support": [
-            {"meta": meta_to_doc(m), "weight": w if not is_bottom(w) else "-inf"}
-            for m, w in G.support
-        ]
-    }
-
-
 # ---------------------------------------------------------------------------
 # registry and runner
 
@@ -320,7 +311,7 @@ def _assoc(rng, run: Run):
     law = partial(check_associativity, tol=run.tol, multiply_fn=run.multiply)
     for side, draw in (("max-plus", random_third), ("max-times", random_third_times)):
         desc = f"associativity fails for the {side} multiplication"
-        if found := _falsified(draw(rng, space), law, _meta_shrinks, desc, _third_to_doc):
+        if found := _falsified(draw(rng, space), law, _meta_shrinks, desc, meta_to_doc):
             return found
     return None
 

@@ -209,10 +209,10 @@ class Meta(Frozen):
                 raise ValueError(f"support position {k} is not an (entry, weight) pair") from None
             try:
                 w = float(w)
-            except (TypeError, OverflowError) as exc:  # a ValueError keeps its own text
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{exc} at support position {k}") from None
             if not bottom <= w <= top:  # the side's range, for one weight
-                raise ValueError(side.outside(w))
+                raise ValueError(f"{side.outside(w)} at support position {k}")
             if w == bottom:
                 continue
             if not isinstance(item, entry):

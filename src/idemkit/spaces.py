@@ -183,7 +183,10 @@ class PointValues(Frozen):
         if self.slack is not None:
             peak = max(vals.values())
             if abs(peak - hi) > self.slack:
-                raise ValueError(f"peak {self.noun} is {peak!r}, expected {hi!r} (use normalize)")
+                top = next(p for p, v in vals.items() if v == peak)  # the first holding it
+                raise ValueError(
+                    f"peak {self.noun} is {peak!r} at point {top!r}, expected {hi!r} (use normalize)"
+                )
         attrs = self.__dict__
         attrs["space"] = space
         attrs[self._field] = vals
@@ -203,7 +206,7 @@ class PointValues(Frozen):
                 f" got shape {vec.shape}"
             )
         if len(vec) < n:
-            raise ValueError(f"missing value for point {space.points[len(vec)]!r}")
+            raise ValueError(f"missing {cls.noun} for point {space.points[len(vec)]!r}")
         cls.check_range(space, vec)
         obj = cls.__new__(cls)
         obj.__dict__.update(space=space, vector=take_over(vec))

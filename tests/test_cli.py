@@ -1,7 +1,11 @@
+import contextlib
 import functools
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idemkit import cli, laws
 from idemkit.cli import main
@@ -162,7 +166,9 @@ def test_barycenter_dirac_selects_the_generator(docs, capsys):
 def test_barycenter_rejects_unnormalized_density(docs, capsys):
     rc = main(["barycenter", "--generators", docs["gens.json"], "--density", "[-0.5,-1]"])
     assert rc == 2
-    assert "expected 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "peak weight is -0.5 at point 'g0'" in err and "expected 0" in err
+    assert "np.float64" not in err
 
 
 def test_convert_maxplus_to_maxtimes(capsys):
@@ -311,3 +317,47 @@ def test_hull_member_reads_a_point_of_numbers(docs, capsys):
     assert main(["hull", "member", "--generators", line, "--point", "[0.5]"]) == 0
     assert main(["hull", "member", "--generators", line, "--point", "[1]"]) == 0
     assert capsys.readouterr().out.split() == ["true", "true"]
+
+
+# any JSON value: scalars of every kind (NaN, +-inf and integers beyond a
+# double among them, as Python's json module writes and reads them), the
+# bottom token, and lists and objects of them, plus number lists near the
+# valid inputs (pairs holding a peak 0 among them) so the success paths are
+# reached too
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.just("-inf"),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["weights", "point", "dim"]) | st.text(max_size=4), inner,
+                      max_size=3),
+    max_leaves=10,
+)
+NEAR_VALID = st.lists(
+    st.floats(max_value=0.0) | st.just("-inf") | st.integers(-5, 5), max_size=4
+) | st.tuples(st.floats(-5.0, 0.0) | st.just("-inf"), st.just(0)).flatmap(st.permutations)
+FUZZED_FLAGS = [
+    ["hull", "combine", "--weights"],
+    ["barycenter", "--density"],
+    ["hull", "member", "--point"],
+    ["hull", "member", "--explain", "--point"],
+]
+
+
+def test_hull_flags_take_any_json_value_without_an_internal_error(tmp_path, monkeypatch):
+    # a value that is not an object or an array is read as a path, in an
+    # empty directory; the value is attached with "=", since argparse takes
+    # a separate argument such as -Infinity for an option
+    monkeypatch.chdir(tmp_path)
+    gens = json.dumps({"dim": 2, "points": [[0, 3], [2, 0]]})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(FUZZED_FLAGS), JSON_VALUES | NEAR_VALID)
+    def run(flag, value):
+        *command, option = flag
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([*command, "--generators", gens, f"{option}={json.dumps(value)}"])
+        assert rc in (0, 2), err.getvalue()
+        assert (rc == 2) == err.getvalue().startswith("error: ")
+
+    run()

@@ -4,7 +4,6 @@ import pytest
 from idemkit.convexity import (
     GeneratorSet,
     HullVerdicts,
-    as_weight_vector,
     barycenter,
     barycenter_member,
     barycenter_members,
@@ -48,15 +47,55 @@ def test_generator_set_validation():
         GeneratorSet(np.array([1.0, 2.0]))
 
 
-def test_weight_vector_validation():
-    as_weight_vector([0.0, -2.0], 2)
-    as_weight_vector([0.0, BOTTOM], 2)
-    with pytest.raises(ValueError):
-        as_weight_vector([0.0, -2.0], 3)
-    with pytest.raises(ValueError):
-        as_weight_vector([0.5, -2.0], 2)
-    with pytest.raises(ValueError):
-        as_weight_vector([-0.5, -2.0], 2)
+# weight vectors combine refuses, each for one fault of a max-plus density on
+# two generators: a wrong length or shape, NaN, +inf, a positive weight, a
+# peak below 0 (bottom among them)
+BAD_WEIGHTS = [
+    [0.0, -2.0, 0.0],
+    [0.0],
+    [],
+    [[0.0, -1.0]],
+    0.0,
+    [0.0, np.nan],
+    [0.0, np.inf],
+    [-np.inf, np.inf],
+    [0.5, -2.0],
+    [-0.5, -2.0],
+    [BOTTOM, BOTTOM],
+]
+
+
+def test_combine_takes_a_signed_zero_peak_and_bottom():
+    assert np.array_equal(combine(GENS, [-0.0, -2.0]), [0.0, 3.0])
+    assert np.array_equal(combine(GENS, [-0.0, BOTTOM]), [0.0, 3.0])
+
+
+@pytest.mark.parametrize("weights", BAD_WEIGHTS, ids=repr)
+def test_combine_words_a_bad_weight_as_the_density_does(weights):
+    with pytest.raises(ValueError) as density:
+        MaxPlusDensity.from_vector(index_space(2), weights)
+    for route in (combine, barycenter):
+        with pytest.raises(ValueError) as info:
+            route(GENS, weights)
+        assert str(info.value) == str(density.value)
+
+
+def test_combine_error_texts_name_the_generator():
+    with pytest.raises(ValueError, match=r"^missing weight for point 'g1'$"):
+        combine(GENS, [0.0])
+    with pytest.raises(ValueError, match=r"^weight 0.5 outside \[-inf, 0.0\] at point 'g0'$"):
+        combine(GENS, [0.5, -2.0])
+    with pytest.raises(ValueError, match=r"^peak weight is -0.5 at point 'g0', expected 0.0"):
+        barycenter(GENS, [-0.5, -2.0])
+
+
+def test_combine_leaves_the_callers_array_writable():
+    for route in (combine, barycenter):
+        lam = np.array([0.0, -2.0])
+        assert np.array_equal(route(GENS, lam), [0.0, 3.0])
+        assert lam.flags.writeable
+        lam[1] = -1.0
+        assert np.array_equal(route(GENS, lam), [1.0, 3.0])
 
 
 def test_combine_examples():

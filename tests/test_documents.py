@@ -29,7 +29,14 @@ from idemkit.documents import (
     weights_from_doc,
     weights_to_doc,
 )
-from idemkit.measures import MaxPlusDensity, MaxTimesDensity, MetaDensity
+from idemkit.measures import (
+    MaxPlusDensity,
+    MaxTimesDensity,
+    MetaDensity,
+    MetaTimesDensity,
+    ThirdLevel,
+    ThirdLevelTimes,
+)
 from idemkit.semiring import BOTTOM, is_bottom
 from idemkit.spaces import FiniteSpace
 
@@ -102,6 +109,23 @@ def test_meta_round_trip():
     assert len(back.support) == 2
     weights = sorted(w for _, w in back.support)
     assert weights == [-2.0, 0.0]
+
+
+def test_meta_doc_writes_a_meta_entry_under_meta_at_any_depth():
+    f = MaxPlusDensity(ABC, {"a": 0.0, "b": -1.0, "c": BOTTOM})
+    g = MaxPlusDensity(ABC, {"a": BOTTOM, "b": 0.0, "c": -0.5})
+    F, G = MetaDensity(((f, 0.0),)), MetaDensity(((g, 0.0), (f, -1.5)))
+    doc = meta_to_doc(ThirdLevel(((F, 0.0), (G, -2.0))))
+    assert doc == {
+        "support": [
+            {"meta": meta_to_doc(F), "weight": 0.0},
+            {"meta": meta_to_doc(G), "weight": -2.0},
+        ]
+    }
+    assert doc["support"][1]["meta"]["support"][1] == {"density": density_to_doc(f), "weight": -1.5}
+    t = MaxTimesDensity(ABC, {"a": 1.0, "b": 0.5, "c": 0.0})
+    inner = meta_to_doc(ThirdLevelTimes(((MetaTimesDensity(((t, 1.0),)), 1.0),)))
+    assert inner["support"][0]["meta"]["support"][0]["density"] == density_to_doc(t)
 
 
 def test_capacity_round_trip():

@@ -714,8 +714,10 @@ def test_density_from_functional_rejects_a_batch_of_the_wrong_shape():
         (MaxPlusDensity, AB, {"a": 0.0, "b": None}, f"{NOT_A_FLOAT} at point 'b'"),
         (MaxTimesDensity, AB, {"a": None}, f"{NOT_A_FLOAT} at point 'a'"),
         # weights in range but no peak; the first of equal maxima is named
-        (MaxPlusDensity, AB, {"a": -1.0, "b": -2.0}, "peak weight is -1.0, expected 0.0 (use normalize)"),
-        (MaxTimesDensity, AB, {"a": -0.0, "b": 0.0}, "peak weight is -0.0, expected 1.0 (use normalize)"),
+        (MaxPlusDensity, AB, {"a": -1.0, "b": -2.0},
+         "peak weight is -1.0 at point 'a', expected 0.0 (use normalize)"),
+        (MaxTimesDensity, AB, {"a": -0.0, "b": 0.0},
+         "peak weight is -0.0 at point 'a', expected 1.0 (use normalize)"),
         # an integer beyond a double's range names its point, in the loop and
         # when the labels differ (here c is missing)
         (MaxPlusDensity, AB, {"a": 0.0, "b": -10**400}, f"{TOO_LARGE} at point 'b'"),
@@ -732,21 +734,41 @@ def test_density_constructor_error_texts_on_inputs_with_two_faults(density, spac
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "density, weights, message",
+    [
+        (MaxPlusDensity, [0.0], "missing weight for point 'b'"),
+        (MaxTimesDensity, [1.0], "missing weight for point 'b'"),
+        (MaxPlusDensity, [-1.0, -1.0],
+         "peak weight is -1.0 at point 'a', expected 0.0 (use normalize)"),
+        (MaxTimesDensity, [0.25, 0.5],
+         "peak weight is 0.5 at point 'b', expected 1.0 (use normalize)"),
+    ],
+)
+def test_both_density_constructors_word_a_fault_alike(density, weights, message):
+    for build in (density.from_vector, lambda space, w: density(space, dict(zip(space.points, w)))):
+        with pytest.raises(ValueError) as info:
+            build(AB, weights)
+        assert str(info.value) == message
+
+
 def test_meta_constructor_error_texts_on_inputs_with_two_faults():
     f = MaxPlusDensity(AB, {"a": 0.0, "b": -1.0})
     g = MaxPlusDensity(ABC, {"a": 0.0, "b": -1.0, "c": BOTTOM})
     t = MaxTimesDensity(AB, {"a": 1.0, "b": 0.5})
     cases = [
         # the entries are checked in order: weight, then bottom, then type
-        (MetaDensity, ((f, 0.5), ("x", 0.0)), "weight 0.5 outside [-inf, 0.0]"),
+        (MetaDensity, ((f, 0.5), ("x", 0.0)),
+         "weight 0.5 outside [-inf, 0.0] at support position 0"),
         (MetaDensity, (("x", 0.0), (f, 0.5)), "support entries must be MaxPlusDensity values"),
         (MetaTimesDensity, ((t, 0.0), (f, 1.0)), "support entries must be MaxTimesDensity values"),
-        (MetaDensity, ((f, "w"),), "could not convert string to float: 'w'"),
+        (MetaDensity, ((f, "w"),), "could not convert string to float: 'w' at support position 0"),
         (MetaDensity, ((f, 0.0), (f, None)), f"{NOT_A_FLOAT} at support position 1"),
         # a bottom entry is dropped before its type is looked at
         (MetaDensity, (("x", BOTTOM), (f, -0.5)), "peak support weight is -0.5, expected 0.0"),
         # a bad weight comes before entries on different spaces
-        (MetaDensity, ((f, 0.0), (g, 0.0), (f, math.nan)), "weight nan outside [-inf, 0.0]"),
+        (MetaDensity, ((f, 0.0), (g, 0.0), (f, math.nan)),
+         "weight nan outside [-inf, 0.0] at support position 2"),
         # different spaces come before a missing peak
         (MetaDensity, ((f, -1.0), (g, -2.0)), "support entries live on different spaces"),
         (MetaDensity, ((f, BOTTOM), (g, BOTTOM)), "empty support after dropping bottom weights"),
