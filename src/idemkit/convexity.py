@@ -82,11 +82,11 @@ class GeneratorSet:
         return int(self.points.shape[0])
 
 
-def as_point(value, dimension: int | None = None) -> np.ndarray:
+def as_point(value, dimension: int) -> np.ndarray:
     p = np.asarray(value, dtype=float)
     if p.ndim != 1 or p.size < 1 or not np.all(np.isfinite(p)):
         raise ValueError("a point is a 1-d array of finite coordinates")
-    if dimension is not None and p.size != dimension:
+    if p.size != dimension:
         raise ValueError(f"point has dimension {p.size}, expected {dimension}")
     return p
 
@@ -105,9 +105,10 @@ def _as_grid(points, dimension: int) -> np.ndarray:
 
 
 @cache  # a space is frozen, so one per count serves every combination
-def index_space(count: int, prefix: str = "g") -> FiniteSpace:
-    """Label space for generator indices, used to put densities on generators."""
-    return FiniteSpace(tuple(f"{prefix}{i}" for i in range(count)))
+def index_space(count: int) -> FiniteSpace:
+    """Label space for generator indices, g0, g1, ..., used to put densities
+    on generators."""
+    return FiniteSpace(tuple(f"g{i}" for i in range(count)))
 
 
 def _max_combination(points: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Finite scores are plain JSON numbers; bottom is the exact string token
 ``-inf`` and nothing else.  Capacity tables key their subsets by |-joined
-labels, with the empty string for the empty set.
+labels, with the empty string for the empty set.  Function, density and
+possibility documents hold a label-keyed object, which one reader decodes
+and hands to the label-dict constructor of `spaces.PointValues`.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import numpy as np
 
 from .capacities import Capacity, PossibilityProfile, subset_bits
 from .convexity import GeneratorSet
-from .measures import DENSITIES, MAXPLUS, METAS, Density, MaxTimesDensity, Meta
+from .measures import DENSITIES, METAS, Density, MaxTimesDensity, Meta
 from .semiring import BOTTOM, is_bottom
-from .spaces import FiniteSpace, RealFunction, SubsetMask
+from .spaces import FiniteSpace, RealFunction
 
 
 def encode_score(a: float):
@@ -67,31 +69,31 @@ def function_to_doc(phi: RealFunction) -> dict:
     return {"values": dict(phi.values)}
 
 
+def _from_labels(doc: dict, what: str, key: str, space: FiniteSpace | None, cls):
+    """The `cls` object of a `what` document: the label-keyed object under
+    `key`, on `space` or, when None, on the space its sorted keys define,
+    every value decoded before the constructor checks them.  A None `cls`
+    is an unknown kind, reported once the space is made.  The token '-inf'
+    reads as bottom only for a class whose range holds it: a max-plus
+    density."""
+    vals = doc.get(key)
+    if not isinstance(vals, dict):
+        raise ValueError(f"{what} document needs a '{key}' object")
+    if space is None:
+        space = FiniteSpace(tuple(sorted(vals)))
+    if cls is None:
+        raise ValueError(f"unknown {what} kind: {doc.get('kind')!r}")
+    decode = decode_score if cls.bounds[0] == BOTTOM else decode_number
+    return cls(space, {str(k): decode(v) for k, v in vals.items()})
+
+
 def function_from_doc(doc, space: FiniteSpace) -> RealFunction:
     doc = _require_mapping(doc, "function")
-    vals = doc.get("values")
-    if not isinstance(vals, dict):
-        raise ValueError("function document needs a 'values' object")
-    return RealFunction(space, {str(k): decode_number(v) for k, v in vals.items()})
-
-
-def subset_from_doc(doc, space: FiniteSpace) -> SubsetMask:
-    doc = _require_mapping(doc, "subset")
-    members = doc.get("members")
-    if not isinstance(members, list):
-        raise ValueError("subset document needs a 'members' list")
-    for m in members:
-        if not isinstance(m, str):
-            raise ValueError(f"subset member {m!r} is not a string label")
-    return SubsetMask(space, frozenset(members))
+    return _from_labels(doc, "function", "values", space, RealFunction)
 
 
 def density_to_doc(f: Density) -> dict:
     return {"kind": f.side.kind, "values": {p: encode_score(w) for p, w in f.weights.items()}}
-
-
-def _space_from_keys(vals: dict) -> FiniteSpace:
-    return FiniteSpace(tuple(sorted(vals)))
 
 
 def density_from_doc(doc, space: FiniteSpace | None = None):
@@ -99,17 +101,8 @@ def density_from_doc(doc, space: FiniteSpace | None = None):
     explicit space, the sorted value keys define one."""
     doc = _require_mapping(doc, "density")
     kind = doc.get("kind")
-    vals = doc.get("values")
-    if not isinstance(vals, dict):
-        raise ValueError("density document needs a 'values' object")
-    if space is None:
-        space = _space_from_keys(vals)
     cls = DENSITIES.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ValueError(f"unknown density kind: {kind!r}")
-    # bottom is a token of its own only on the max-plus side
-    decode = decode_score if cls.side is MAXPLUS else decode_number
-    return cls(space, {str(k): decode(v) for k, v in vals.items()})
+    return _from_labels(doc, "density", "values", space, cls)
 
 
 def meta_to_doc(F: Meta) -> dict:
@@ -203,12 +196,7 @@ def possibility_from_doc(doc, space: FiniteSpace | None = None) -> PossibilityPr
     doc = _require_mapping(doc, "possibility")
     if doc.get("kind") != "possibility":
         raise ValueError(f"expected a possibility document, got kind {doc.get('kind')!r}")
-    sing = doc.get("singletons")
-    if not isinstance(sing, dict):
-        raise ValueError("possibility document needs a 'singletons' object")
-    if space is None:
-        space = _space_from_keys(sing)
-    return PossibilityProfile(space, {str(k): decode_number(v) for k, v in sing.items()})
+    return _from_labels(doc, "possibility", "singletons", space, PossibilityProfile)
 
 
 def generators_to_doc(gens: GeneratorSet) -> dict:

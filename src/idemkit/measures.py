@@ -38,10 +38,11 @@ callers.
 
 Constructors reject unnormalized input instead of silently renormalizing;
 normalize divides out the peak explicitly (shifting on the max-plus side,
-scaling on the max-times side).  Each checks its input in one pass and
-reports the first fault in a fixed order: for a density, and for normalize
-before it divides, unknown labels, then point by point a missing or bad
-weight, then the peak.  A meta names the support position of a bad pair.
+scaling on the max-times side).  normalize reads its weights through the
+same label-dict constructor, with a private per-point type per side whose
+range is [bottom, DBL_MAX], so both report the first fault in one fixed
+order: unknown labels, then point by point a missing or bad weight, then
+the peak.  A meta names the support position of a bad pair.
 Bottom-weight entries are dropped from meta supports, and support entries
 equal within tolerance are merged by taking the larger weight.  The default
 tolerance (semiring.default_tolerance, which reads IDEMKIT_TOLERANCE) is
@@ -51,8 +52,8 @@ one-entry meta never reads it.
 
 from __future__ import annotations
 
-import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Mapping
 
@@ -280,32 +281,43 @@ DENSITIES = {cls.side.kind: cls for cls in (MaxPlusDensity, MaxTimesDensity)}
 METAS = {cls.side.kind: cls for cls in (MetaDensity, MetaTimesDensity)}
 
 
+class _Unnormalized(PointValues):
+    """Weights before normalize divides out the peak: any in [bottom,
+    DBL_MAX] of the side, read by the label-dict constructor, with no peak
+    to reach."""
+
+    side: ClassVar[Side]
+    noun = "weight"
+
+    @classmethod
+    def outside(cls, w: float, p: str) -> str:
+        return f"cannot normalize weight {w!r} at point {p!r}: outside [{cls.side.bottom}, inf)"
+
+
+class _UnnormalizedMaxPlus(_Unnormalized):
+    side = MAXPLUS
+    bounds = (MAXPLUS.bottom, sys.float_info.max)  # closed, so +inf and NaN fall outside
+
+
+class _UnnormalizedMaxTimes(_Unnormalized):
+    side = MAXTIMES
+    bounds = (MAXTIMES.bottom, sys.float_info.max)
+
+
+_UNNORMALIZED = {cls.side.kind: cls for cls in (_UnnormalizedMaxPlus, _UnnormalizedMaxTimes)}
+
+
 def normalize(space: FiniteSpace, weights: Mapping[str, float], side: Side = MAXPLUS) -> Density:
     """Divide the peak out of the weights (subtract it on the max-plus side,
     divide by it on the max-times side) so the peak lands exactly on the
-    side's peak.  The weights are checked first, in the constructor's order:
-    unknown labels, then point by point a missing or unconvertible weight or
-    one outside [bottom, inf), then a peak at bottom."""
-    try:
-        extra = weights.keys() - space.label_set
-    except AttributeError:
-        raise ValueError(f"weights must be a mapping, got {type(weights).__name__}") from None
-    if extra:
-        raise ValueError(f"weights given for unknown points: {sorted(extra)}")
-    bottom, vals = side.bottom, {}
-    for p in space.points:
-        if p not in weights:
-            raise ValueError(f"missing weight for point {p!r}")
-        try:
-            w = float(weights[p])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{exc} at point {p!r}") from None
-        if not bottom <= w < math.inf:
-            raise ValueError(f"cannot normalize weight {w!r} at point {p!r}: outside [{bottom}, inf)")
-        vals[p] = w
+    side's peak.  The weights are read first by the label-dict constructor
+    of `spaces.PointValues`, in its order: unknown labels, then point by
+    point a missing or unconvertible weight or one outside [bottom, inf),
+    then a peak at bottom."""
+    vals = _UNNORMALIZED[side.kind](space, weights).weights
     peak = max(vals.values())
-    if not peak > bottom:
-        raise ValueError(f"cannot normalize: every weight is {bottom!r}")
+    if not peak > side.bottom:
+        raise ValueError(f"cannot normalize: every weight is {side.bottom!r}")
     return DENSITIES[side.kind](space, {p: side.residual(w, peak) for p, w in vals.items()})
 
 

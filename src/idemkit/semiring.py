@@ -99,9 +99,9 @@ def score_eq(a: float, b: float, tol: float | None = None) -> bool:
     return abs(a - b) <= tol
 
 
-def format_score(a: float, digits: int = 9) -> str:
-    """Textual encoding: decimal literal with the given significant digits,
-    or the exact token ``-inf`` for bottom."""
+def format_score(a: float) -> str:
+    """Textual encoding: decimal literal with 9 significant digits, or the
+    exact token ``-inf`` for bottom."""
     if is_bottom(a):
         return "-inf"
-    return f"%.{digits}g" % a
+    return "%.9g" % a

@@ -16,10 +16,10 @@ two constructors, by the size rule ARRAY_MIN_POINTS: a list of floats goes
 through the dict below it, an array through `from_vector` from it on.
 `RealFunction` holds every real function, `UnitFunction` narrows its range
 to [0, 1], and `Probe` is the vector constructor under its own name; the
-densities of idemkit.measures are the other per-point types.  Consumers read
-whichever form suits their size: eval_measure reduces the vector in numpy
-from ARRAY_MIN_POINTS points on and loops over the dict below, and the
-level-set integrals scan the vector.
+densities of idemkit.measures, and the weights its normalize reads, are the
+other per-point types.  Consumers read whichever form suits their size:
+eval_measure reduces the vector in numpy from ARRAY_MIN_POINTS points on and
+loops over the dict below, and the level-set integrals scan the vector.
 
 This module is also the probe layer that density_from_functional and
 recover_capacity share.  A probe is a function built from a float vector in
@@ -202,7 +202,7 @@ class PointValues(Frozen):
         n = len(space)
         if vec.ndim != 1 or len(vec) > n:
             raise ValueError(
-                f"a {cls.__name__} on {n} points needs a 1-d vector of {n} values,"
+                f"a {cls.__name__} on {n} points needs a 1-d vector of {n} {cls._field},"
                 f" got shape {vec.shape}"
             )
         if len(vec) < n:

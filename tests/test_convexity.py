@@ -83,6 +83,10 @@ def test_combine_words_a_bad_weight_as_the_density_does(weights):
 def test_combine_error_texts_name_the_generator():
     with pytest.raises(ValueError, match=r"^missing weight for point 'g1'$"):
         combine(GENS, [0.0])
+    with pytest.raises(
+        ValueError, match=r"^a MaxPlusDensity on 2 points needs a 1-d vector of 2 weights, got shape \(3,\)$"
+    ):
+        combine(GENS, [0.0, -2.0, 0.0])
     with pytest.raises(ValueError, match=r"^weight 0.5 outside \[-inf, 0.0\] at point 'g0'$"):
         combine(GENS, [0.5, -2.0])
     with pytest.raises(ValueError, match=r"^peak weight is -0.5 at point 'g0', expected 0.0"):

@@ -1,5 +1,4 @@
 import json
-import re
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from idemkit.documents import (
     possibility_to_doc,
     space_from_doc,
     space_to_doc,
-    subset_from_doc,
     weights_from_doc,
     weights_to_doc,
 )
@@ -67,19 +65,6 @@ def test_function_document():
     assert phi("b") == 5.0
     with pytest.raises(ValueError):
         function_from_doc({"values": {"a": 2.0}}, ABC)
-
-
-def test_subset_document():
-    mask = subset_from_doc({"members": ["a", "c"]}, ABC)
-    assert mask.members == {"a", "c"}
-
-
-@pytest.mark.parametrize("member", (1, True, 0.5, None, ["a"]))
-def test_subset_document_rejects_a_member_that_is_not_a_label(member):
-    # str() would turn 1 and true into the labels '1' and 'True'
-    space = FiniteSpace(("1", "True", "a"))
-    with pytest.raises(ValueError, match=rf"subset member {re.escape(repr(member))} is not a string"):
-        subset_from_doc({"members": ["a", member]}, space)
 
 
 def test_density_round_trip_maxplus():
@@ -247,6 +232,102 @@ def test_possibility_round_trip():
     assert back.singletons == pi.singletons
     with pytest.raises(ValueError):
         possibility_from_doc({"kind": "capacity", "singletons": {}})
+
+
+NAN = float("nan")
+SPACE_ERROR = "a space needs at least one point"
+
+# (decoder, document, explicit space, the one error text), in each decoder's
+# fault order: a function reads its values, then decodes them, then builds;
+# a density reads its values, makes the space, then checks its kind; a
+# possibility checks its kind before its singletons
+DECODER_FAULTS = [
+    (function_from_doc, [1], ABC, "function document must be a JSON object"),
+    (function_from_doc, {}, ABC, "function document needs a 'values' object"),
+    (function_from_doc, {"values": [1]}, ABC, "function document needs a 'values' object"),
+    (function_from_doc, {"values": {}}, ABC, "missing value for point 'a'"),
+    (function_from_doc, {"values": {"a": "x", "b": 1, "c": 2}}, ABC, "not a number: 'x'"),
+    (function_from_doc, {"values": {"a": 1, "b": NAN, "c": 2}}, ABC, "not a finite number: nan"),
+    (
+        function_from_doc,
+        {"values": {"a": 1, "b": 2, "c": 3, "z": 4}},
+        ABC,
+        "values given for unknown points: ['z']",
+    ),
+    # every value is decoded before the labels are checked
+    (function_from_doc, {"values": {"a": 1, "b": 2, "c": 3, "z": True}}, ABC, "not a number: True"),
+    (density_from_doc, "x", None, "density document must be a JSON object"),
+    (density_from_doc, {"kind": "maxplus"}, None, "density document needs a 'values' object"),
+    (density_from_doc, {"kind": "maxplus", "values": [0]}, None, "density document needs a 'values' object"),
+    (density_from_doc, {"kind": "maxplus", "values": {}}, None, SPACE_ERROR),
+    (density_from_doc, {"kind": "maxplus", "values": {}}, ABC, "missing weight for point 'a'"),
+    (density_from_doc, {"kind": "density", "values": {"a": 0}}, None, "unknown density kind: 'density'"),
+    (density_from_doc, {"values": {"a": 0}}, None, "unknown density kind: None"),
+    (density_from_doc, {"kind": ["maxplus"], "values": {"a": 0}}, None, "unknown density kind: ['maxplus']"),
+    (
+        density_from_doc,
+        {"kind": "maxplus", "values": {"a": 0, "b": "inf"}},
+        None,
+        "not a score: 'inf' (numbers or the token '-inf')",
+    ),
+    (density_from_doc, {"kind": "maxtimes", "values": {"a": 1, "b": "-inf"}}, None, "not a number: '-inf'"),
+    (
+        density_from_doc,
+        {"kind": "maxplus", "values": {"a": 0, "b": 0, "c": 0, "z": 0}},
+        ABC,
+        "weights given for unknown points: ['z']",
+    ),
+    # two faults: the space is made, and fails, before the kind is read
+    (density_from_doc, {"kind": "bogus", "values": {}}, None, SPACE_ERROR),
+    (density_from_doc, {"kind": "bogus"}, None, "density document needs a 'values' object"),
+    (possibility_from_doc, None, None, "possibility document must be a JSON object"),
+    (
+        possibility_from_doc,
+        {"kind": "maxtimes", "singletons": {"a": 1}},
+        None,
+        "expected a possibility document, got kind 'maxtimes'",
+    ),
+    (possibility_from_doc, {"singletons": {"a": 1}}, None, "expected a possibility document, got kind None"),
+    (possibility_from_doc, {"kind": "possibility"}, None, "possibility document needs a 'singletons' object"),
+    (
+        possibility_from_doc,
+        {"kind": "possibility", "singletons": [1]},
+        None,
+        "possibility document needs a 'singletons' object",
+    ),
+    (possibility_from_doc, {"kind": "possibility", "singletons": {}}, None, SPACE_ERROR),
+    (possibility_from_doc, {"kind": "possibility", "singletons": {}}, ABC, "missing weight for point 'a'"),
+    (
+        possibility_from_doc,
+        {"kind": "possibility", "singletons": {"a": 1, "b": "-inf"}},
+        None,
+        "not a number: '-inf'",
+    ),
+    (
+        possibility_from_doc,
+        {"kind": "possibility", "singletons": {"a": 1, "b": 0, "c": 0, "z": 0}},
+        ABC,
+        "weights given for unknown points: ['z']",
+    ),
+    # two faults: the kind is checked before the singletons
+    (
+        possibility_from_doc,
+        {"kind": "capacity", "singletons": {}},
+        None,
+        "expected a possibility document, got kind 'capacity'",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "decode, doc, space, message",
+    DECODER_FAULTS,
+    ids=[f"{case[0].__name__}-{i}" for i, case in enumerate(DECODER_FAULTS)],
+)
+def test_label_keyed_decoders_report_the_first_fault(decode, doc, space, message):
+    with pytest.raises(ValueError) as info:
+        decode(doc, space)
+    assert str(info.value) == message
 
 
 def test_generators_round_trip():

@@ -3,7 +3,8 @@ One class, RealFunction, stores every function; Probe and UnitFunction are
 names for its vector constructor and its [0, 1] range, so a reader that
 tells them apart with isinstance would bring back a second code path.
 Densities build from label dicts, vectors and blocks with the same
-constructors as real functions, so those are defined once, and the size
+constructors as real functions, and normalize reads its weights with the
+same label-dict constructor, so those are defined once, and the size
 rule ARRAY_MIN_POINTS is read only where a body forks on it."""
 
 import ast
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from idemkit import measures
 from idemkit.capacities import PossibilityProfile
 from idemkit.measures import MaxPlusDensity, MaxTimesDensity
 from idemkit.spaces import PointValues, Probe, RealFunction, UnitFunction
@@ -69,7 +71,16 @@ def test_every_per_point_type_builds_from_vectors_through_one_layer(cls):
 
 
 @pytest.mark.parametrize(
-    "cls", [RealFunction, UnitFunction, MaxPlusDensity, MaxTimesDensity, PossibilityProfile]
+    "cls",
+    [
+        RealFunction,
+        UnitFunction,
+        MaxPlusDensity,
+        MaxTimesDensity,
+        PossibilityProfile,
+        # the weights normalize reads, one type per side
+        *measures._UNNORMALIZED.values(),
+    ],
 )
 def test_every_dict_built_type_has_one_constructor(cls):
     assert cls.__init__ is PointValues.__init__

@@ -125,6 +125,28 @@ def test_normalize_checks_each_weight_before_dividing(side, weights, message):
     assert str(info.value) == message.format(bottom=side.bottom)
 
 
+@pytest.mark.parametrize("side", (MAXPLUS, MAXTIMES), ids=("maxplus", "maxtimes"))
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [0.5, 0.5],  # not a mapping
+        {"a": 0.5, "b": 0.5, "z": 0.5},  # an unknown label
+        {"a": 0.0},  # a missing weight
+        {"a": "x", "b": 0.0},  # a weight that does not convert
+        {"a": 0.0, "b": None},
+    ],
+    ids=("not-a-mapping", "unknown-label", "missing", "unconvertible", "none"),
+)
+def test_normalize_reads_its_weights_as_the_constructor_does(side, weights):
+    # the faults both readers share have one text, the label-dict
+    # constructor's; a weight read after the fault lies in both ranges
+    with pytest.raises(ValueError) as expected:
+        measures.DENSITIES[side.kind](AB, weights)
+    with pytest.raises(ValueError) as info:
+        measures.normalize(AB, weights, side)
+    assert str(info.value) == str(expected.value)
+
+
 def test_normalize_takes_bottom_only_on_the_plus_side():
     assert normalize_maxplus(AB, {"a": 0.5, "b": BOTTOM}).weights == {"a": 0.0, "b": BOTTOM}
     for w in (-1.0, BOTTOM):

@@ -239,6 +239,24 @@ def test_function_constructor_error_texts(make, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "cls, plural",
+    [
+        (MaxPlusDensity, "weights"),
+        (PossibilityProfile, "weights"),
+        (RealFunction, "values"),
+        (Probe, "values"),
+    ],
+)
+@pytest.mark.parametrize("shape", [(4,), (1, 3)])
+def test_from_vector_shape_error_counts_in_the_plural_of_the_noun(cls, plural, shape):
+    with pytest.raises(ValueError) as info:
+        cls.from_vector(ABC, np.zeros(shape))
+    assert str(info.value) == (
+        f"a {cls.__name__} on 3 points needs a 1-d vector of 3 {plural}, got shape {shape}"
+    )
+
+
 def test_functions_are_frozen_and_keep_their_class():
     for phi in (
         RealFunction(ABC, {"a": 0.0, "b": 1.0, "c": 2.0}),
