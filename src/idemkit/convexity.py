@@ -5,9 +5,21 @@ by its generators, since a finite point set is essentially never closed under
 the continuum of admissible combinations.  Membership in the generated hull
 is decided by residuation: the greatest admissible weight vector is the only
 candidate that can ever reproduce a point, because combinations are monotone
-in every weight.  Membership is decided for a batch of points at once: the
-candidates of every point come from one broadcast over (point, generator,
-coordinate), and the single-point functions pass a batch of one row.
+in every weight.  Membership is decided for a batch of points at once, and
+the single-point functions pass a batch of one point.
+
+Inside, a batch is laid out axis first: the points become the columns of a
+(d, m) array, transposed once per call, and the residuation is one broadcast
+over (coordinate, generator, point) whose min runs down the leading
+coordinate axis.  Weights come out as (generator, point), their peaks as a
+max down the generator axis, and a combination is laid out (generator,
+coordinate, point) and reduces its leading generator axis.  Every reduced
+axis is short (2 or 3 coordinates, 2 to 5 generators in the law suites),
+and numpy reduces a short last axis several times slower per element than
+a long one; reducing a leading axis instead runs each step over a
+contiguous row of points, and loses nothing where there are many
+generators or coordinates.  The public shapes stay one row per point or
+weight vector.
 
 Every verdict carries a certificate from that same residuation
 (`certify_members`).  A point that is in carries its weights, a max-plus
@@ -42,6 +54,7 @@ that is out lies beyond a half-space that holds every barycenter.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cache
 
@@ -54,6 +67,13 @@ from .spaces import FiniteSpace, checked_block
 POINT_SLACK = 1e-9
 
 
+def _floats(values, field: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError as exc:  # an int beyond the range of a double
+        raise ValueError(f"{exc} in the {field}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class GeneratorSet:
     """Finite generating family in a fixed dimension; rows are points."""
@@ -61,15 +81,17 @@ class GeneratorSet:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = _floats(self.points, "generator coordinates")
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("generators must form a non-empty 2-d array of coordinates")
         if not np.all(np.isfinite(pts)):
             raise ValueError("generator coordinates must be finite")
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if np.max(np.abs(pts[i] - pts[j])) <= POINT_SLACK:
-                    raise ValueError(f"generators {i} and {j} coincide")
+        # each row against the rows after it, so the first pair (i, j) found
+        # is the first in (i, j) order
+        for i in range(len(pts) - 1):
+            near = np.flatnonzero(np.abs(pts[i + 1:] - pts[i]).max(axis=1) <= POINT_SLACK)
+            if near.size:
+                raise ValueError(f"generators {i} and {i + 1 + int(near[0])} coincide")
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -83,7 +105,7 @@ class GeneratorSet:
 
 
 def as_point(value, dimension: int) -> np.ndarray:
-    p = np.asarray(value, dtype=float)
+    p = _floats(value, "point")
     if p.ndim != 1 or p.size < 1 or not np.all(np.isfinite(p)):
         raise ValueError("a point is a 1-d array of finite coordinates")
     if p.size != dimension:
@@ -91,17 +113,18 @@ def as_point(value, dimension: int) -> np.ndarray:
     return p
 
 
-def _as_grid(points, dimension: int) -> np.ndarray:
-    """Validate a batch of points: a 2-d array of finite coordinates, one row
-    per point, each of the given dimension."""
-    pts = np.asarray(points, dtype=float)
+def _as_columns(points, dimension: int) -> np.ndarray:
+    """Validate a batch of points, a 2-d array of finite coordinates, one row
+    per point, each of the given dimension; return it transposed, as a
+    contiguous (d, m) array with one column per point."""
+    pts = _floats(points, "grid")
     if pts.ndim != 2 or pts.shape[1] != dimension:
         raise ValueError(
             f"grid points must match the generator dimension {dimension}, got shape {pts.shape}"
         )
     if not np.all(np.isfinite(pts)):
         raise ValueError("grid coordinates must be finite")
-    return pts
+    return np.ascontiguousarray(pts.T)
 
 
 @cache  # a space is frozen, so one per count serves every combination
@@ -113,9 +136,12 @@ def index_space(count: int) -> FiniteSpace:
 
 def _max_combination(points: np.ndarray, lam: np.ndarray) -> np.ndarray:
     # the one max-combination expression, so every route that combines the
-    # generators agrees bit for bit; a (m, k) batch of weight rows gives an
-    # (m, d) batch of points
-    return np.max(points + lam[..., :, None], axis=-2)
+    # generators agrees bit for bit: the sums are laid out (generator,
+    # coordinate, point) and the max reduces the leading axis.  A (k,) weight
+    # vector gives a (d,) point, a (k, m) block of weight columns a (d, m)
+    # block of point columns
+    points = points.reshape(points.shape + (1,) * (lam.ndim - 1))
+    return (points + lam[:, None]).max(axis=0)
 
 
 def combine(gens: GeneratorSet, lam) -> np.ndarray:
@@ -134,11 +160,20 @@ def barycenter(gens: GeneratorSet, weights) -> np.ndarray:
     return combine(gens, weights)
 
 
+def _residual(columns: np.ndarray, gens: GeneratorSet) -> np.ndarray:
+    # the residuation, one broadcast over (coordinate, generator, point)
+    # whose min reduces the leading axis: (d,) or (d, ...) point columns
+    # give (k,) or (k, ...) weight columns
+    x = gens.points.T
+    x = x.reshape(x.shape + (1,) * (columns.ndim - 1))
+    return np.minimum(0.0, (columns[:, None] - x).min(axis=0))
+
+
 def residual_weights(p: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     """Greatest admissible weights: lam_i = min(0, min_t(p_t - x_it)).
 
     A batch of points, one per row, gives one row of weights per point."""
-    return np.minimum(0.0, np.min(p[..., None, :] - gens.points, axis=-1))
+    return np.moveaxis(_residual(np.moveaxis(np.asarray(p), -1, 0), gens), 0, -1)
 
 
 # relative slack on the one check without tol, that a generator lies in a
@@ -164,34 +199,37 @@ class HullVerdicts:
     projection: np.ndarray
 
 
-def _lands(points: np.ndarray, gens: GeneratorSet, weights: np.ndarray, tol: float) -> np.ndarray:
+def _lands(columns: np.ndarray, gens: GeneratorSet, weights: np.ndarray, tol: float) -> np.ndarray:
     # the one comparison of a combination with its point, shared by the
-    # verdicts and the check of their weights, so the two agree bit for bit
-    return np.max(np.abs(_max_combination(gens.points, weights) - points), axis=-1) <= tol
+    # verdicts and the check of their weights, so the two agree bit for bit;
+    # (d, m) point columns and (k, m) weight columns give m verdicts
+    return np.abs(_max_combination(gens.points, weights) - columns).max(axis=0) <= tol
 
 
 def _max_gap(floor, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # max(floor, max_t(u_t - v_t)) over the coordinates, the last axis
-    return np.maximum(floor, np.max(u - v, axis=-1))
+    # max(floor, max_t(u_t - v_t)) over the coordinates, the leading axis
+    return np.maximum(floor, (u - v).max(axis=0))
 
 
-def _verdicts(pts: np.ndarray, gens: GeneratorSet, tol: float):
-    # the one residuation: the verdicts, the members' weights shifted to peak
-    # 0, and every point's residual weights and their peaks
-    lam = residual_weights(pts, gens)
-    peak = lam.max(axis=-1)
+def _verdicts(columns: np.ndarray, gens: GeneratorSet, tol: float):
+    # the one residuation, on (d, m) point columns: the verdicts, the
+    # members' weight columns shifted to peak 0, and every point's residual
+    # weight column and its peak
+    lam = _residual(columns, gens)
+    peak = lam.max(axis=0)
     member = peak >= -tol
-    shifted = lam[member] - peak[member, None]
-    landed = _lands(pts[member], gens, shifted, tol)
+    shifted = lam[:, member] - peak[member]
+    landed = _lands(columns[:, member], gens, shifted, tol)
     member[member] = landed
-    return member, shifted[landed], lam, peak
+    return member, shifted[:, landed], lam, peak
 
 
-def _certify(pts: np.ndarray, gens: GeneratorSet, tol: float) -> HullVerdicts:
-    # the verdicts with the half-spaces of the points that are out
-    member, weights, lam, peak = _verdicts(pts, gens, tol)
+def _certify(columns: np.ndarray, gens: GeneratorSet, tol: float) -> HullVerdicts:
+    # the verdicts with the half-spaces of the points that are out, turned
+    # back to one row per point
+    member, weights, lam, peak = _verdicts(columns, gens, tol)
     out = ~member
-    return HullVerdicts(member, weights, peak[out], _max_combination(gens.points, lam[out]))
+    return HullVerdicts(member, weights.T, peak[out], _max_combination(gens.points, lam[:, out]).T)
 
 
 def certify_members(points, gens: GeneratorSet, tol: float | None = None) -> HullVerdicts:
@@ -204,14 +242,13 @@ def certify_members(points, gens: GeneratorSet, tol: float | None = None) -> Hul
     is certified by that candidate shifted to peak 0, a point that is out by
     the candidate's peak and projection.
     """
-    return _certify(_as_grid(points, gens.dimension), gens, resolve_tolerance(tol))
+    return _certify(_as_columns(points, gens.dimension), gens, resolve_tolerance(tol))
 
 
 def hull_members(points, gens: GeneratorSet, tol: float | None = None) -> np.ndarray:
     """Membership in the generated hull for each row of an (m, d) array:
     the verdicts of `certify_members`, without their half-spaces."""
-    pts = _as_grid(points, gens.dimension)
-    return _verdicts(pts, gens, resolve_tolerance(tol))[0]
+    return _verdicts(_as_columns(points, gens.dimension), gens, resolve_tolerance(tol))[0]
 
 
 def hull_member(point, gens: GeneratorSet, tol: float | None = None) -> bool:
@@ -249,32 +286,34 @@ def check_algebra(gens: GeneratorSet, N: MetaDensity, tol: float | None = None) 
     if N.space != index_space(len(gens)):
         raise ValueError("meta density must live on the generator index space")
     left = barycenter(gens, density_weights(multiply(N)))
-    images = np.stack([_max_combination(gens.points, density_weights(f)) for f, _ in N.support])
+    # one column of weights per support density, combined in one call
+    images = _max_combination(gens.points, np.stack([f.vector for f, _ in N.support], axis=1))
     outer = np.array([w for _, w in N.support])
-    right = _max_combination(images, outer)
+    right = _max_combination(images.T, outer)
     return bool(np.max(np.abs(left - right)) <= tol)
 
 
-def _certificates_hold(pts: np.ndarray, gens: GeneratorSet, v: HullVerdicts, tol: float) -> bool:
+def _certificates_hold(columns: np.ndarray, gens: GeneratorSet, v: HullVerdicts, tol: float) -> bool:
     # do the certificates prove their verdicts?  Reads only the certificates,
-    # the generators and the points.  The weight rows pass as one block of
-    # max-plus densities on the generator index space, and each lands on its
-    # point: barycenter reachability itself
+    # the generators and the (d, m) point columns.  The weight rows pass as
+    # one block of max-plus densities on the generator index space, and each
+    # lands on its point: barycenter reachability itself
     block = checked_block(index_space(len(gens)), v.weights, "barycenter weights", MaxPlusDensity)
-    if not _lands(pts[v.member], gens, block, tol).all():
+    if not _lands(columns[:, v.member], gens, block.T, tol).all():
         return False
-    x = gens.points
-    outside = pts[~v.member]
-    # every generator lies in the half-space of every point that is out; the
-    # right side comes from the points, not from the certificate, and so does
-    # the scale of the slack
-    held = _max_gap(-v.peak[:, None], x, v.projection[:, None, :])
-    bound = _max_gap(0.0, x, outside[:, None, :])
+    x = gens.points.T[:, :, None]
+    outside = columns[:, ~v.member]
+    q = v.projection.T
+    # every generator lies in the half-space of every point that is out, laid
+    # out (coordinate, generator, point); the right side comes from the
+    # points, not from the certificate, and so does the scale of the slack
+    held = _max_gap(-v.peak, x, q[:, None])
+    bound = _max_gap(0.0, x, outside[:, None])
     scale = max(1.0, np.abs(x).max(), np.abs(outside).max(initial=0.0))
     if not np.all(held <= bound + HALF_SPACE_SLACK * scale):
         return False
     # and the point itself lies beyond it, where the right side is 0
-    return bool(np.all(_max_gap(-v.peak, outside, v.projection) > tol))
+    return bool(np.all(_max_gap(-v.peak, outside, q) > tol))
 
 
 def check_convexity_equivalence(
@@ -289,12 +328,14 @@ def check_convexity_equivalence(
     barycenter reaches that point; and each such point must lie beyond its
     own half-space by more than tol."""
     tol = resolve_tolerance(tol)
-    pts = _as_grid(grid, gens.dimension)
-    return _certificates_hold(pts, gens, _certify(pts, gens, tol), tol)
+    columns = _as_columns(grid, gens.dimension)
+    return _certificates_hold(columns, gens, _certify(columns, gens, tol), tol)
 
 
 def bounding_grid(gens: GeneratorSet, per_axis: int = 11) -> np.ndarray:
     """Regular grid spanning the generators' bounding box."""
+    if isinstance(per_axis, bool) or not isinstance(per_axis, numbers.Integral):
+        raise ValueError(f"per_axis must be an integer, got {per_axis!r}")
     if per_axis < 1:
         raise ValueError("per_axis must be positive")
     lo = gens.points.min(axis=0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from idemkit.cli import main
 from idemkit.convexity import (
     GeneratorSet,
     HullVerdicts,
@@ -33,9 +34,10 @@ GENS = GeneratorSet(np.array([[0.0, 3.0], [2.0, 0.0]]))
 
 
 def check_certificates(gens, points, verdicts, tol=None):
-    # the certificate check of check_convexity_equivalence, on any verdicts
+    # the certificate check of check_convexity_equivalence, on any verdicts;
+    # it reads the points as columns
     tol = default_tolerance() if tol is None else tol
-    return _certificates_hold(np.asarray(points, dtype=float), gens, verdicts, tol)
+    return _certificates_hold(np.asarray(points, dtype=float).T, gens, verdicts, tol)
 
 
 def test_generator_set_validation():
@@ -45,6 +47,44 @@ def test_generator_set_validation():
         GeneratorSet(np.array([[np.inf, 0.0]]))
     with pytest.raises(ValueError):
         GeneratorSet(np.array([1.0, 2.0]))
+
+
+def test_generator_set_names_the_first_coinciding_pair():
+    # two coinciding pairs, (0, 4) and (1, 2): the first row's pair comes
+    # first, though the second pair's rows come earlier in the array
+    rows = [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0 + 1e-12], [3.0, 3.0], [0.0, -0.0]]
+    with pytest.raises(ValueError, match=r"^generators 0 and 4 coincide$"):
+        GeneratorSet(np.array(rows))
+    with pytest.raises(ValueError, match=r"^generators 0 and 1 coincide$"):
+        GeneratorSet(np.array(rows[1:]))
+    with pytest.raises(ValueError, match=r"^generators 2 and 3 coincide$"):
+        GeneratorSet(np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [2.0, 2.0]]))
+    assert len(GeneratorSet(np.array([[0.0, 0.0], [0.0, 2e-9]]))) == 2
+
+
+def test_an_int_beyond_a_double_is_a_value_error_naming_the_field():
+    with pytest.raises(ValueError, match=r"^int too large to convert to float in the generator coordinates$"):
+        GeneratorSet([[1, 10**400], [0, 0]])
+    with pytest.raises(ValueError, match=r"^int too large to convert to float in the point$"):
+        hull_member([10**400, 0], GENS)
+    grid = [[0, 0], [10**400, 0]]
+    for route in (hull_members, certify_members, barycenter_members):
+        with pytest.raises(ValueError, match=r"^int too large to convert to float in the grid$"):
+            route(grid, GENS)
+    with pytest.raises(ValueError, match=r"^int too large to convert to float in the grid$"):
+        check_convexity_equivalence(GENS, grid)
+
+
+@pytest.mark.parametrize("per_axis", [2.5, "3", 3.0, True, np.float64(3.0), None], ids=repr)
+def test_bounding_grid_refuses_a_per_axis_that_is_not_an_integer(per_axis):
+    with pytest.raises(ValueError, match=r"^per_axis must be an integer, got "):
+        bounding_grid(GENS, per_axis)
+
+
+def test_bounding_grid_takes_a_numpy_integer_and_refuses_zero():
+    assert bounding_grid(GENS, np.int64(3)).shape == (9, 2)
+    with pytest.raises(ValueError, match=r"^per_axis must be positive$"):
+        bounding_grid(GENS, 0)
 
 
 # weight vectors combine refuses, each for one fault of a max-plus density on
@@ -463,3 +503,124 @@ def test_bounding_grid_shape():
     assert grid.shape == (121, 2)
     assert np.all(grid.min(axis=0) == GENS.points.min(axis=0))
     assert np.all(grid.max(axis=0) == GENS.points.max(axis=0))
+
+
+# the last-axis formulas of the layout with one row per point and the
+# coordinates last, kept as the reference for the axis-first kernels
+
+
+def _reference_residual(p, x):
+    return np.minimum(0.0, np.min(p[..., None, :] - x, axis=-1))
+
+
+def _reference_combination(x, lam):
+    return np.max(x + lam[..., :, None], axis=-2)
+
+
+def _reference_certificates(pts, x, tol):
+    lam = _reference_residual(pts, x)
+    peak = lam.max(axis=-1)
+    member = peak >= -tol
+    shifted = lam[member] - peak[member, None]
+    landed = np.max(np.abs(_reference_combination(x, shifted) - pts[member]), axis=-1) <= tol
+    member[member] = landed
+    out = ~member
+    return member, shifted[landed], peak[out], _reference_combination(x, lam[out])
+
+
+def _signed_integers(rng, shape, low, high):
+    # integer-valued coordinates, each zero given a random sign
+    values = rng.integers(low, high, size=shape).astype(float)
+    return np.where((values == 0.0) & (rng.random(shape) < 0.5), -0.0, values)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _signed_zero_draw(rng, k, d, random_points):
+    # distinct integer generators, their exact combinations under integer
+    # weights with a signed-zero peak, the generators themselves, and
+    # random integer points, most of them out
+    x = _signed_integers(rng, (k, d), -3, 4)
+    while len(np.unique(x, axis=0)) < k:
+        x = _signed_integers(rng, (k, d), -3, 4)
+    lam = _signed_integers(rng, (2 * k, k), -3, 1)
+    lam[np.arange(2 * k), rng.integers(0, k, 2 * k)] = np.where(rng.random(2 * k) < 0.5, -0.0, 0.0)
+    probes = np.concatenate(
+        [_reference_combination(x, lam), x, _signed_integers(rng, (random_points, d), -4, 5)]
+    )
+    return GeneratorSet(x), probes
+
+
+def _signed_zero_tie(values, extreme):
+    # along the last axis: the extreme is zero, and zeros of both signs reach it
+    zero = (values == 0.0) & (extreme == 0.0)
+    return (zero & np.signbit(values)).any(axis=-1) & (zero & ~np.signbit(values)).any(axis=-1)
+
+
+def _rows_without_signed_zero_ties(pts, x):
+    # points whose residuation meets no tie between +0.0 and -0.0 in a min
+    # over the coordinates or in the max over the generators
+    diff = pts[:, None, :] - x
+    lam = _reference_residual(pts, x)
+    residual_tie = _signed_zero_tie(diff, diff.min(axis=-1, keepdims=True)).any(axis=-1)
+    return ~(residual_tie | _signed_zero_tie(lam, lam.max(axis=-1, keepdims=True)))
+
+
+@pytest.mark.parametrize(
+    "shapes, ties_by_lane",
+    [([(k, d) for k in range(1, 6) for d in range(1, 4)] * 10, False), ([(64, 16)] * 3, True)],
+    ids=["short axes", "long axes"],
+)
+def test_axis_first_kernels_match_the_last_axis_formulas_bit_for_bit(shapes, ties_by_lane):
+    # every value is equal.  Signs of zeros are equal too, except where a tie
+    # between +0.0 and -0.0 decides a reduction over a long axis: numpy folds
+    # a short axis one element after another, as the leading-axis kernels do
+    # on every axis, but a long contiguous last axis in SIMD lanes, so there
+    # the reference's sign follows the vector width of the CPU
+    rng = trial_stream(415, len(shapes))
+    tol = default_tolerance()
+    seen, tied, points = set(), 0, 0
+    for k, d in shapes:
+        gens, probes = _signed_zero_draw(rng, k, d, 40)
+        x = gens.points
+        free = _rows_without_signed_zero_ties(probes, x) if ties_by_lane else np.ones(len(probes), bool)
+        tied += int(np.count_nonzero(~free))
+        points += len(probes)
+        member, weights, peak, projection = _reference_certificates(probes, x, tol)
+        v = certify_members(probes, gens)
+        assert _same_bits(v.member, member)
+        assert _same_bits(hull_members(probes, gens), member)
+        for got, want, rows in (
+            (v.weights, weights, free[member]),
+            (v.peak, peak, free[~member]),
+            (v.projection, projection, free[~member]),
+            (residual_weights(probes, gens), _reference_residual(probes, x), free),
+        ):
+            assert np.array_equal(got, want) and _same_bits(got[rows], want[rows])
+        for w in weights:
+            assert _same_bits(combine(gens, w), _reference_combination(x, w))
+        batch, rows = probes[:6].reshape(2, 3, d), free[:6].reshape(2, 3)
+        got, want = residual_weights(batch, gens), _reference_residual(batch, x)
+        assert np.array_equal(got, want) and _same_bits(got[rows], want[rows])
+        for p, row_free in zip(probes, free):
+            got, want = residual_weights(p, gens), _reference_residual(p, x)
+            assert np.array_equal(got, want) and (not row_free or _same_bits(got, want))
+        seen.update(member.tolist())
+    # members and points that are out; ties are rare
+    assert seen == {True, False}
+    assert tied <= points // 20
+
+
+def test_hull_member_explain_output_is_pinned(tmp_path, capsys):
+    path = tmp_path / "gens.json"
+    path.write_text('{"dim": 3, "points": [[0, 0, 0], [3, 1, 0], [1, 4, 2], [2, 2, 5]]}')
+    argv = ["hull", "member", "--generators", str(path), "--explain", "--point"]
+    assert main(argv + ["[2,2,2]"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["true", "weights [0,-1,-2,-3]"]
+    assert main(argv + ["[4,0,1]"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "false", "rho 0", "q [2,0,1]", "broken at coordinate 0: p - q = 2",
+    ]
