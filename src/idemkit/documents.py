@@ -217,10 +217,6 @@ def generators_from_doc(doc) -> GeneratorSet:
     return GeneratorSet(np.array(rows))
 
 
-def weights_to_doc(weights) -> dict:
-    return {"weights": [encode_score(float(w)) for w in weights]}
-
-
 def weights_from_doc(doc) -> list[float]:
     doc = _require_mapping(doc, "weights")
     ws = doc.get("weights")

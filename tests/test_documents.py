@@ -25,7 +25,6 @@ from idemkit.documents import (
     space_from_doc,
     space_to_doc,
     weights_from_doc,
-    weights_to_doc,
 )
 from idemkit.measures import (
     MaxPlusDensity,
@@ -339,7 +338,7 @@ def test_generators_round_trip():
 
 
 def test_weights_round_trip():
-    doc = weights_to_doc([0.0, BOTTOM, -2.0])
+    doc = {"weights": [0.0, encode_score(BOTTOM), -2.0]}
     assert doc["weights"][1] == "-inf"
     back = weights_from_doc(doc)
     assert back[0] == 0.0 and is_bottom(back[1]) and back[2] == -2.0

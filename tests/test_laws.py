@@ -14,10 +14,13 @@ from idemkit.generate import (
 )
 from idemkit.laws import (
     SUITES,
+    SWEEP_STEPS,
     drop_weight,
     run_all,
     run_suite,
     suite_names,
+    sweep_grid,
+    swept_capacity_value,
 )
 from idemkit.measures import (
     MaxPlusDensity,
@@ -375,3 +378,73 @@ def test_random_space_refuses_more_points_than_labels():
     for max_points in (27, 40):
         with pytest.raises(ValueError, match=f"26 labels, asked for up to {max_points} points"):
             generate.random_space(trial_stream(8804, 0), max_points, min_points=max_points)
+
+
+def _masks_in_order(space: FiniteSpace):
+    """(mask, members) for every subset of the space, in mask order."""
+    pts = space.points
+    for mask in range(1 << len(pts)):
+        yield mask, [p for i, p in enumerate(pts) if mask >> i & 1]
+
+
+def test_breakpoint_reference_equals_the_sweep_exactly():
+    # on profiles drawn on the sweep's grid the sweep sees every breakpoint,
+    # so the two references give the same float on every subset, in mask order
+    grid = sweep_grid(10_000)
+    for i in range(200):
+        rng = trial_stream(0, i, tag=60)
+        space = generate.random_space(rng, 4)
+        C = generate.random_meta_possibility(rng, space, quantum=10_000)
+        reference = laws._breakpoint_values(C, laws._subset_members(len(space)))
+        assert reference.shape == (1 << len(space),)
+        for mask, members in _masks_in_order(space):
+            assert reference[mask] == swept_capacity_value(C, members, grid), (i, members)
+
+
+def _nudged(C):
+    """possibility_mult with every value strictly between 0 and 1 lowered by
+    a relative 1e-12."""
+    rho = multiply(C)
+    v = rho.vector
+    nudged = np.where((v == 0.0) | (v == 1.0), v, v * (1 - 1e-12))
+    return PossibilityProfile.from_vector(rho.space, nudged)
+
+
+def _summed(C):
+    """possibility_mult with a sum over the support in place of the max,
+    cut at 1."""
+    profiles = np.array([pi.vector for pi, _ in C.support])
+    weights = np.array([w for _, w in C.support])
+    return PossibilityProfile.from_vector(C.space, np.minimum(1.0, weights @ profiles))
+
+
+def test_possmult_reads_the_run_tolerance(monkeypatch):
+    desc = "closed-form possibility multiplication misses the breakpoint reference"
+    monkeypatch.setattr(laws, "possibility_mult", _nudged)
+    assert run_suite("possmult", 200, 0).ok
+    exact = run_suite("possmult", 200, 0, tol=0.0)
+    assert len(exact.failures) > 50
+    grid = sweep_grid()
+    for failure in exact.failures[:20]:
+        assert failure.description == desc
+        assert set(failure.witness) == {"support", "subset"}
+        # the first failing subset in mask order, as a subset-by-subset scan
+        # against the sweep at the same tolerance finds it
+        rng = trial_stream(0, failure.trial, tag=SUITES["possmult"].tag)
+        space = generate.random_space(rng, 4)
+        C = generate.random_meta_possibility(rng, space, quantum=SWEEP_STEPS)
+        rho = _nudged(C)
+        first = next(
+            members for _, members in _masks_in_order(space)
+            if max((rho(p) for p in members), default=0.0) != swept_capacity_value(C, members, grid)
+        )
+        assert failure.witness["subset"] == first
+    monkeypatch.setattr(laws, "possibility_mult", _summed)
+    summed = run_suite("possmult", 200, 0)
+    assert len(summed.failures) > 50
+    assert {f.description for f in summed.failures} == {desc}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_possmult_is_exact_at_tol_0(seed):
+    assert run_suite("possmult", 100, seed, tol=0.0).ok
