@@ -27,6 +27,7 @@ from .documents import (
     function_from_doc,
     generators_from_doc,
     load_json,
+    parse_json,
     possibility_from_doc,
     possibility_to_doc,
     space_from_doc,
@@ -43,7 +44,7 @@ DENSITY_KINDS = ("maxplus", "maxtimes", "possibility")
 def _load_doc(arg: str):
     text = arg.lstrip()
     if text.startswith("{") or text.startswith("["):
-        return json.loads(arg)
+        return parse_json(arg)
     return load_json(arg)
 
 

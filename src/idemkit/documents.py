@@ -225,9 +225,19 @@ def weights_from_doc(doc) -> list[float]:
     return [decode_score(w) for w in ws]
 
 
+def parse_json(text: str) -> Any:
+    """The JSON value of `text`.  Malformed JSON raises the decoder's
+    ValueError, and so does JSON nested deeper than the decoder recurses."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON document nested too deeply to decode") from None
+
+
 def load_json(path: str) -> Any:
+    """The JSON value of the file at `path`, read as parse_json reads text."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return parse_json(fh.read())
 
 
 def dump_json(doc: Any, path: str | None = None) -> str:

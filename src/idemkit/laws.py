@@ -4,8 +4,12 @@ A suite is one trial function `trial(rng, run)`, registered by the `_suite`
 decorator above it with its name, its stream tag and the law it checks;
 `SUITES` lists the suites in the order they are registered.  A trial draws
 seeded instances, evaluates one law, and returns None or a failure with a
-minimized witness (spaces are shrunk pointwise and supports pairwise while
-the failure persists).  Trial i of a suite always draws what
+minimized witness.  While the failure persists, the shrinker takes the first
+candidate that still fails: the witness with one support entry dropped,
+one nested entry shrunk, or one point of the space dropped.  It builds each
+candidate from the checked parts of the last witness, through the private
+builders of idemkit.measures (`Meta._from_checked`, `Density._divided`),
+which check only what is new.  Trial i of a suite always draws what
 `trial_stream(seed, i, tag)` draws, so identical seeds give identical
 reports; `run_suite` re-keys one generator of its own per trial
 (`seeding.trial_streams`), and a trial must not keep it past its return.
@@ -28,7 +32,9 @@ not an integer (a bool, float or str), with the field named.
 The drop-weight mutation deliberately corrupts the monad multiplication
 (it discards the last support entry) so the harness can demonstrate that the
 unit and associativity suites, the only readers of `run.multiply`, actually
-catch broken laws.
+catch broken laws.  It builds the shortened meta without re-checking its
+entries; when the dropped entry held the peak, the meta is refused, as the
+constructor would refuse it, and the law counts as failing.
 """
 
 from __future__ import annotations
@@ -96,7 +102,6 @@ from .measures import (
     eval_measure,
     meta_pushforward,
     multiply,
-    normalize,
     pushforward,
 )
 from .seeding import trial_stream, trial_streams
@@ -150,7 +155,9 @@ def drop_weight(multiply_fn: Callable) -> Callable:
     def corrupted(meta):
         sup = meta.support
         if len(sup) > 1:
-            meta = type(meta)(sup[:-1])
+            # the support less its last entry: no entry is new, but the
+            # peak may go with it, which the constructor refuses
+            meta = type(meta)._from_checked(sup[:-1])
         return multiply_fn(meta)
 
     return corrupted
@@ -183,8 +190,10 @@ def _restrict(x: Density | Meta, smaller: FiniteSpace):
     """A density, or every density inside a meta at any depth, restricted to
     a smaller space and renormalized."""
     if isinstance(x, Density):
-        return normalize(smaller, {p: x.weights[p] for p in smaller.points}, x.side)
-    return type(x)(tuple((_restrict(e, smaller), w) for e, w in x.support))
+        w = x.weights
+        return type(x)._divided(smaller, {p: w[p] for p in smaller.points})
+    # every entry is new, and checked
+    return type(x)._from_checked(tuple((_restrict(e, smaller), w) for e, w in x.support), None)
 
 
 def _point_drops(x: Density | Meta) -> Iterator:
@@ -214,15 +223,16 @@ def _meta_shrinks(F: Meta, keep_space: bool = False) -> Iterator[Meta]:
             rest = [pair for k, pair in enumerate(sup) if k != i]
             peak = max(w for _, w in rest)
             try:
-                yield type(F)(tuple((e, residual(w, peak)) for e, w in rest))
+                yield type(F)._from_checked(tuple((e, residual(w, peak)) for e, w in rest))
             except ValueError:
                 continue
     if issubclass(F.entry, Meta):
         inner_keeps_space = keep_space or len(sup) > 1
         for i, (inner, _) in enumerate(sup):
             for cand in _meta_shrinks(inner, inner_keeps_space):
+                pairs = tuple((cand if k == i else e, w) for k, (e, w) in enumerate(sup))
                 try:
-                    yield type(F)(tuple((cand if k == i else e, w) for k, (e, w) in enumerate(sup)))
+                    yield type(F)._from_checked(pairs, (i,))
                 except ValueError:
                     continue
     if not keep_space:

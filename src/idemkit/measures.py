@@ -48,6 +48,14 @@ equal within tolerance are merged by taking the larger weight.  The default
 tolerance (semiring.default_tolerance, which reads IDEMKIT_TOLERANCE) is
 read when a merge compares entries, that is when two or more are kept; a
 one-entry meta never reads it.
+The shrinker and the drop-weight mutation of idemkit.laws build their
+candidates from parts that are already checked, through private builders
+that check only what is new and refuse with the constructors' texts:
+`Meta._from_checked` merges a rearranged or reweighted support comparing
+only its new entries (the others are apart, from their own merge), and
+`Density._from_checked` checks only the peak of weights that are in range
+by how they were made, which also builds multiply's result below
+ARRAY_MIN_POINTS and normalize's (through `Density._divided`).
 """
 
 from __future__ import annotations
@@ -125,6 +133,37 @@ class Density(PointValues):
         bottom = self.side.bottom
         return tuple(p for p in self.space.points if self.weights[p] != bottom)
 
+    @classmethod
+    def _from_checked(cls, space: FiniteSpace, weights: dict[str, float]) -> "Density":
+        """The density of `weights`, floats by label in point order.  The
+        caller guarantees that each lies in [bottom, peak] (products,
+        restrictions and quotients of checked weights do), so only the peak
+        is checked; a weight outside that range is not caught.  A peak that
+        misses goes through the constructor, which refuses it with the text
+        of the first fault in its order.  This is the one builder beside the
+        constructor that stores a label dict unchecked
+        (tests/test_function_forks.py holds it to that)."""
+        if abs(max(weights.values()) - cls.side.peak) > cls.slack:
+            return cls(space, weights)
+        obj = cls.__new__(cls)
+        attrs = obj.__dict__
+        attrs["space"] = space
+        attrs[cls._field] = weights
+        return obj
+
+    @classmethod
+    def _divided(cls, space: FiniteSpace, weights: dict[str, float]) -> "Density":
+        """normalize past its reading of the weights: `weights`, floats by
+        label in point order, each in [bottom, DBL_MAX], with the peak divided
+        out.  The quotients lie in [bottom, peak] and reach the peak exactly,
+        so they are built by `_from_checked`."""
+        side = cls.side
+        peak = max(weights.values())
+        if not peak > side.bottom:
+            raise ValueError(f"cannot normalize: every weight is {side.bottom!r}")
+        residual = side.residual
+        return cls._from_checked(space, {p: residual(w, peak) for p, w in weights.items()})
+
 
 class MaxPlusDensity(Density):
     """Weights in [-inf, 0] with peak exactly 0."""
@@ -185,6 +224,8 @@ class Meta(Frozen):
     keeping the larger weight.  Closeness is under the default tolerance,
     read when the merge compares entries: only when two or more pairs are
     kept, so a bad IDEMKIT_TOLERANCE fails those constructions alone.
+    `_from_checked` builds a meta from the support of another, rearranged
+    or reweighted, and compares only the entries that are new.
 
     A meta is frozen (`spaces.Frozen`): the constructor writes `support`
     once, through the instance dict, and assigning or deleting it raises
@@ -208,10 +249,11 @@ class Meta(Frozen):
                 item, w = pair
             except (TypeError, ValueError):
                 raise ValueError(f"support position {k} is not an (entry, weight) pair") from None
-            try:
-                w = float(w)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"{exc} at support position {k}") from None
+            if w.__class__ is not float:  # float(w) is w itself
+                try:
+                    w = float(w)
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ValueError(f"{exc} at support position {k}") from None
             if not bottom <= w <= top:  # the side's range, for one weight
                 raise ValueError(f"{side.outside(w)} at support position {k}")
             if w == bottom:
@@ -221,28 +263,66 @@ class Meta(Frozen):
             kept.append((item, w))
         if not kept:
             raise ValueError("empty support after dropping bottom weights")
-        if len(kept) == 1:
-            merged, peak = kept, kept[0][1]
-        else:
+        if len(kept) == 1 and abs(kept[0][1] - top) <= side.slack:
+            self.__dict__["support"] = (kept[0],)  # nothing to merge, the peak attained
+            return
+        self._merge(kept, None)
+
+    @classmethod
+    def _from_checked(cls, pairs, fresh=()) -> "Meta":
+        """The meta of `pairs`, a nonempty sequence of (entry, weight) pairs
+        whose entries are checked `entry` values and whose weights are
+        floats in (bottom, peak], the merged support of a meta rearranged or
+        reweighted, where only the positions in `fresh` (all of them when it
+        is None) hold new entries.  It runs the constructor's merge and peak
+        check (`_merge`), with their texts, without the constructor's checks
+        of each pair."""
+        obj = cls.__new__(cls)
+        obj._merge(pairs, fresh)
+        return obj
+
+    def _merge(self, kept, fresh) -> None:
+        """Store `kept`, a sequence of (entry, weight) pairs with weights in
+        (bottom, peak], as the support: entries on one space, each entry
+        close to an earlier one merged into it under the larger weight, the
+        peak weight attained.  Only the entries at the positions in `fresh`
+        (all of them when it is None) are new; the others come from one
+        merged support, in its order, so they share its space and each pair
+        of them is known to be apart.  A new entry is checked against the
+        first entry's space (every entry is, when the first is new) and
+        compared with every entry kept before it; any other entry only with
+        the new entries kept before it, told apart by identity (an old
+        entry that folds into a new one leaves the new one kept, and the
+        reverse the old one).  Each comparison is
+        `_close(later, earlier)`, the constructor's order, so the result
+        does not rest on `_close` being symmetric (on metas it is a greedy
+        matching).  The tolerance is read only when a new entry has a
+        neighbour to compare."""
+        if len(kept) > 1 and fresh != ():
+            new_ids = None if fresh is None else {id(kept[j][0]) for j in fresh}
             space = kept[0][0].space
-            for item, _ in kept:
+            for item, _ in kept if new_ids is None or 0 in fresh else [kept[j] for j in fresh]:
                 other = item.space
                 if other is not space and other != space:
                     raise ValueError("support entries live on different spaces")
-            tol = resolve_tolerance(None)  # read only when there is something to compare
+            tol = resolve_tolerance(None)
             merged = []
             for item, w in kept:
+                new = new_ids is None or id(item) in new_ids
                 for k, (other, v) in enumerate(merged):
-                    if _close(item, other, tol):
+                    # two old entries are apart: skip them
+                    if (new or id(other) in new_ids) and _close(item, other, tol):
                         if w > v:
                             merged[k] = (other, w)
                         break
                 else:
                     merged.append((item, w))
-            peak = max(w for _, w in merged)
+            kept = merged
+        peak = max(map(operator.itemgetter(1), kept)) if len(kept) > 1 else kept[0][1]
+        side = self.side
         if abs(peak - side.peak) > side.slack:
             raise ValueError(f"peak support weight is {peak!r}, expected {side.peak!r}")
-        self.__dict__["support"] = tuple(merged)
+        self.__dict__["support"] = tuple(kept)
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(support={self.support!r})"
@@ -314,11 +394,7 @@ def normalize(space: FiniteSpace, weights: Mapping[str, float], side: Side = MAX
     of `spaces.PointValues`, in its order: unknown labels, then point by
     point a missing or unconvertible weight or one outside [bottom, inf),
     then a peak at bottom."""
-    vals = _UNNORMALIZED[side.kind](space, weights).weights
-    peak = max(vals.values())
-    if not peak > side.bottom:
-        raise ValueError(f"cannot normalize: every weight is {side.bottom!r}")
-    return DENSITIES[side.kind](space, {p: side.residual(w, peak) for p, w in vals.items()})
+    return DENSITIES[side.kind]._divided(space, _UNNORMALIZED[side.kind](space, weights).weights)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +529,8 @@ def multiply(F: Meta) -> Density:
                 cand = otimes(fx, w)
                 if cand > weights[x]:
                     weights[x] = cand
-        return F.entry(space, weights)
+        # a product of weights in range is in range; only the peak can miss
+        return F.entry._from_checked(space, weights)
     stack = side.otimes(
         np.stack([in_point_order(f.vector, f.space, space) for f, _ in F.support]),
         np.array([w for _, w in F.support])[:, None],

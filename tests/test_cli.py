@@ -361,3 +361,19 @@ def test_hull_flags_take_any_json_value_without_an_internal_error(tmp_path, monk
         assert (rc == 2) == err.getvalue().startswith("error: ")
 
     run()
+
+
+def test_json_nested_too_deeply_is_an_input_error(tmp_path, capsys):
+    # the decoder's RecursionError, inline or from a file, exits 2 and not 1
+    deep = "[" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    gens = json.dumps({"dim": 2, "points": [[0, 3], [2, 0]]})
+    runs = [
+        ["hull", "member", "--generators", gens, "--point", deep],
+        ["convert", "--from", "maxplus", "--to", "maxtimes", "--input", str(path)],
+        ["convert", "--from", "maxplus", "--to", "maxtimes", "--input", deep],
+    ]
+    for argv in runs:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: JSON document nested too deeply to decode\n"

@@ -91,6 +91,48 @@ def test_every_dict_built_type_has_one_constructor(cls):
         assert inspect.getattr_static(cls, name) is vars(PointValues)[name], name
 
 
+def builders_past_the_constructor(source: str) -> set[str]:
+    """The functions, by qualified name, that make an object with
+    `__new__` and so skip its constructor's checks."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                name = prefix + child.name
+                if isinstance(child, ast.FunctionDef) and any(
+                    isinstance(sub, ast.Attribute) and sub.attr == "__new__"
+                    for sub in ast.walk(child)
+                ):
+                    found.add(name)
+                visit(child, name + ".")
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_the_builders_past_the_constructors_are_named():
+    # the vector and block layer of spaces, which check_range checks, and
+    # the two trusted builders of the shrinker and of multiply:
+    # Density._from_checked stores a label dict of weights its callers
+    # keep in range and checks only the peak, the one label-dict builder
+    # beside PointValues.__init__; Meta._from_checked runs Meta's merge
+    builders = {
+        m: found
+        for m in MODULES
+        if (found := builders_past_the_constructor((PACKAGE / m).read_text(encoding="utf-8")))
+    }
+    assert builders == {
+        "spaces.py": {"PointValues.from_vector", "row_views"},
+        "measures.py": {"Density._from_checked", "Meta._from_checked"},
+    }
+    trusted = vars(measures.Density)["_from_checked"]
+    for cls in (MaxPlusDensity, MaxTimesDensity, PossibilityProfile):
+        assert inspect.getattr_static(cls, "_from_checked") is trusted
+    for cls in (RealFunction, UnitFunction, Probe, *measures._UNNORMALIZED.values()):
+        assert not hasattr(cls, "_from_checked")
+
+
 def size_rule_reads(source: str) -> list[str]:
     """Each name, attribute or import that reads ARRAY_MIN_POINTS."""
     reads = []
