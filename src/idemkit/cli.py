@@ -17,7 +17,7 @@ from .capacities import (
     maxplus_integral,
     possibility_integral,
 )
-from .convexity import as_point, barycenter, certify_members, combine, hull_member
+from .convexity import as_point, certify_members, combine, hull_member
 from .documents import (
     capacity_from_doc,
     decode_number,
@@ -116,16 +116,10 @@ def cmd_hull_member(args) -> int:
 
 
 def cmd_hull_combine(args) -> int:
+    # also `barycenter`, which is the combination under its weight density
     gens = generators_from_doc(_load_doc(args.generators))
     weights = _weights_arg(args.weights)
     print(_format_point(combine(gens, weights)))
-    return 0
-
-
-def cmd_barycenter(args) -> int:
-    gens = generators_from_doc(_load_doc(args.generators))
-    weights = _weights_arg(args.density)
-    print(_format_point(barycenter(gens, weights)))
     return 0
 
 
@@ -218,8 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("barycenter", help="idempotent barycenter of a weight density")
     p.add_argument("--generators", required=True, help="points document")
-    p.add_argument("--density", required=True, help="weights document or array, peak 0")
-    p.set_defaults(func=cmd_barycenter)
+    p.add_argument(
+        "--density", dest="weights", metavar="DENSITY", required=True,
+        help="weights document or array, peak 0",
+    )
+    p.set_defaults(func=cmd_hull_combine)
 
     p = sub.add_parser("laws", help="run randomized law suites")
     p.add_argument("--suite", default="all", choices=list(SUITES) + ["all"])

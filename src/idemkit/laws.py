@@ -9,7 +9,7 @@ candidate that still fails: the witness with one support entry dropped,
 one nested entry shrunk, or one point of the space dropped.  It builds each
 candidate from the checked parts of the last witness, through the private
 builders of idemkit.measures (`Meta._from_checked`, `Density._divided`),
-which check only what is new.  Trial i of a suite always draws what
+which skip the checks of each part.  Trial i of a suite always draws what
 `trial_stream(seed, i, tag)` draws, so identical seeds give identical
 reports; `run_suite` re-keys one generator of its own per trial
 (`seeding.trial_streams`), and a trial must not keep it past its return.
@@ -155,8 +155,8 @@ def drop_weight(multiply_fn: Callable) -> Callable:
     def corrupted(meta):
         sup = meta.support
         if len(sup) > 1:
-            # the support less its last entry: no entry is new, but the
-            # peak may go with it, which the constructor refuses
+            # a subsequence of the merged support, so nothing merges, but
+            # the peak may go with its last entry, which the constructor refuses
             meta = type(meta)._from_checked(sup[:-1])
         return multiply_fn(meta)
 
@@ -192,8 +192,8 @@ def _restrict(x: Density | Meta, smaller: FiniteSpace):
     if isinstance(x, Density):
         w = x.weights
         return type(x)._divided(smaller, {p: w[p] for p in smaller.points})
-    # every entry is new, and checked
-    return type(x)._from_checked(tuple((_restrict(e, smaller), w) for e, w in x.support), None)
+    # every entry is new, and checked: merge them as the constructor does
+    return type(x)._from_checked(tuple((_restrict(e, smaller), w) for e, w in x.support), True)
 
 
 def _point_drops(x: Density | Meta) -> Iterator:
@@ -222,17 +222,15 @@ def _meta_shrinks(F: Meta, keep_space: bool = False) -> Iterator[Meta]:
         for i in range(len(sup)):
             rest = [pair for k, pair in enumerate(sup) if k != i]
             peak = max(w for _, w in rest)
-            try:
-                yield type(F)._from_checked(tuple((e, residual(w, peak)) for e, w in rest))
-            except ValueError:
-                continue
+            # the renormalized peak is exact (x - x = 0.0, x / x = 1.0)
+            yield type(F)._from_checked(tuple((e, residual(w, peak)) for e, w in rest))
     if issubclass(F.entry, Meta):
         inner_keeps_space = keep_space or len(sup) > 1
         for i, (inner, _) in enumerate(sup):
             for cand in _meta_shrinks(inner, inner_keeps_space):
                 pairs = tuple((cand if k == i else e, w) for k, (e, w) in enumerate(sup))
                 try:
-                    yield type(F)._from_checked(pairs, (i,))
+                    yield type(F)._from_checked(pairs, True)
                 except ValueError:
                     continue
     if not keep_space:

@@ -50,12 +50,13 @@ read when a merge compares entries, that is when two or more are kept; a
 one-entry meta never reads it.
 The shrinker and the drop-weight mutation of idemkit.laws build their
 candidates from parts that are already checked, through private builders
-that check only what is new and refuse with the constructors' texts:
-`Meta._from_checked` merges a rearranged or reweighted support comparing
-only its new entries (the others are apart, from their own merge), and
-`Density._from_checked` checks only the peak of weights that are in range
-by how they were made, which also builds multiply's result below
-ARRAY_MIN_POINTS and normalize's (through `Density._divided`).
+that skip the checks of each part and refuse with the constructors' texts:
+`Meta._from_checked` checks only the peak of a reweighted subsequence of one
+merged support (its entries are apart, from that merge) and otherwise
+merges as the constructor does, and `Density._from_checked` checks only the
+peak of weights that are in range by how they were made, which also builds
+multiply's result below ARRAY_MIN_POINTS and normalize's (through
+`Density._divided`).
 """
 
 from __future__ import annotations
@@ -224,8 +225,9 @@ class Meta(Frozen):
     keeping the larger weight.  Closeness is under the default tolerance,
     read when the merge compares entries: only when two or more pairs are
     kept, so a bad IDEMKIT_TOLERANCE fails those constructions alone.
-    `_from_checked` builds a meta from the support of another, rearranged
-    or reweighted, and compares only the entries that are new.
+    `_from_checked` builds a meta from pairs whose parts are checked: a
+    reweighted subsequence of one merged support, checked only for its
+    peak, or any pairs, merged as the constructor merges them.
 
     A meta is frozen (`spaces.Frozen`): the constructor writes `support`
     once, through the instance dict, and assigning or deleting it raises
@@ -266,52 +268,41 @@ class Meta(Frozen):
         if len(kept) == 1 and abs(kept[0][1] - top) <= side.slack:
             self.__dict__["support"] = (kept[0],)  # nothing to merge, the peak attained
             return
-        self._merge(kept, None)
+        self._merge(kept, True)
 
     @classmethod
-    def _from_checked(cls, pairs, fresh=()) -> "Meta":
+    def _from_checked(cls, pairs, merge=False) -> "Meta":
         """The meta of `pairs`, a nonempty sequence of (entry, weight) pairs
         whose entries are checked `entry` values and whose weights are
-        floats in (bottom, peak], the merged support of a meta rearranged or
-        reweighted, where only the positions in `fresh` (all of them when it
-        is None) hold new entries.  It runs the constructor's merge and peak
-        check (`_merge`), with their texts, without the constructor's checks
-        of each pair."""
+        floats in (bottom, peak], with the constructor's texts and without
+        its checks of each pair.  Without `merge`, `pairs` is a subsequence
+        of one merged support, reweighted, whose entries are apart, and
+        only the peak is checked; with it, `pairs` runs the constructor's
+        merge (`_merge`)."""
         obj = cls.__new__(cls)
-        obj._merge(pairs, fresh)
+        obj._merge(pairs, merge)
         return obj
 
-    def _merge(self, kept, fresh) -> None:
+    def _merge(self, kept, merge) -> None:
         """Store `kept`, a sequence of (entry, weight) pairs with weights in
-        (bottom, peak], as the support: entries on one space, each entry
-        close to an earlier one merged into it under the larger weight, the
-        peak weight attained.  Only the entries at the positions in `fresh`
-        (all of them when it is None) are new; the others come from one
-        merged support, in its order, so they share its space and each pair
-        of them is known to be apart.  A new entry is checked against the
-        first entry's space (every entry is, when the first is new) and
-        compared with every entry kept before it; any other entry only with
-        the new entries kept before it, told apart by identity (an old
-        entry that folds into a new one leaves the new one kept, and the
-        reverse the old one).  Each comparison is
-        `_close(later, earlier)`, the constructor's order, so the result
-        does not rest on `_close` being symmetric (on metas it is a greedy
-        matching).  The tolerance is read only when a new entry has a
-        neighbour to compare."""
-        if len(kept) > 1 and fresh != ():
-            new_ids = None if fresh is None else {id(kept[j][0]) for j in fresh}
+        (bottom, peak], as the support, the peak weight attained.  With
+        `merge` and two or more pairs, every entry is checked against the
+        first entry's space, and each entry close to an earlier kept one is
+        merged into it under the larger weight; the comparison is
+        `_close(later, earlier)`, so the result does not rest on `_close`
+        being symmetric (on metas it is a greedy matching).  The tolerance
+        is read only then."""
+        if merge and len(kept) > 1:
             space = kept[0][0].space
-            for item, _ in kept if new_ids is None or 0 in fresh else [kept[j] for j in fresh]:
+            for item, _ in kept:
                 other = item.space
                 if other is not space and other != space:
                     raise ValueError("support entries live on different spaces")
             tol = resolve_tolerance(None)
             merged = []
             for item, w in kept:
-                new = new_ids is None or id(item) in new_ids
                 for k, (other, v) in enumerate(merged):
-                    # two old entries are apart: skip them
-                    if (new or id(other) in new_ids) and _close(item, other, tol):
+                    if _close(item, other, tol):
                         if w > v:
                             merged[k] = (other, w)
                         break

@@ -4,6 +4,7 @@ with its elapsed time and asserting the stated tolerance and trial counts."""
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -283,7 +284,7 @@ def test_criterion_11_harness_self_test(tmp_path, capsys):
     mutated_ok = rc_unit == 1 and rc_assoc == 1
     witnesses_ok = True
     for path in (unit_json, assoc_json):
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         failures = doc["reports"][0]["failures"]
         if not failures or not failures[0]["witness"]:
             witnesses_ok = False

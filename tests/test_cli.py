@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -200,7 +201,7 @@ def test_convert_possibility_round_trip(tmp_path, capsys):
                  "--input", json.dumps(src), "--output", mid]) == 0
     assert main(["convert", "--from", "maxtimes", "--to", "possibility",
                  "--input", mid, "--output", out]) == 0
-    assert json.loads(open(out).read()) == src
+    assert json.loads(Path(out).read_text()) == src
 
 
 def test_convert_maxplus_round_trip(tmp_path):
@@ -211,7 +212,7 @@ def test_convert_maxplus_round_trip(tmp_path):
                  "--input", json.dumps(src), "--output", mid]) == 0
     assert main(["convert", "--from", "maxtimes", "--to", "maxplus",
                  "--input", mid, "--output", out]) == 0
-    back = json.loads(open(out).read())
+    back = json.loads(Path(out).read_text())
     assert back["kind"] == "maxplus"
     assert back["values"]["a"] == 0.0
     assert back["values"]["b"] == pytest.approx(-1.25, abs=1e-9)
@@ -245,7 +246,7 @@ def test_laws_mutation_fails_with_witness(tmp_path, capsys):
          "--mutate", "drop-weight", "--json", report_path]
     )
     assert rc == 1
-    doc = json.loads(open(report_path).read())
+    doc = json.loads(Path(report_path).read_text())
     failures = doc["reports"][0]["failures"]
     assert failures and failures[0]["witness"]
 
@@ -254,7 +255,7 @@ def test_laws_json_reports_are_byte_identical(tmp_path):
     p1, p2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
     assert main(["laws", "--suite", "repr", "--trials", "25", "--seed", "9", "--json", p1]) == 0
     assert main(["laws", "--suite", "repr", "--trials", "25", "--seed", "9", "--json", p2]) == 0
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_bad_tolerance_env_is_an_input_error(monkeypatch, capsys):

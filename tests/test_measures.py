@@ -833,12 +833,19 @@ def test_a_density_takes_its_vector_over():
 def test_meta_reads_the_tolerance_only_when_a_merge_compares(monkeypatch):
     f = MaxPlusDensity(AB, {"a": 0.0, "b": -1.0})
     near = MaxPlusDensity(AB, {"a": 0.0, "b": -1.0 + 1e-6})
+    far = MaxPlusDensity(AB, {"a": -1.0, "b": 0.0})
+    F = MetaDensity(((f, 0.0), (far, -1.0), (near, -2.0)))
+    assert len(F.support) == 3
     monkeypatch.setenv("IDEMKIT_TOLERANCE", "not a number")
     # one kept entry, also after dropping a bottom one: nothing to compare
     assert MetaDensity(((f, 0.0),)).support == ((f, 0.0),)
     assert MetaDensity(((f, 0.0), (near, BOTTOM))).support == ((f, 0.0),)
     with pytest.raises(ValueError, match="IDEMKIT_TOLERANCE"):
         MetaDensity(((f, 0.0), (near, -1.0)))
+    # a subsequence of a merged support compares nothing; a merge of two does
+    assert MetaDensity._from_checked(F.support[:-1]).support == F.support[:-1]
+    with pytest.raises(ValueError, match="IDEMKIT_TOLERANCE"):
+        MetaDensity._from_checked(F.support[:-1], merge=True)
     # a change between two merges takes effect
     monkeypatch.setenv("IDEMKIT_TOLERANCE", "1e-3")
     assert MetaDensity(((f, -1.0), (near, 0.0))).support == ((f, 0.0),)

@@ -5,6 +5,8 @@ same object or refuse with the same text."""
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 from idemkit import laws
@@ -63,15 +65,18 @@ class Spies:
     """Every call of the builders, checked against the public counterpart
     as it is made; `seen` counts the calls by builder and outcome, and
     `merges` the nested shrinks whose new entry folds into an earlier
-    sibling or absorbs a later one.  The counterpart runs the real builders
-    (normalize reaches `_divided`)."""
+    sibling or absorbs a later one.  The new entry of a nested shrink is
+    its one entry built by `Meta._from_checked` (`made`), so `merges` counts
+    only the shrinks of metas built by the public constructors.  The
+    counterpart runs the real builders (normalize reaches `_divided`)."""
 
     def __init__(self, monkeypatch):
         self.seen: dict[tuple[str, str], int] = {}
         self.merges = {"fold": 0, "absorb": 0}
+        self.made = weakref.WeakSet()
         self.in_reference = False
         self.spy(monkeypatch, Meta, "_from_checked", "meta", _meta_view,
-                 lambda cls, pairs, fresh=(): cls(pairs))
+                 lambda cls, pairs, merge=False: cls(pairs))
         self.spy(monkeypatch, Density, "_from_checked", "density", _density_view,
                  lambda cls, space, weights: cls(space, weights))
         self.spy(monkeypatch, Density, "_divided", "divided", _density_view,
@@ -100,11 +105,12 @@ class Spies:
 
         monkeypatch.setattr(owner, name, classmethod(checked))
 
-    def count_merge(self, built, pairs, fresh=()):
-        if fresh is not None and len(fresh) == 1 and len(built.support) < len(pairs):
-            new = pairs[fresh[0]][0]
-            kept = any(e is new for e, _ in built.support)
+    def count_merge(self, built, pairs, merge=False):
+        new = [e for e, _ in pairs if e in self.made]
+        if merge and len(new) == 1 and len(built.support) < len(pairs):
+            kept = any(e is new[0] for e, _ in built.support)
             self.merges["absorb" if kept else "fold"] += 1
+        self.made.add(built)
 
 
 def test_builders_agree_with_the_constructors_on_the_pinned_runs(monkeypatch):
@@ -149,7 +155,7 @@ def _nested(F, i):
     sup = F.support
     for cand in laws._meta_shrinks(sup[i][0], True):
         pairs = tuple((cand if k == i else e, w) for k, (e, w) in enumerate(sup))
-        yield pairs, type(F)._from_checked(pairs, (i,))
+        yield pairs, type(F)._from_checked(pairs, True)
 
 
 @pytest.mark.parametrize(
@@ -249,11 +255,11 @@ def test_the_builders_refuse_corrupted_input_with_the_constructors_text():
     assert [h.space.points for h in laws._point_drops(g)] == [("a",)]
     # a new entry on another space, first or not
     elsewhere = MaxPlusDensity(FiniteSpace(("a", "c")), {"a": 0.0, "c": -1.0})
-    for pairs, fresh in [
-        (((elsewhere, 0.0), (f1, -1.0), (f2, -2.0)), (0,)),
-        (((f1, 0.0), (elsewhere, -1.0), (f2, -2.0)), (1,)),
+    for pairs in [
+        ((elsewhere, 0.0), (f1, -1.0), (f2, -2.0)),
+        ((f1, 0.0), (elsewhere, -1.0), (f2, -2.0)),
     ]:
         got, want = _refusals(
-            lambda: MetaDensity._from_checked(pairs, fresh), lambda: MetaDensity(pairs)
+            lambda: MetaDensity._from_checked(pairs, True), lambda: MetaDensity(pairs)
         )
         assert got == want == "support entries live on different spaces"
