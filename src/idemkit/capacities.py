@@ -46,6 +46,7 @@ from .measures import MaxTimesDensity, MetaTimesDensity, multiply
 from .seeding import trial_streams
 from .semiring import (
     BOTTOM,
+    check_integer,
     log_bridge,
     resolve_tolerance,
     score_eq,
@@ -166,11 +167,13 @@ class MetaPossibility(MetaTimesDensity):
 
 
 def _maxitive_table(values) -> np.ndarray:
-    """The maxitive table whose singleton values are `values`, in point order."""
-    table = np.zeros(1 << len(values))
-    for i, v in enumerate(values):
+    """The maxitive table whose singleton values are `values`, in point
+    order, in mask order; a (..., n) block gives one table per row."""
+    values = np.asarray(values, dtype=float)
+    table = np.zeros((*values.shape[:-1], 1 << values.shape[-1]))
+    for i in range(values.shape[-1]):
         # the subsets whose top point is i: those below it, each joined with i
-        table[1 << i : 2 << i] = np.maximum(table[: 1 << i], v)
+        table[..., 1 << i : 2 << i] = np.maximum(table[..., : 1 << i], values[..., i, None])
     return table
 
 
@@ -379,6 +382,8 @@ def check_characterization(
     tol: float | None = None,
 ) -> CharacterizationReport:
     """Sample the three integral conditions and report per-condition results.
+    A trial count or seed that is not an integer (a bool, float or str)
+    raises ValueError naming it.
 
     Comonotone pairs are produced as two non-decreasing reshapings of one
     shared ranking function (generate.comonotone_rows), which covers ties;
@@ -400,6 +405,7 @@ def check_characterization(
     """
     from .generate import comonotone_rows, real_row
 
+    trials, seed = check_integer("trials", trials), check_integer("seed", seed)
     if trials <= 0:
         raise ValueError("trials must be positive")
     tol = resolve_tolerance(tol)

@@ -54,14 +54,13 @@ that is out lies beyond a half-space that holds every barycenter.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from .measures import MaxPlusDensity, MetaDensity, multiply
-from .semiring import resolve_tolerance
+from .semiring import check_integer, resolve_tolerance
 from .spaces import FiniteSpace, checked_block
 
 POINT_SLACK = 1e-9
@@ -334,8 +333,7 @@ def check_convexity_equivalence(
 
 def bounding_grid(gens: GeneratorSet, per_axis: int = 11) -> np.ndarray:
     """Regular grid spanning the generators' bounding box."""
-    if isinstance(per_axis, bool) or not isinstance(per_axis, numbers.Integral):
-        raise ValueError(f"per_axis must be an integer, got {per_axis!r}")
+    per_axis = check_integer("per_axis", per_axis)
     if per_axis < 1:
         raise ValueError("per_axis must be positive")
     lo = gens.points.min(axis=0)

@@ -6,10 +6,12 @@ decorator above it with its name, its stream tag and the law it checks;
 seeded instances, evaluates one law, and returns None or a failure with a
 minimized witness.  While the failure persists, the shrinker takes the first
 candidate that still fails: the witness with one support entry dropped,
-one nested entry shrunk, or one point of the space dropped.  It builds each
-candidate from the checked parts of the last witness, through the private
-builders of idemkit.measures (`Meta._from_checked`, `Density._divided`),
-which skip the checks of each part.  Trial i of a suite always draws what
+one nested entry shrunk, or one point of the space dropped.  A meta with
+one entry dropped, and a density with one point dropped, are built from
+the checked parts of the last witness through the private builders of
+idemkit.measures (`Meta._from_checked`, `Density._divided`), which skip the
+checks of each part; a meta that holds a new entry, shrunk or restricted,
+is built by its constructor.  Trial i of a suite always draws what
 `trial_stream(seed, i, tag)` draws, so identical seeds give identical
 reports; `run_suite` re-keys one generator of its own per trial
 (`seeding.trial_streams`), and a trial must not keep it past its return.
@@ -40,7 +42,6 @@ constructor would refuse it, and the law counts as failing.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -52,6 +53,8 @@ from .capacities import (
     DEFAULT_RECOVERY_BOUND,
     MAX_TABLE_POINTS,
     MetaPossibility,
+    _maxitive_table,
+    bits_members,
     check_characterization,
     check_repr,
     integral_functional,
@@ -105,7 +108,7 @@ from .measures import (
     pushforward,
 )
 from .seeding import trial_stream, trial_streams
-from .semiring import resolve_tolerance, score_eq
+from .semiring import check_integer, resolve_tolerance, score_eq
 from .spaces import FiniteSpace, PointMap, compose_maps
 
 MUTATIONS = ("drop-weight",)
@@ -192,8 +195,7 @@ def _restrict(x: Density | Meta, smaller: FiniteSpace):
     if isinstance(x, Density):
         w = x.weights
         return type(x)._divided(smaller, {p: w[p] for p in smaller.points})
-    # every entry is new, and checked: merge them as the constructor does
-    return type(x)._from_checked(tuple((_restrict(e, smaller), w) for e, w in x.support), True)
+    return type(x)(tuple((_restrict(e, smaller), w) for e, w in x.support))
 
 
 def _point_drops(x: Density | Meta) -> Iterator:
@@ -215,7 +217,8 @@ def _meta_shrinks(F: Meta, keep_space: bool = False) -> Iterator[Meta]:
     renormalize the rest; shrink one entry that is itself a meta; drop one
     point of the space everywhere (`_point_drops`).  With keep_space the
     last kind is left out: an entry shrunk beside other entries must stay
-    on their space, or the enclosing constructor rejects it."""
+    on their space, or the enclosing constructor rejects it.  A nested
+    shrink keeps every weight, so its constructor never refuses it."""
     sup = F.support
     if len(sup) > 1:
         residual = F.side.residual
@@ -228,11 +231,7 @@ def _meta_shrinks(F: Meta, keep_space: bool = False) -> Iterator[Meta]:
         inner_keeps_space = keep_space or len(sup) > 1
         for i, (inner, _) in enumerate(sup):
             for cand in _meta_shrinks(inner, inner_keeps_space):
-                pairs = tuple((cand if k == i else e, w) for k, (e, w) in enumerate(sup))
-                try:
-                    yield type(F)._from_checked(pairs, True)
-                except ValueError:
-                    continue
+                yield type(F)(tuple((cand if k == i else e, w) for k, (e, w) in enumerate(sup)))
     if not keep_space:
         yield from _point_drops(F)
 
@@ -476,23 +475,16 @@ def swept_capacity_value(C: MetaPossibility, members, grid: np.ndarray) -> float
     return float(np.max(best_weight * grid))
 
 
-def _subset_members(n: int) -> np.ndarray:
-    """The (2**n, n) membership mask of every subset of n points, in mask
-    order: row s holds point i when bit i of s is set."""
-    return (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
-
-
-def _breakpoint_values(C: MetaPossibility, member: np.ndarray) -> np.ndarray:
-    """The multiplied capacity of C on every subset, one per row of the
-    membership mask `member`: the exact reference of the threshold sweep.
-    The score t * max{w_j : nu_j >= t} of a threshold t only steps down at
-    the values nu_j of the profiles on the subset, and grows with t between
-    them, so its sup is attained at one of them (Shilkret, 1971).  nu is
-    (entry, subset), 0 on the empty set; reach[j, i, s] says profile j
-    reaches nu_i on subset s."""
-    profiles = np.array([pi.vector for pi, _ in C.support])
+def _breakpoint_values(C: MetaPossibility) -> np.ndarray:
+    """The multiplied capacity of C on every subset, in mask order: the
+    exact reference of the threshold sweep.  The score
+    t * max{w_j : nu_j >= t} of a threshold t only steps down at the values
+    nu_j of the profiles on the subset, and grows with t between them, so
+    its sup is attained at one of them (Shilkret, 1971).  nu is (entry,
+    subset), each profile's maxitive table, 0 on the empty set;
+    reach[j, i, s] says profile j reaches nu_i on subset s."""
+    nu = _maxitive_table(np.array([pi.vector for pi, _ in C.support]))
     weights = np.array([w for _, w in C.support])
-    nu = np.where(member, profiles[:, None, :], 0.0).max(axis=2)
     reach = nu[:, None, :] >= nu[None, :, :]
     best = np.where(reach, weights[:, None, None], 0.0).max(axis=0)
     return (best * nu).max(axis=0)
@@ -505,12 +497,10 @@ def _breakpoint_values(C: MetaPossibility, member: np.ndarray) -> np.ndarray:
 def _possmult(rng, run: Run):
     space = random_space(rng, min(run.max_space, 4))
     C = random_meta_possibility(rng, space, quantum=SWEEP_STEPS)
-    rho = possibility_mult(C)
-    member = _subset_members(len(space))
-    closed = np.where(member, rho.vector, 0.0).max(axis=1)
-    off = np.abs(closed - _breakpoint_values(C, member)) > run.tol
+    closed = _maxitive_table(possibility_mult(C).vector)
+    off = np.abs(closed - _breakpoint_values(C)) > run.tol
     if off.any():
-        members = [p for p, hit in zip(space.points, member[off.argmax()]) if hit]
+        members = list(bits_members(space, int(off.argmax())))
         support = [{"profile": possibility_to_doc(pi), "weight": w} for pi, w in C.support]
         return (
             "closed-form possibility multiplication misses the breakpoint reference",
@@ -545,19 +535,11 @@ def suite_names() -> list[str]:
     return list(SUITES)
 
 
-def _integer(field: str, value) -> int:
-    """value as an int; a bool, or any value that is not an integer, raises
-    ValueError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _checked_run(
     trials: int, seed: int, max_space: int, mutate: str | None, tol
 ) -> tuple[int, Run]:
     """The trial count, as an int, and the Run of these arguments."""
-    max_space = _integer("max-space", max_space)
+    max_space = check_integer("max-space", max_space)
     if max_space < 1:
         raise ValueError("max-space must be at least 1")
     if max_space > MAX_TABLE_POINTS:  # the capacity suites draw spaces up to max-space
@@ -565,10 +547,10 @@ def _checked_run(
             f"max-space must be at most {MAX_TABLE_POINTS}, the most points a capacity table holds"
         )
     mult = _resolve_mutation(mutate, multiply)
-    trials = _integer("trials", trials)
+    trials = check_integer("trials", trials)
     if trials <= 0:
         raise ValueError("trials must be positive")
-    return trials, Run(_integer("seed", seed), max_space, resolve_tolerance(tol), mult)
+    return trials, Run(check_integer("seed", seed), max_space, resolve_tolerance(tol), mult)
 
 
 def run_suite(
@@ -584,8 +566,11 @@ def run_suite(
     raises ValueError instead of reading as a failed law."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
-    spec = SUITES[name]
-    trials, run = _checked_run(trials, seed, max_space, mutate, tol)
+    return _run(SUITES[name], *_checked_run(trials, seed, max_space, mutate, tol))
+
+
+def _run(spec: SuiteSpec, trials: int, run: Run) -> RunReport:
+    """Run `trials` trials of one suite on a checked Run."""
     start = time.perf_counter()
     stream = trial_streams(run.seed, spec.tag)
     failures = []
@@ -597,7 +582,7 @@ def run_suite(
             outcome = (f"trial raised {type(exc).__name__}: {exc}", {})
         if outcome is not None:
             failures.append(Failure(i, *outcome))
-    return RunReport(name, trials, run.seed, failures, time.perf_counter() - start)
+    return RunReport(spec.name, trials, run.seed, failures, time.perf_counter() - start)
 
 
 def run_all(
@@ -607,7 +592,7 @@ def run_all(
     mutate: str | None = None,
     tol: float | None = None,
 ) -> list[RunReport]:
-    """Run every suite in registration order; a bad argument raises before
-    the first suite runs."""
-    _checked_run(trials, seed, max_space, mutate, tol)
-    return [run_suite(name, trials, seed, max_space, mutate, tol) for name in SUITES]
+    """Run every suite in registration order on one Run; a bad argument
+    raises before the first suite runs."""
+    trials, run = _checked_run(trials, seed, max_space, mutate, tol)
+    return [_run(spec, trials, run) for spec in SUITES.values()]

@@ -48,15 +48,15 @@ equal within tolerance are merged by taking the larger weight.  The default
 tolerance (semiring.default_tolerance, which reads IDEMKIT_TOLERANCE) is
 read when a merge compares entries, that is when two or more are kept; a
 one-entry meta never reads it.
-The shrinker and the drop-weight mutation of idemkit.laws build their
-candidates from parts that are already checked, through private builders
-that skip the checks of each part and refuse with the constructors' texts:
-`Meta._from_checked` checks only the peak of a reweighted subsequence of one
-merged support (its entries are apart, from that merge) and otherwise
-merges as the constructor does, and `Density._from_checked` checks only the
-peak of weights that are in range by how they were made, which also builds
-multiply's result below ARRAY_MIN_POINTS and normalize's (through
-`Density._divided`).
+The shrinker and the drop-weight mutation of idemkit.laws build a meta
+that holds a new entry with the constructor.  Where a candidate is made of
+parts that are already checked, private builders skip the checks of each
+part and refuse with the constructors' texts: `Meta._from_checked` checks
+only the peak of a reweighted subsequence of one merged support (its
+entries are apart, from that merge), and `Density._from_checked` checks
+only the peak of weights that are in range by how they were made, which
+also builds multiply's result below ARRAY_MIN_POINTS and normalize's
+(through `Density._divided`).
 """
 
 from __future__ import annotations
@@ -225,9 +225,9 @@ class Meta(Frozen):
     keeping the larger weight.  Closeness is under the default tolerance,
     read when the merge compares entries: only when two or more pairs are
     kept, so a bad IDEMKIT_TOLERANCE fails those constructions alone.
-    `_from_checked` builds a meta from pairs whose parts are checked: a
-    reweighted subsequence of one merged support, checked only for its
-    peak, or any pairs, merged as the constructor merges them.
+    The constructor builds every meta that holds a new entry; only a
+    reweighted subsequence of one merged support, whose entries are apart,
+    skips it, through `_from_checked`, which checks the peak alone.
 
     A meta is frozen (`spaces.Frozen`): the constructor writes `support`
     once, through the instance dict, and assigning or deleting it raises
@@ -265,34 +265,9 @@ class Meta(Frozen):
             kept.append((item, w))
         if not kept:
             raise ValueError("empty support after dropping bottom weights")
-        if len(kept) == 1 and abs(kept[0][1] - top) <= side.slack:
-            self.__dict__["support"] = (kept[0],)  # nothing to merge, the peak attained
-            return
-        self._merge(kept, True)
-
-    @classmethod
-    def _from_checked(cls, pairs, merge=False) -> "Meta":
-        """The meta of `pairs`, a nonempty sequence of (entry, weight) pairs
-        whose entries are checked `entry` values and whose weights are
-        floats in (bottom, peak], with the constructor's texts and without
-        its checks of each pair.  Without `merge`, `pairs` is a subsequence
-        of one merged support, reweighted, whose entries are apart, and
-        only the peak is checked; with it, `pairs` runs the constructor's
-        merge (`_merge`)."""
-        obj = cls.__new__(cls)
-        obj._merge(pairs, merge)
-        return obj
-
-    def _merge(self, kept, merge) -> None:
-        """Store `kept`, a sequence of (entry, weight) pairs with weights in
-        (bottom, peak], as the support, the peak weight attained.  With
-        `merge` and two or more pairs, every entry is checked against the
-        first entry's space, and each entry close to an earlier kept one is
-        merged into it under the larger weight; the comparison is
-        `_close(later, earlier)`, so the result does not rest on `_close`
-        being symmetric (on metas it is a greedy matching).  The tolerance
-        is read only then."""
-        if merge and len(kept) > 1:
+        # the test is _close(later, earlier), so the merge does not rest on
+        # _close being symmetric (on metas it is a greedy matching)
+        if len(kept) > 1:
             space = kept[0][0].space
             for item, _ in kept:
                 other = item.space
@@ -309,11 +284,26 @@ class Meta(Frozen):
                 else:
                     merged.append((item, w))
             kept = merged
-        peak = max(map(operator.itemgetter(1), kept)) if len(kept) > 1 else kept[0][1]
+        self._store(kept)
+
+    @classmethod
+    def _from_checked(cls, pairs) -> "Meta":
+        """The meta of `pairs`, a reweighted subsequence of one merged
+        support: (entry, weight) pairs whose entries are checked and apart
+        and whose weights are floats in (bottom, peak].  Only the peak is
+        checked, with the constructor's text."""
+        obj = cls.__new__(cls)
+        obj._store(pairs)
+        return obj
+
+    def _store(self, pairs) -> None:
+        """Store `pairs`, nonempty and merged, as the support once the peak
+        weight is attained."""
+        peak = max(map(operator.itemgetter(1), pairs)) if len(pairs) > 1 else pairs[0][1]
         side = self.side
         if abs(peak - side.peak) > side.slack:
             raise ValueError(f"peak support weight is {peak!r}, expected {side.peak!r}")
-        self.__dict__["support"] = tuple(kept)
+        self.__dict__["support"] = tuple(pairs)
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(support={self.support!r})"

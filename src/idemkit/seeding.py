@@ -20,13 +20,15 @@ from typing import Callable
 
 import numpy as np
 
+from .semiring import check_integer
+
 _MASK64 = (1 << 64) - 1
 
 
 def _stream_key(seed: int, tag: int) -> np.ndarray:
-    """The Philox key [seed, tag] of a battery; a seed outside [0, 2**64)
-    raises ValueError."""
-    seed = int(seed)
+    """The Philox key [seed, tag] of a battery; a seed that is not an
+    integer, or lies outside [0, 2**64), raises ValueError."""
+    seed = check_integer("seed", seed)
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed {seed} outside [0, 2**64)")
     return np.array([seed, int(tag) & _MASK64], dtype=np.uint64)
@@ -43,7 +45,8 @@ def _checked_index(index: int) -> int:
 
 def trial_stream(seed: int, index: int, tag: int = 0) -> np.random.Generator:
     """Independent generator for trial `index` of the battery `tag` under
-    `seed`; a seed outside [0, 2**64) raises ValueError."""
+    `seed`; a seed that is not an integer, or lies outside [0, 2**64),
+    raises ValueError."""
     index = _checked_index(index)
     key = _stream_key(seed, tag)
     # 2^128 draws per trial stream; streams cannot overlap

@@ -13,6 +13,7 @@ arithmetic path that could turn it into a NaN.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 
 BOTTOM = float("-inf")
@@ -61,6 +62,14 @@ def resolve_tolerance(tol: float | None) -> float:
     if not math.isfinite(value) or value < 0.0:
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     return value
+
+
+def check_integer(field: str, value) -> int:
+    """value as an int; a bool, or any value that is not an integer (a
+    float or a str among them), raises ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
 
 
 def is_bottom(a: float) -> bool:

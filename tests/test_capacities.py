@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -467,6 +468,25 @@ def test_check_characterization_accepts_integrals():
         c = random_capacity(rng, space)
         report = check_characterization(integral_functional(c), space, trials=50, seed=i)
         assert report.passed, report.failing()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("trials", True), ("trials", 2.5), ("trials", "8"), ("seed", 1.5), ("seed", True), ("seed", "3")],
+    ids=repr,
+)
+def test_check_characterization_refuses_a_trial_count_or_seed_that_is_not_an_integer(field, value):
+    oracle = lambda phi: max(phi.values.values())
+    message = rf"^{field} must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        check_characterization(oracle, ABC, **{"trials": 3, "seed": 0, field: value})
+
+
+def test_check_characterization_takes_numpy_integers_as_ints():
+    # a failing oracle, so the reports carry witnesses drawn from the seed
+    oracle = lambda phi: sum(phi.values.values())
+    report = check_characterization(oracle, ABC, trials=np.int64(20), seed=np.uint64(4))
+    assert report.outcomes == check_characterization(oracle, ABC, trials=20, seed=4).outcomes
 
 
 def test_check_characterization_rejects_summing_oracle():

@@ -116,7 +116,8 @@ def test_the_builders_past_the_constructors_are_named():
     # the two trusted builders of the shrinker and of multiply:
     # Density._from_checked stores a label dict of weights its callers
     # keep in range and checks only the peak, the one label-dict builder
-    # beside PointValues.__init__; Meta._from_checked runs Meta's merge
+    # beside PointValues.__init__; Meta._from_checked stores a subsequence
+    # of one merged support through the constructor's peak check
     builders = {
         m: found
         for m in MODULES

@@ -360,6 +360,20 @@ def test_non_integer_arguments_raise_before_any_trial(monkeypatch, field, value)
     assert drawn == []
 
 
+def test_run_all_hands_every_trial_of_every_suite_one_run(monkeypatch):
+    seen = []
+
+    def trial(rng, run):
+        seen.append(run)
+
+    suites = {name: laws.SuiteSpec(name, tag, "", trial) for name, tag in (("a", 1), ("b", 2))}
+    monkeypatch.setattr(laws, "SUITES", suites)
+    reports = run_all(trials=3, seed=0, mutate="drop-weight", tol=1e-6)
+    assert [(r.suite, r.trials, r.ok) for r in reports] == [("a", 3, True), ("b", 3, True)]
+    assert len(seen) == 6 and all(run is seen[0] for run in seen)
+    assert seen[0].tol == 1e-6
+
+
 def test_numpy_integer_arguments_run_as_ints():
     report = run_suite("unit", trials=np.int64(3), seed=np.uint64(7), max_space=np.int32(4))
     assert report.to_doc() == run_suite("unit", trials=3, seed=7, max_space=4).to_doc()
@@ -395,7 +409,7 @@ def test_breakpoint_reference_equals_the_sweep_exactly():
         rng = trial_stream(0, i, tag=60)
         space = generate.random_space(rng, 4)
         C = generate.random_meta_possibility(rng, space, quantum=10_000)
-        reference = laws._breakpoint_values(C, laws._subset_members(len(space)))
+        reference = laws._breakpoint_values(C)
         assert reference.shape == (1 << len(space),)
         for mask, members in _masks_in_order(space):
             assert reference[mask] == swept_capacity_value(C, members, grid), (i, members)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -29,6 +30,23 @@ def test_each_seed_is_rejected_or_gets_its_own_stream():
 def test_a_seed_outside_the_domain_is_rejected_by_name(seed):
     with pytest.raises(ValueError, match=rf"^seed {seed} outside \[0, 2\*\*64\)$"):
         trial_stream(seed, 0)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "3", 3.0, None], ids=repr)
+def test_a_seed_that_is_not_an_integer_is_rejected_by_name(seed):
+    message = rf"^seed must be an integer, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=message):
+        trial_stream(seed, 0)
+    with pytest.raises(ValueError, match=message):
+        trial_streams(seed)
+
+
+def test_a_numpy_integer_seed_keys_the_stream_of_its_int():
+    for seed in (np.int64(7), np.uint64((1 << 64) - 1), np.int32(0)):
+        assert _draws(seed) == _draws(int(seed))
+        assert _every_kind_of_draw(trial_streams(seed, 1)(3)) == _every_kind_of_draw(
+            trial_stream(int(seed), 3, 1)
+        )
 
 
 def test_the_top_of_the_seed_domain_keeps_every_bit():
