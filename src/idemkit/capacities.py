@@ -15,11 +15,13 @@ values the level set is constant and the candidate grows linearly with t),
 so restricting t to the value set is exact, not an approximation.
 
 integral_functional(c) is that integral as a functional.  It is callable
-on one function, and its `batch` integrates every row of a block in one
-numpy pass to the same floats; recover_capacity reads a capacity back off
-it one block of indicator rows at a time, through the probe layer of
-idemkit.spaces (`probe_values`) that density_from_functional uses too, with
-the same budget of PROBE_BLOCK_CELLS values per block.  The logs the batch
+on one function, and its `batch` integrates every row of a block to the
+same floats with no sort, one numpy pass per point: the level set at each
+point's value is its tie group and every point above it, one bitmask per
+point and row.  recover_capacity reads a capacity back off it one block
+of indicator rows at a time, through the probe layer of idemkit.spaces
+(`probe_values`) that density_from_functional uses too, with the same
+budget of PROBE_BLOCK_CELLS values per block.  The logs the batch
 gathers are stored on the capacity (`Capacity.log_table`, made on first
 read), so every functional of one capacity shares them.  maxplus_integral
 and shilkret_integral stay scalar scans, the independent cross-check of the
@@ -260,12 +262,16 @@ class IntegralFunctional:
     """The max-plus integral against a fixed capacity, as a functional.
 
     Calling it on a function is maxplus_integral.  `batch` integrates every
-    row of a block in one numpy pass, to the same floats: per row it sorts
-    the values downward, takes the cumulative sum of their point bits (the
-    mask of each prefix's level set), keeps only the last position of each
-    tie group, where the prefix is the whole level set, and takes the max of
-    log c(mask) + t.  The logs are the capacity's stored `log_table`, made
-    once per capacity, so each entry is the float the scalar path uses.
+    row of a block to the same floats, without a sort.  The level set at a
+    point's value t is every point whose value is at least t, its whole tie
+    group included, so each point's candidate is log c(that set) + t: the
+    scalar scan's candidates, some repeated.  The block is transposed to
+    one row per point, and one pass per point builds every point's level
+    set as an int32 bitmask; a row's integral is the max of its candidates.
+    The logs are the capacity's stored `log_table`, made once per capacity,
+    so each entry is the float the scalar path uses.  No candidate is -0.0
+    (no log is, and a sum is -0.0 only when both terms are), so the max is
+    the scalar scan's float, bit for bit.
     """
 
     __slots__ = ("capacity",)
@@ -287,13 +293,12 @@ class IntegralFunctional:
         elif space != c.space:
             raise ValueError("capacity and function live on different spaces")
         vals = in_point_order(checked_block(space, block, "integral rows"), space, c.space)
-        order = np.argsort(-vals, axis=1)
-        t = vals[np.arange(len(vals))[:, None], order]
-        cand = c.log_table[np.cumsum(1 << order, axis=1)]
-        cand += t
-        # inside a tie group the prefix is only part of the level set
-        cand[:, :-1][t[:, :-1] == t[:, 1:]] = BOTTOM
-        return cand.max(axis=1)
+        t = np.ascontiguousarray(vals.T)
+        masks = np.zeros(t.shape, dtype=np.int32)
+        for row in t[::-1]:  # last point first, so point i ends on bit i
+            masks += masks
+            masks += row >= t
+        return (c.log_table[masks] + t).max(axis=0)
 
 
 def integral_functional(c: Capacity) -> IntegralFunctional:

@@ -26,16 +26,16 @@ _MASK64 = (1 << 64) - 1
 
 
 def _stream_key(seed: int, tag: int) -> np.ndarray:
-    """The Philox key [seed, tag] of a battery; a seed that is not an
-    integer, or lies outside [0, 2**64), raises ValueError."""
+    """The Philox key [seed, tag] of a battery; a seed or tag that is not
+    an integer, or a seed outside [0, 2**64), raises ValueError."""
     seed = check_integer("seed", seed)
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed {seed} outside [0, 2**64)")
-    return np.array([seed, int(tag) & _MASK64], dtype=np.uint64)
+    return np.array([seed, check_integer("tag", tag) & _MASK64], dtype=np.uint64)
 
 
 def _checked_index(index: int) -> int:
-    index = int(index)
+    index = check_integer("trial index", index)
     if index < 0:
         raise ValueError("trial index must be non-negative")
     if index >> 128:
@@ -45,8 +45,9 @@ def _checked_index(index: int) -> int:
 
 def trial_stream(seed: int, index: int, tag: int = 0) -> np.random.Generator:
     """Independent generator for trial `index` of the battery `tag` under
-    `seed`; a seed that is not an integer, or lies outside [0, 2**64),
-    raises ValueError."""
+    `seed`; a seed, index or tag that is not an integer (a bool, float or
+    str among them), a seed outside [0, 2**64), or an index outside
+    [0, 2**128) raises ValueError naming it."""
     index = _checked_index(index)
     key = _stream_key(seed, tag)
     # 2^128 draws per trial stream; streams cannot overlap
@@ -55,8 +56,8 @@ def trial_stream(seed: int, index: int, tag: int = 0) -> np.random.Generator:
 
 def trial_streams(seed: int, tag: int = 0) -> Callable[[int], np.random.Generator]:
     """`stream(i)`, the generator of trial i of the battery `tag` under
-    `seed`, drawing what `trial_stream(seed, i, tag)` draws.  The seed is
-    checked here, once; a bad index raises as in `trial_stream`.
+    `seed`, drawing what `trial_stream(seed, i, tag)` draws.  The seed and
+    tag are checked here, once; a bad index raises as in `trial_stream`.
 
     Every call returns the same generator, re-keyed: its Philox state is set
     to counter i << 128, key [seed, tag], an empty buffer and no cached

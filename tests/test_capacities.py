@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idemkit import capacities
 from idemkit.capacities import (
@@ -246,25 +248,101 @@ def _jittered_plateaus(rng, space):
     return Capacity(space, table)
 
 
+def _indicator_rows(rng, m, n, bound=40.0):
+    """recover_capacity's probe rows: 0.0 on a random non-empty subset and
+    -bound off it, so every row holds at most two values."""
+    masks = rng.integers(1, 1 << n, m)
+    return np.where((masks[:, None] & (1 << np.arange(n))) != 0, 0.0, -bound)
+
+
+def _signed_zero_rows(rng, m, n):
+    """Rows that mix 0.0 and -0.0 with a few other values."""
+    return rng.choice(np.array([0.0, -0.0, 0.0, -0.0, 1.5, -2.0]), (m, n))
+
+
+def _sparse_capacity(rng, space, core):
+    """A capacity that is 0 on every subset that misses one of the first
+    `core` points, and on the subsets that hold them all a random capacity
+    of the remaining points, so its log table takes 2**(n - core) logs:
+    cheap at n = 20."""
+    rest = random_capacity(rng, FiniteSpace(space.points[core:])).table
+    table = np.zeros(1 << len(space))
+    table[(1 << core) - 1 :: 1 << core] = rest  # the masks that hold the first `core` bits
+    return Capacity(space, table)
+
+
+def _assert_batch_is_the_scalar_integral(c, on, block):
+    got = integral_functional(c).batch(block, on)
+    assert got.shape == (len(block),)
+    for row, value in zip(block, got.tolist()):
+        phi = RealFunction(on, dict(zip(on.points, row.tolist())))
+        assert repr(value) == repr(maxplus_integral(c, phi))
+    return got
+
+
 def test_integral_batch_matches_the_scalar_integral_row_by_row():
-    for n in range(1, 15):
+    for n in range(1, 21):
         rng = trial_stream(612, n)
         space = FiniteSpace(tuple(f"p{i}" for i in range(n)))
         reordered = FiniteSpace(tuple(space.points[i] for i in rng.permutation(n)[::-1]))
-        for c, on in (
-            (random_capacity(rng, space), space),
-            (random_capacity(rng, space), reordered),
-            (_jittered_plateaus(rng, space), space),
-        ):
-            functional = integral_functional(c)
-            block = _tied_rows(rng, 60, n)
-            got = functional.batch(block, on)
-            assert got.shape == (60,)
-            for row, value in zip(block, got.tolist()):
-                phi = RealFunction(on, dict(zip(on.points, row.tolist())))
-                assert repr(value) == repr(maxplus_integral(c, phi))
+        if n <= 14:
+            cases, m = (
+                (random_capacity(rng, space), space),
+                (random_capacity(rng, space), reordered),
+                (_jittered_plateaus(rng, space), space),
+            ), 60
+        else:  # a few rows on large tables, the largest made cheap
+            big = random_capacity(rng, space) if n <= 16 else _sparse_capacity(rng, space, n - 8)
+            cases, m = ((big, reordered),), 6
+        for c, on in cases:
+            block = np.vstack(
+                [_tied_rows(rng, m, n), _indicator_rows(rng, m, n), _signed_zero_rows(rng, m, n)]
+            )
+            got = _assert_batch_is_the_scalar_integral(c, on, block)
             if on is space:
-                assert np.array_equal(functional.batch(block), got)
+                assert np.array_equal(integral_functional(c).batch(block), got)
+
+
+DBL_MAX = np.finfo(float).max
+# signed zeros, the ends of the float range, subnormals and the smallest
+# normal, and a few plain values that rows repeat
+ROW_POOL = (
+    0.0, -0.0, DBL_MAX, -DBL_MAX,
+    5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+    1.0, -1.0, 0.75, -3.0,
+)
+
+
+@st.composite
+def _capacities_on_reordered_spaces(draw):
+    """(capacity, space it is integrated on, rows): a random capacity, one
+    with jittered plateaus, or one with zero entries, on 1-6 points, and a
+    block of rows drawn from ROW_POOL, on the capacity's points in a drawn
+    order."""
+    n = draw(st.integers(1, 6))
+    rng = trial_stream(616, draw(st.integers(0, 2**20)))
+    space = FiniteSpace(tuple(f"p{i}" for i in range(n)))
+    kind = draw(st.sampled_from(("random", "plateaus", "zeros")))
+    if kind == "plateaus":
+        c = _jittered_plateaus(rng, space)
+    else:
+        c = random_capacity(rng, space)
+        if kind == "zeros":
+            table = c.table.copy()
+            table[table < np.quantile(table, 0.5)] = 0.0  # still monotone
+            c = Capacity(space, table)
+    on = FiniteSpace(tuple(draw(st.permutations(space.points))))
+    # a block takes its values from a few of the pool's, so that rows tie
+    values = draw(st.lists(st.sampled_from(ROW_POOL), min_size=1, max_size=4, unique_by=repr))
+    row = st.lists(st.sampled_from(values), min_size=n, max_size=n)
+    block = np.array(draw(st.lists(row, min_size=1, max_size=8)), dtype=float)
+    return c, on, block
+
+
+@settings(max_examples=200, deadline=None)
+@given(_capacities_on_reordered_spaces())
+def test_integral_batch_is_the_scalar_integral_on_any_pooled_row(case):
+    _assert_batch_is_the_scalar_integral(*case)
 
 
 def test_integral_batch_takes_an_empty_block_and_leaves_its_input_alone():

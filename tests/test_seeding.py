@@ -128,3 +128,45 @@ def test_trial_streams_reject_a_bad_index_as_trial_stream_does():
     assert str(from_stream.value) == "trial index must be below 2**128"
     with pytest.raises(ValueError, match="^trial index must be non-negative$"):
         stream(-1)
+
+
+@pytest.mark.parametrize("index", [1.5, "2", True, np.True_, 3.0, None], ids=repr)
+def test_a_trial_index_that_is_not_an_integer_is_rejected_by_name(index):
+    message = rf"^trial index must be an integer, got {re.escape(repr(index))}$"
+    with pytest.raises(ValueError, match=message):
+        trial_stream(0, index)
+    with pytest.raises(ValueError, match=message):
+        trial_streams(0)(index)
+
+
+@pytest.mark.parametrize("tag", [1.9, "7", True, np.float64(2.0), None], ids=repr)
+def test_a_tag_that_is_not_an_integer_is_rejected_by_name(tag):
+    message = rf"^tag must be an integer, got {re.escape(repr(tag))}$"
+    with pytest.raises(ValueError, match=message):
+        trial_stream(0, 2, tag=tag)
+    with pytest.raises(ValueError, match=message):
+        trial_streams(0, tag=tag)
+
+
+def test_an_index_or_tag_that_int_would_round_no_longer_draws_another_stream():
+    # each of these drew the stream of the int it rounds to
+    with pytest.raises(ValueError, match=r"^trial index must be an integer, got 1\.5$"):
+        trial_stream(0, 1.5)
+    with pytest.raises(ValueError, match="^trial index must be an integer, got '2'$"):
+        trial_stream(0, "2", tag=1.9)
+    with pytest.raises(ValueError, match="^tag must be an integer, got '7'$"):
+        trial_streams(0, tag="7")(True)
+
+
+def test_numpy_integer_indices_and_tags_draw_the_stream_of_their_int():
+    for index, tag in ((np.int64(3), np.uint8(1)), (np.uint64(1 << 40), np.int32(-1)), (np.int16(0), 17)):
+        expected = _every_kind_of_draw(trial_stream(5, int(index), int(tag)))
+        assert _every_kind_of_draw(trial_stream(5, index, tag)) == expected
+        assert _every_kind_of_draw(trial_streams(5, tag)(index)) == expected
+    # a tag keeps its low 64 bits, as before
+    assert _every_kind_of_draw(trial_stream(5, 2, (1 << 64) + 3)) == _every_kind_of_draw(
+        trial_stream(5, 2, 3)
+    )
+    assert _every_kind_of_draw(trial_stream(5, 2, -1)) == _every_kind_of_draw(
+        trial_stream(5, 2, (1 << 64) - 1)
+    )
