@@ -18,10 +18,12 @@ integral_functional(c) is that integral as a functional.  It is callable
 on one function, and its `batch` integrates every row of a block to the
 same floats with no sort, one numpy pass per point: the level set at each
 point's value is its tie group and every point above it, one bitmask per
-point and row.  recover_capacity reads a capacity back off it one block
-of indicator rows at a time, through the probe layer of idemkit.spaces
-(`probe_values`) that density_from_functional uses too, with the same
-budget of PROBE_BLOCK_CELLS values per block.  The logs the batch
+point and row, in the narrowest unsigned integer that holds n bits.
+recover_capacity reads a capacity back off it one block of indicator rows
+at a time, built point-major and handed over as a (subset, point) view,
+through the probe layer of idemkit.spaces (`probe_values`) that
+density_from_functional uses too, with the same budget of
+PROBE_BLOCK_CELLS values per block.  The logs the batch
 gathers are stored on the capacity (`Capacity.log_table`, made on first
 read), so every functional of one capacity shares them.  maxplus_integral
 and shilkret_integral stay scalar scans, the independent cross-check of the
@@ -266,8 +268,10 @@ class IntegralFunctional:
     point's value t is every point whose value is at least t, its whole tie
     group included, so each point's candidate is log c(that set) + t: the
     scalar scan's candidates, some repeated.  The block is transposed to
-    one row per point, and one pass per point builds every point's level
-    set as an int32 bitmask; a row's integral is the max of its candidates.
+    one row per point (no copy when it is a transposed view already), and
+    one pass per point builds every point's level set as a bitmask in the
+    narrowest unsigned integer that holds n bits; a row's integral is the
+    max of its candidates.
     The logs are the capacity's stored `log_table`, made once per capacity,
     so each entry is the float the scalar path uses.  No candidate is -0.0
     (no log is, and a sum is -0.0 only when both terms are), so the max is
@@ -294,7 +298,7 @@ class IntegralFunctional:
             raise ValueError("capacity and function live on different spaces")
         vals = in_point_order(checked_block(space, block, "integral rows"), space, c.space)
         t = np.ascontiguousarray(vals.T)
-        masks = np.zeros(t.shape, dtype=np.int32)
+        masks = np.zeros(t.shape, dtype=np.min_scalar_type((1 << len(t)) - 1))
         for row in t[::-1]:  # last point first, so point i ends on bit i
             masks += masks
             masks += row >= t
@@ -322,11 +326,13 @@ def recover_capacity(
 
     The probes are the rows of blocks of PROBE_BLOCK_CELLS // n subsets
     (at most PROBE_BLOCK_CELLS values), in increasing mask order, evaluated
-    by spaces.probe_values: an oracle with a `batch(block, space)` method,
-    such as an IntegralFunctional, gets each block whole and returns one
+    by spaces.probe_values.  Each block is built point-major, one row per
+    point and one column per subset, and passed as its (subset, point)
+    view, the transpose: an oracle with a `batch(block, space)` method,
+    such as an IntegralFunctional, gets that view whole and returns one
     value per row.  Any other oracle is called once per non-empty subset,
     in increasing mask order, on the block's rows as Probes, functions that
-    hold their values as vectors.
+    hold their values as vectors (C-ordered copies of the rows).
     """
     check_probe_bound(bound)
     n = len(space)
@@ -337,8 +343,8 @@ def recover_capacity(
     for start in range(1, 1 << n, step):
         stop = min(start + step, 1 << n)
         masks = np.arange(start, stop)
-        block = np.where((masks[:, None] & point_bits) != 0, 0.0, -bound)
-        values = probe_values(oracle, space, block)
+        block = 0.0 - ((point_bits[:, None] & masks) == 0) * float(bound)
+        values = probe_values(oracle, space, block.T)
         below = values < math.inf  # False for NaN and +inf
         if not below.all():
             i = int(below.argmin())
@@ -348,7 +354,7 @@ def recover_capacity(
             )
         # exp_bridge(min(0.0, v)) entry by entry: np.minimum may keep a -0.0
         # that min drops, and exp sends both zeros to 1.0
-        table[start:stop] = list(map(math.exp, np.minimum(values, 0.0).tolist()))
+        table[start:stop] = np.fromiter(map(math.exp, np.minimum(values, 0.0).tolist()), float, stop - start)
     return Capacity(space, table)
 
 

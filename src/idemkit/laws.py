@@ -564,7 +564,7 @@ def run_suite(
     """Run `trials` trials of one suite.  The arguments, and with tol None
     the IDEMKIT_TOLERANCE setting, are checked before trial 0: a bad one
     raises ValueError instead of reading as a failed law."""
-    if name not in SUITES:
+    if not isinstance(name, str) or name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
     return _run(SUITES[name], *_checked_run(trials, seed, max_space, mutate, tol))
 

@@ -99,6 +99,8 @@ class FiniteSpace:
     points: tuple[str, ...]
 
     def __post_init__(self):
+        if isinstance(self.points, str):
+            raise ValueError("space points must be an iterable of labels, not a string")
         pts = tuple(str(p) for p in self.points)
         if not pts:
             raise ValueError("a space needs at least one point")

@@ -501,6 +501,59 @@ def test_recover_capacity_at_16_points_matches_the_per_mask_dict_loop():
     assert np.array_equal(plain.table, expected)
 
 
+class _SpyBatch:
+    """A batch oracle that integrates against a capacity and keeps a copy of
+    each probe block it is handed."""
+
+    def __init__(self, functional):
+        self.functional, self.blocks = functional, []
+
+    def __call__(self, phi):
+        raise AssertionError("a batch oracle is fed blocks")
+
+    def batch(self, block, space):
+        self.blocks.append(np.array(block))
+        values = self.functional.batch(block, space)
+        # the block's memory layout does not reach the floats
+        again = self.functional.batch(np.ascontiguousarray(block), space)
+        assert values.tobytes() == again.tobytes()
+        return values
+
+
+def test_recover_capacity_hands_a_batch_oracle_signed_indicator_rows_in_mask_order():
+    # an int bound past int64 is a valid bound too, read as its float
+    for n, bound in ((1, 40.0), (5, 3.0), (4, 2**64), (13, 40.0)):
+        space = FiniteSpace(tuple(f"p{i}" for i in range(n)))
+        spy = _SpyBatch(integral_functional(random_capacity(trial_stream(626, n), space)))
+        recover_capacity(spy, space, bound)
+        assert len(spy.blocks) == math.ceil(((1 << n) - 1) / (PROBE_BLOCK_CELLS // n))
+        rows = np.concatenate(spy.blocks)
+        members = rows == 0.0
+        assert (members @ (1 << np.arange(n))).tolist() == list(range(1, 1 << n))
+        # +0.0 on the subset, never -0.0, and exactly -bound off it
+        assert not np.signbit(rows[members]).any()
+        assert (rows[~members] == -float(bound)).all()
+
+
+def test_recover_capacity_gives_a_plain_and_a_batch_oracle_the_same_bits():
+    for n in range(1, 11):
+        rng = trial_stream(627, n)
+        space = FiniteSpace(tuple(f"p{i}" for i in range(n)))
+        reordered = FiniteSpace(tuple(space.points[i] for i in rng.permutation(n)))
+        functional = integral_functional(random_capacity(rng, space))
+        contiguous = []
+
+        def plain(phi):
+            contiguous.append(phi.vector.flags.c_contiguous)
+            return functional(phi)
+
+        for on, bound in ((space, 40.0), (reordered, 40.0), (space, 3.0), (reordered, 3.0)):
+            expected = recover_capacity(functional, on, bound).table.tobytes()
+            assert recover_capacity(plain, on, bound).table.tobytes() == expected
+        # a plain oracle's Probe rows are views of a C-ordered copy of the block
+        assert len(contiguous) == 4 * ((1 << n) - 1) and all(contiguous)
+
+
 class _BatchOf:
     """A batch oracle giving `value` on each row that holds point index i,
     and `other` on the rest."""

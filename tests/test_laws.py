@@ -313,6 +313,8 @@ BAD_ARGUMENTS = [
     ({"tol": "x"}, "tol must be a number, got 'x'"),
     # capacity tables stop at 20 points, so the capacity suites would raise
     ({"max_space": 21}, "max-space must be at most 20"),
+    # a suite name that is not a string, unhashable here, is an unknown suite
+    ({"suite": ["unit"]}, "unknown suite ['unit']; available: unit, assoc"),
 ]
 
 
@@ -327,10 +329,10 @@ def _no_trial_may_run(monkeypatch):
 def test_bad_arguments_raise_before_any_trial(monkeypatch, name):
     drawn = _no_trial_may_run(monkeypatch)
 
-    def run(**kwargs):
-        if name == "all":
+    def run(suite=name, **kwargs):
+        if suite == "all":
             return run_all(trials=2, seed=0, **kwargs)
-        return run_suite(name, trials=2, seed=0, **kwargs)
+        return run_suite(suite, trials=2, seed=0, **kwargs)
 
     for kwargs, message in BAD_ARGUMENTS:
         with pytest.raises(ValueError, match=re.escape(message)):

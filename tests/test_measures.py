@@ -898,6 +898,23 @@ def test_close_vector_and_dict_paths_agree(monkeypatch, n):
     assert not verdicts["maxplus", "bottom lifted", 1e-9]
     assert verdicts["maxtimes", "bottom lifted", 1e-9]
     assert not verdicts["maxtimes", "bottom lifted", 0.0]
+    # a weight exactly tol away is close and one ulp further is not; the
+    # weights are dyadic, so both differences are exact
+    space, other = _spaces(trial_stream(7010, n), n)
+    for side, tol, u, at, past in (
+        (MAXPLUS, 0.5, -1.0, -1.5, np.nextafter(-1.5, -2.0)),
+        (MAXTIMES, 0.25, 0.25, 0.5, np.nextafter(0.5, 1.0)),
+    ):
+        assert abs(u - at) == tol < abs(u - past)
+        cls = measures.DENSITIES[side.kind]
+        for v, close in ((at, True), (past, False)):
+            base, swapped = np.full(n, side.peak), np.full(n, side.peak)
+            base[-2:], swapped[-2:] = (u, v), (v, u)
+            a = cls.from_vector(space, base)
+            b = cls(other, dict(zip(space.points, swapped.tolist())))
+            for first, second in ((a, b), (b, a)):
+                verdicts = _both_bodies(monkeypatch, lambda: measures._close(first, second, tol))
+                assert verdicts == [close, close], (side.kind, v)
     monkeypatch.undo()
     # from ARRAY_MIN_POINTS points on, densities built from vectors are
     # compared without building their label dicts

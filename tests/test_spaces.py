@@ -37,6 +37,14 @@ def test_space_rejects_empty_and_duplicates():
         FiniteSpace(("a", "a"))
 
 
+def test_space_refuses_a_bare_string():
+    # a string iterates over its characters, which would make one point of each
+    for points in ("abc", ""):
+        with pytest.raises(ValueError, match="space points must be an iterable of labels, not a string"):
+            FiniteSpace(points)
+    assert FiniteSpace(["abc"]).points == ("abc",)
+
+
 def test_space_identity_is_the_label_set():
     assert FiniteSpace(("a", "b")) == FiniteSpace(("b", "a"))
     assert FiniteSpace(("a", "b")) != FiniteSpace(("a", "c"))
