@@ -42,6 +42,7 @@ from .isomorphism import (
     density_exp,
     density_log,
     meta_exp,
+    meta_log,
 )
 from .laws import RunReport, run_all, run_suite, suite_names
 from .measures import (

@@ -150,9 +150,6 @@ class Capacity:
         members = subset.members if isinstance(subset, SubsetMask) else subset
         return float(self.table[subset_bits(self.space, members)])
 
-    def singletons(self) -> dict[str, float]:
-        return {p: float(self.table[1 << i]) for i, p in enumerate(self.space.points)}
-
 
 class PossibilityProfile(MaxTimesDensity):
     """Maxitive capacity stored by its singleton values, which is exactly a

@@ -33,9 +33,9 @@ from .documents import (
     space_from_doc,
     weights_from_doc,
 )
-from .isomorphism import density_exp, density_log
+from .isomorphism import _transport
 from .laws import MUTATIONS, SUITES, run_all, run_suite
-from .measures import MAXPLUS
+from .measures import DENSITIES, MAXTIMES
 from .semiring import default_tolerance, format_score
 
 DENSITY_KINDS = ("maxplus", "maxtimes", "possibility")
@@ -131,12 +131,9 @@ def _convert_value(src: str, dst: str, doc):
         dens = density_from_doc(doc)
         if dens.side.kind != src:
             raise ValueError(f"input document has kind {dens.side.kind!r}, not {src!r}")
-    if dst == "maxplus":
-        return density_to_doc(dens if dens.side is MAXPLUS else density_log(dens))
-    times = density_exp(dens) if dens.side is MAXPLUS else dens
-    if dst == "maxtimes":
-        return density_to_doc(times)
-    return possibility_to_doc(times)
+    if dst == "possibility":
+        return possibility_to_doc(_transport(dens, MAXTIMES))
+    return density_to_doc(_transport(dens, DENSITIES[dst].side))
 
 
 def cmd_convert(args) -> int:

@@ -93,7 +93,14 @@ from .generate import (
     random_third,
     random_third_times,
 )
-from .isomorphism import check_l_morphism, check_s_morphism, density_exp, density_log
+from .isomorphism import (
+    check_l_morphism,
+    check_s_morphism,
+    density_exp,
+    density_log,
+    meta_exp,
+    meta_log,
+)
 from .measures import (
     Density,
     Meta,
@@ -389,18 +396,29 @@ def _s_iso(rng, run: Run):
 
 @_suite(
     "l-iso", 15,
-    "pointwise exp carries units to units and multiplication to max-times multiplication",
+    "pointwise exp carries units to units and multiplication to max-times multiplication, "
+    "and pointwise log inverts it on densities and metas",
 )
 def _l_iso(rng, run: Run):
     space = random_space(rng, run.max_space)
     law = partial(check_l_morphism, tol=run.tol)
     desc = "exp does not commute with multiplication"
-    if found := _falsified(random_meta(rng, space), law, _meta_shrinks, desc, meta_to_doc):
+    F = random_meta(rng, space)
+    if found := _falsified(F, law, _meta_shrinks, desc, meta_to_doc):
         return found
     f = random_maxplus_density(rng, space)
-    if not density_close(density_log(density_exp(f)), f, 1e-12):
+    g = density_exp(f)
+    back = density_log(g)
+    if not density_close(back, f, 1e-12):
         return "exp/log round trip fails", density_to_doc(f)
-    return None
+    if not density_close(density_exp(back), g, 1e-12):
+        return "log/exp round trip fails", density_to_doc(g)
+
+    def round_trip(M):
+        return density_close(meta_log(meta_exp(M)), M, run.tol)
+
+    desc = "meta exp/log round trip fails"
+    return _falsified(F, round_trip, _meta_shrinks, desc, meta_to_doc)
 
 
 @_suite(

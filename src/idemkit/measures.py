@@ -213,8 +213,9 @@ def _close(a, b, tol: float) -> bool:
     return True
 
 
-def density_close(f: Density, g: Density, tol: float | None = None) -> bool:
-    """Same space, identical bottom pattern, other weights within tolerance."""
+def density_close(f: Density | Meta, g: Density | Meta, tol: float | None = None) -> bool:
+    """Same space, identical bottom pattern, other weights within tolerance;
+    two metas of one depth match their supports pairwise (`_close`)."""
     return _close(f, g, resolve_tolerance(tol))
 
 

@@ -257,6 +257,12 @@ class PointValues(Frozen):
                     f" {space.points[block[r].argmax()]!r}{where}, expected {hi!r} (use normalize)"
                 )
 
+    def _in_order(self) -> list[float]:
+        """The values in point order as Python floats, read off whichever
+        form is stored, the label dict or the vector, so neither is made."""
+        by_label = self.__dict__.get(self._field)
+        return self.vector.tolist() if by_label is None else list(by_label.values())
+
     def _by_label(self) -> dict[str, float]:
         """The values by label, in point order."""
         return dict(zip(self.space.points, self.vector.tolist()))

@@ -7,7 +7,7 @@ import importlib
 import pytest
 
 import idemkit
-from idemkit import measures
+from idemkit import isomorphism, measures
 from idemkit.capacities import MetaPossibility, PossibilityProfile
 from idemkit.spaces import FiniteSpace
 
@@ -102,3 +102,8 @@ def test_multiply_keeps_a_name_of_its_own():
     # it, so an alias of multiply in measures would rename every call
     bound = [n for n, v in vars(measures).items() if v is measures.multiply]
     assert bound == ["multiply"]
+    # and so would an alias of a bridge entry point in isomorphism
+    for name in ("density_exp", "density_log", "meta_exp", "meta_log"):
+        fn = getattr(isomorphism, name)
+        assert [n for n, v in vars(isomorphism).items() if v is fn] == [name]
+        assert getattr(idemkit, name) is fn
