@@ -201,7 +201,9 @@ def _level_candidates(c: Capacity, phi: RealFunction):
     """Yield (t, capacity of the level set at t) for every attained value t,
     scanning values downward and growing the mask.  The values are phi's
     vector in c.space.points order, the order of the table's bitmasks; phi
-    may list the same points in another order."""
+    may list the same points in another order, but not other points."""
+    if c.space != phi.space:
+        raise ValueError("capacity and function live on different spaces")
     vals = in_point_order(phi.vector, phi.space, c.space).tolist()
     n = len(vals)
     order = sorted(range(n), key=vals.__getitem__, reverse=True)
@@ -217,28 +219,15 @@ def _level_candidates(c: Capacity, phi: RealFunction):
 
 def maxplus_integral(c: Capacity, phi: RealFunction) -> float:
     """max over attained t of log(c({phi >= t})) + t."""
-    if c.space != phi.space:
-        raise ValueError("capacity and function live on different spaces")
-    best = BOTTOM
-    for t, cv in _level_candidates(c, phi):
-        cand = log_bridge(cv) + t
-        if cand > best:
-            best = cand
-    return best
+    return max(log_bridge(cv) + t for t, cv in _level_candidates(c, phi))
 
 
 def shilkret_integral(c: Capacity, phi: RealFunction) -> float:
     """The multiplicative twin on exp scale: max over attained t of
     exp(t) * c({phi >= t}).  Kept free of logs so it can serve as an
     independent cross-check of the max-plus integral."""
-    if c.space != phi.space:
-        raise ValueError("capacity and function live on different spaces")
-    best = 0.0
-    for t, cv in _level_candidates(c, phi):
-        cand = np.exp(t) * cv
-        if cand > best:
-            best = cand
-    return float(best)
+    # 0.0 leads and outranks the nan of inf * 0.0 and the -0.0 of 0.0 * -0.0
+    return float(max(0.0, *(np.exp(t) * cv for t, cv in _level_candidates(c, phi))))
 
 
 def possibility_integral(pi: PossibilityProfile, phi: RealFunction) -> float:

@@ -24,14 +24,14 @@ idemkit.spaces (`probe_values`), so an oracle with a `batch` form, such as
 the one behind measure_multiplication, evaluates each block whole.
 
 The compute forks on the same rule.  On spaces of at least ARRAY_MIN_POINTS
-points, eval_measure is one numpy reduction over the two vectors, multiply
-one (x) broadcast and a max over the stacked weight vectors, pushforward one
-np.maximum.at over the target index of each point, and the closeness of two
-densities one comparison of their weight vectors; multiply and pushforward
-keep the first of equal weights, as their label-dict loops do, so even a
-zero keeps its sign.  On smaller spaces, the only ones the law suites draw,
-the loops are faster, because numpy's cost per call outweighs its cost per
-point there.
+points, eval_measure reads the products of the two vectors at their argmax,
+multiply a fold of the weight vectors taking only strictly greater
+candidates, pushforward one np.maximum.at over the target index of each
+point, patched for the sign of a zero (np.maximum.at has no tie rule), and
+the closeness of two densities one comparison of their weight vectors; so
+each keeps the first of equal weights, even a zero's sign, as its loop
+does.  On smaller spaces, the only ones the law suites draw, the loops are
+faster, because numpy's cost per call outweighs its cost per point there.
 The public classes only fix a side and an entry type, and every operation
 reads the side off its argument; the *_times names are aliases kept for
 callers.
@@ -184,8 +184,8 @@ class MaxTimesDensity(Density):
 def _close(a, b, tol: float) -> bool:
     """Equality within a resolved tolerance.  Densities: same space and every
     weight equal or within tol, compared as weight vectors in point order
-    from ARRAY_MIN_POINTS points on and as label dicts below.  Metas: the
-    supports match pairwise, close entries with close weights."""
+    from ARRAY_MIN_POINTS points on and as label dicts below.  Metas: entries
+    of one kind, and supports that match pairwise in entry and weight."""
     if isinstance(a, Density):
         space = a.space
         if space is not b.space and space != b.space:
@@ -200,6 +200,8 @@ def _close(a, b, tol: float) -> bool:
             if v != u and abs(v - u) > tol:
                 return False
         return True
+    if a.entry is not b.entry and issubclass(a.entry, Density) is not issubclass(b.entry, Density):
+        return False
     if len(a.support) != len(b.support):
         return False
     taken = [False] * len(b.support)
@@ -215,8 +217,10 @@ def _close(a, b, tol: float) -> bool:
 
 def density_close(f: Density | Meta, g: Density | Meta, tol: float | None = None) -> bool:
     """Same space, identical bottom pattern, other weights within tolerance;
-    two metas of one depth match their supports pairwise (`_close`)."""
-    return _close(f, g, resolve_tolerance(tol))
+    two metas of one depth match their supports pairwise (`_close`).  A
+    density and a meta, or metas of two depths, are not close."""
+    tol = resolve_tolerance(tol)
+    return isinstance(f, Density) is isinstance(g, Density) and _close(f, g, tol)
 
 
 class Meta(Frozen):
@@ -388,20 +392,16 @@ def eval_measure(f: Density, phi: RealFunction) -> float:
     max(f(x) + phi(x)) on the max-plus side and max(f(x) * phi(x)) on the
     max-times side (phi then a UnitFunction).
 
-    From ARRAY_MIN_POINTS points on it is one numpy reduction over the
-    weight vector and phi's vector, below it a loop over their label dicts;
-    both give the same float, even the sign of a zero, as the loop keeps
-    the first of equal values."""
+    From ARRAY_MIN_POINTS points on it reads the products of the two vectors
+    at their argmax, below it takes a max over label dicts; both keep the
+    first of equal values, so they give the same float, even the sign of a zero."""
     space = f.space
     if space is not phi.space and space != phi.space:
         raise ValueError("density and function live on different spaces")
     if len(space.points) < ARRAY_MIN_POINTS:
         return max(map(f.side.otimes, f.weights.values(), map(phi.values.__getitem__, f.weights)))
     cands = f.side.otimes(f.vector, in_point_order(phi.vector, phi.space, space))
-    best = cands.max()
-    if best == 0.0:  # np.max may keep either sign of a zero
-        best = cands[(cands == 0.0).argmax()]
-    return float(best)
+    return float(cands[cands.argmax()])
 
 
 def density_from_functional(
@@ -501,7 +501,9 @@ def meta_pushforward(g: PointMap, F: Meta) -> Meta:
 
 def multiply(F: Meta) -> Density:
     """Monad multiplication: weight at x is the max over support pairs of
-    density(x) (x) pair weight."""
+    density(x) (x) pair weight.  Both bodies fold the pairs from bottom and
+    take only strictly greater candidates, so the first of equal weights
+    stays, even a zero's sign: the loop per point, numpy per vector."""
     side, space = F.side, F.space
     if len(space.points) < ARRAY_MIN_POINTS:
         otimes = side.otimes
@@ -513,17 +515,10 @@ def multiply(F: Meta) -> Density:
                     weights[x] = cand
         # a product of weights in range is in range; only the peak can miss
         return F.entry._from_checked(space, weights)
-    stack = side.otimes(
-        np.stack([in_point_order(f.vector, f.space, space) for f, _ in F.support]),
-        np.array([w for _, w in F.support])[:, None],
-    )
-    out = stack.max(axis=0)
-    zero = np.flatnonzero(out == 0.0)
-    if zero.size:
-        # the loop keeps the first of equal weights, bottom first, but
-        # np.max may keep either sign of a zero
-        cands = np.vstack([np.full(zero.size, side.bottom), stack[:, zero]])
-        out[zero] = cands[(cands == 0.0).argmax(axis=0), np.arange(zero.size)]
+    out = np.full(len(space), side.bottom)
+    for f, w in F.support:
+        cand = side.otimes(in_point_order(f.vector, f.space, space), w)
+        np.copyto(out, cand, where=cand > out)
     return F.entry.from_vector(space, out)
 
 

@@ -820,6 +820,26 @@ def test_shilkret_correspondence():
         )
 
 
+def test_integrals_refuse_a_function_on_other_points():
+    c = Capacity(AB, np.array([0.0, 1.0, 0.25, 1.0]))
+    phi = RealFunction(ABC, {"a": 0.0, "b": 1.0, "c": 2.0})
+    for integral in (maxplus_integral, shilkret_integral):
+        with pytest.raises(ValueError, match="^capacity and function live on different spaces$"):
+            integral(c, phi)
+
+
+def test_shilkret_integral_starts_its_max_at_zero():
+    """The level-set candidates exp(t) * c({phi >= t}) can be nan, when
+    exp(t) overflows to inf on a level set of capacity 0, or -0.0, when it
+    underflows to 0 on one of capacity -0.0.  The max starts at 0.0, so
+    neither is ever the answer."""
+    c = Capacity(AB, np.array([0.0, 0.0, 0.5, 1.0]))  # c({a}) = 0, c({b}) = 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert repr(shilkret_integral(c, RealFunction(AB, {"a": 800.0, "b": 1.0}))) == repr(math.e)
+    c = Capacity(AB, np.array([0.0, -0.0, 0.5, 1.0]))  # c({a}) = -0.0
+    assert repr(shilkret_integral(c, RealFunction(AB, {"a": -800.0, "b": -900.0}))) == "0.0"
+
+
 def test_possibility_mult_examples():
     pi1 = PossibilityProfile(AB, {"a": 1.0, "b": 0.0})
     pi2 = PossibilityProfile(AB, {"a": 0.0, "b": 1.0})
