@@ -226,8 +226,10 @@ def shilkret_integral(c: Capacity, phi: RealFunction) -> float:
     """The multiplicative twin on exp scale: max over attained t of
     exp(t) * c({phi >= t}).  Kept free of logs so it can serve as an
     independent cross-check of the max-plus integral."""
-    # 0.0 leads and outranks the nan of inf * 0.0 and the -0.0 of 0.0 * -0.0
-    return float(max(0.0, *(np.exp(t) * cv for t, cv in _level_candidates(c, phi))))
+    # a level set of capacity +-0.0 gives only 0.0, -0.0 or the nan of
+    # inf * 0.0; the whole space's 1 is always left
+    with np.errstate(over="ignore"):
+        return float(max(np.exp(t) * cv for t, cv in _level_candidates(c, phi) if cv > 0.0))
 
 
 def possibility_integral(pi: PossibilityProfile, phi: RealFunction) -> float:

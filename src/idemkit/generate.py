@@ -15,10 +15,14 @@ it works on Python floats taken from its draws with `.tolist()`, which costs
 less than numpy's calls; from it on it stays in numpy.  Both bodies make the
 same Philox draws in the same order and give bitwise-equal floats, and the
 density is built by `PointValues._built`, through the label-dict constructor
-below the rule and `from_vector` from it on.  A meta
-level (`_random_level`) normalizes its few weights as Python floats alone,
-since the meta constructor reads them one by one.  random_space has one
-label per letter and refuses to draw a larger space.
+below the rule and `from_vector` from it on.  A meta level has one
+drawer, `_random_level`, which reads the meta's side and normalizes its
+few weights as Python floats alone, since the meta constructor reads them
+one by one.  random_space has one label per letter and refuses to draw a
+larger space.  A drawer's only parameters are the knobs some caller sets
+(tests/test_knobs.py checks it): random_space's point bounds, min_weight
+and bottom_rate of the max-plus drawers, zero_rate of the max-times ones,
+quantum of the profile drawers and random_meta's max_support.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import numpy as np
 from .capacities import Capacity, MetaPossibility, PossibilityProfile
 from .convexity import GeneratorSet, index_space
 from .measures import (
-    MAXPLUS,
     MaxPlusDensity,
     MaxTimesDensity,
     Meta,
@@ -79,15 +82,13 @@ def random_space(rng: np.random.Generator, max_points: int = 5, min_points: int 
     return FiniteSpace(tuple(_LABELS[:size]))
 
 
-def real_row(rng: np.random.Generator, n: int, lo: float = -5.0, hi: float = 5.0) -> np.ndarray:
+def real_row(rng: np.random.Generator, n: int) -> np.ndarray:
     """The values of a random real function on n points, in point order."""
-    return rng.uniform(lo, hi, n)
+    return rng.uniform(-5.0, 5.0, n)
 
 
-def random_real_function(
-    rng: np.random.Generator, space: FiniteSpace, lo: float = -5.0, hi: float = 5.0
-) -> RealFunction:
-    return RealFunction.from_vector(space, real_row(rng, len(space), lo, hi))
+def random_real_function(rng: np.random.Generator, space: FiniteSpace) -> RealFunction:
+    return RealFunction.from_vector(space, real_row(rng, len(space)))
 
 
 def random_point_map(
@@ -182,68 +183,35 @@ def random_maxtimes_density(
 
 
 def _random_level(
-    rng: np.random.Generator,
-    meta: type[Meta],
-    max_support: int,
-    draw_entry: Callable[[], object],
-    min_weight: float = -8.0,
+    rng: np.random.Generator, meta: type[Meta], max_support: int, draw_entry: Callable[[], object]
 ) -> Meta:
     """A `meta` value of 1 to max_support entries.  It draws their number,
-    then their weights, normalized to the peak of the meta's side (in
-    [min_weight, 0] less their max on the max-plus side, in [0, 1] over
-    their max on the max-times side), as Python floats, then each entry
-    with draw_entry()."""
+    then their weights, uniform between the side's peak and its bottom (or
+    -8.0, the higher) with the peak of the draws divided out by the side's
+    residual, as Python floats, then each entry with draw_entry().  Draws
+    that all land at bottom give every entry the peak."""
+    side = meta.side
     k = int(rng.integers(1, max_support + 1))
-    if meta.side is MAXPLUS:
-        draws = rng.uniform(min_weight, 0.0, k).tolist()
-        peak = max(draws)
-        weights = [d - peak for d in draws]
-    else:
-        draws = rng.uniform(0.0, 1.0, k).tolist()
-        peak = max(draws)
-        weights = [d / peak for d in draws] if peak > 0 else [1.0] * k
+    draws = rng.uniform(max(side.bottom, -8.0), side.peak, k).tolist()
+    peak = max(draws)
+    weights = [side.residual(d, peak) for d in draws] if peak > side.bottom else [side.peak] * k
     return meta(tuple((draw_entry(), w) for w in weights))
 
 
-def random_meta(
-    rng: np.random.Generator,
-    space: FiniteSpace,
-    max_support: int = 4,
-    min_weight: float = -8.0,
-) -> MetaDensity:
-    return _random_level(
-        rng, MetaDensity, max_support, lambda: random_maxplus_density(rng, space, min_weight),
-        min_weight,
-    )
+def random_meta(rng: np.random.Generator, space: FiniteSpace, max_support: int = 4) -> MetaDensity:
+    return _random_level(rng, MetaDensity, max_support, lambda: random_maxplus_density(rng, space))
 
 
-def random_meta_times(
-    rng: np.random.Generator, space: FiniteSpace, max_support: int = 4
-) -> MetaTimesDensity:
-    return _random_level(
-        rng, MetaTimesDensity, max_support, lambda: random_maxtimes_density(rng, space)
-    )
+def random_meta_times(rng: np.random.Generator, space: FiniteSpace) -> MetaTimesDensity:
+    return _random_level(rng, MetaTimesDensity, 4, lambda: random_maxtimes_density(rng, space))
 
 
-def random_third(
-    rng: np.random.Generator,
-    space: FiniteSpace,
-    max_outer: int = 4,
-    max_inner: int = 4,
-    min_weight: float = -8.0,
-) -> ThirdLevel:
-    return _random_level(
-        rng, ThirdLevel, max_outer, lambda: random_meta(rng, space, max_inner, min_weight),
-        min_weight,
-    )
+def random_third(rng: np.random.Generator, space: FiniteSpace) -> ThirdLevel:
+    return _random_level(rng, ThirdLevel, 4, lambda: random_meta(rng, space))
 
 
-def random_third_times(
-    rng: np.random.Generator, space: FiniteSpace, max_outer: int = 4, max_inner: int = 4
-) -> ThirdLevelTimes:
-    return _random_level(
-        rng, ThirdLevelTimes, max_outer, lambda: random_meta_times(rng, space, max_inner)
-    )
+def random_third_times(rng: np.random.Generator, space: FiniteSpace) -> ThirdLevelTimes:
+    return _random_level(rng, ThirdLevelTimes, 4, lambda: random_meta_times(rng, space))
 
 
 def random_capacity(rng: np.random.Generator, space: FiniteSpace) -> Capacity:
@@ -276,14 +244,10 @@ def random_possibility_profile(
 
 
 def random_meta_possibility(
-    rng: np.random.Generator,
-    space: FiniteSpace,
-    max_support: int = 4,
-    quantum: int | None = None,
+    rng: np.random.Generator, space: FiniteSpace, quantum: int | None = None
 ) -> MetaPossibility:
     return _random_level(
-        rng, MetaPossibility, max_support,
-        lambda: random_possibility_profile(rng, space, quantum=quantum),
+        rng, MetaPossibility, 4, lambda: random_possibility_profile(rng, space, quantum=quantum)
     )
 
 
@@ -298,19 +262,12 @@ def random_weight_vector(
     return np.asarray(_plus_weights(rng, count, min_weight, bottom_rate), dtype=float)
 
 
-def random_generator_set(
-    rng: np.random.Generator,
-    dim: int,
-    max_count: int = 5,
-    lo: float = -4.0,
-    hi: float = 4.0,
-) -> GeneratorSet:
-    count = int(rng.integers(2, max_count + 1))
-    return GeneratorSet(rng.uniform(lo, hi, (count, dim)))
+def random_generator_set(rng: np.random.Generator, dim: int) -> GeneratorSet:
+    """2 to 5 generators in `dim` coordinates, each uniform in [-4, 4]."""
+    count = int(rng.integers(2, 6))
+    return GeneratorSet(rng.uniform(-4.0, 4.0, (count, dim)))
 
 
-def random_meta_on_generators(
-    rng: np.random.Generator, count: int, max_support: int = 4
-) -> MetaDensity:
+def random_meta_on_generators(rng: np.random.Generator, count: int) -> MetaDensity:
     """Meta density over the index space of a generator set."""
-    return random_meta(rng, index_space(count), max_support)
+    return random_meta(rng, index_space(count))

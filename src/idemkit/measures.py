@@ -27,11 +27,12 @@ The compute forks on the same rule.  On spaces of at least ARRAY_MIN_POINTS
 points, eval_measure reads the products of the two vectors at their argmax,
 multiply a fold of the weight vectors taking only strictly greater
 candidates, pushforward one np.maximum.at over the target index of each
-point, patched for the sign of a zero (np.maximum.at has no tie rule), and
-the closeness of two densities one comparison of their weight vectors; so
-each keeps the first of equal weights, even a zero's sign, as its loop
-does.  On smaller spaces, the only ones the law suites draw, the loops are
-faster, because numpy's cost per call outweighs its cost per point there.
+point (no tie rule: given a -0.0 weight it writes back each fiber's first
+point at its max, by np.unique's first occurrences), and the closeness of
+two densities one comparison of their weight vectors; so each keeps the
+first of equal weights, even a zero's sign, as its loop does.  On smaller
+spaces, the only ones the law suites draw, the loops are faster, because
+numpy's cost per call outweighs its cost per point there.
 The public classes only fix a side and an entry type, and every operation
 reads the side off its argument; the *_times names are aliases kept for
 callers.
@@ -450,7 +451,8 @@ def dirac(x: str, space: FiniteSpace, side: Side = MAXPLUS) -> Density:
 
 def pushforward(g: PointMap, f: Density) -> Density:
     """Functor action: weight at y is the max of f over the fiber of y
-    (empty fiber gives bottom)."""
+    (empty fiber gives bottom).  Both bodies keep the first of equal
+    weights, bottom first, even a zero's sign, on either side alike."""
     if f.space != g.source:
         if not validate_map(g):  # reported first
             raise ValueError("invalid point map")
@@ -478,18 +480,14 @@ def pushforward(g: PointMap, f: Density) -> Density:
     side, w = f.side, f.vector
     out = np.full(len(g.target), side.bottom)
     np.maximum.at(out, image, w)
-    at_zero = w == 0.0
-    if np.signbit(w[at_zero]).any():
-        # the loop keeps the first of equal weights, bottom first, but
-        # np.maximum may keep either sign of a zero; without a -0.0 weight
-        # every zero is +0.0 and agrees
-        zero = out == 0.0
-        if side.bottom == 0.0:
-            out[zero] = side.bottom
-        else:
-            first = np.flatnonzero(at_zero & zero[image])
-            hit, at = np.unique(image[first], return_index=True)
-            out[hit] = w[first[at]]
+    if np.signbit(w[w == 0.0]).any():
+        # np.maximum.at may keep either sign of a zero (without a -0.0
+        # weight every zero is +0.0 and agrees), so write back each fiber's
+        # first point at its max, and bottom where the loop stays at bottom
+        first = np.flatnonzero(w == out[image])
+        hit, at = np.unique(image[first], return_index=True)
+        out[hit] = w[first[at]]
+        out[out == side.bottom] = side.bottom
     return type(f).from_vector(g.target, out)
 
 

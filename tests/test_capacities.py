@@ -829,13 +829,17 @@ def test_integrals_refuse_a_function_on_other_points():
 
 
 def test_shilkret_integral_starts_its_max_at_zero():
-    """The level-set candidates exp(t) * c({phi >= t}) can be nan, when
+    """The level-set candidates exp(t) * c({phi >= t}) would be nan, when
     exp(t) overflows to inf on a level set of capacity 0, or -0.0, when it
-    underflows to 0 on one of capacity -0.0.  The max starts at 0.0, so
-    neither is ever the answer."""
+    underflows to 0 on one of capacity -0.0.  The max skips those level
+    sets, so it starts at a candidate of 0.0 or more and neither is ever
+    the answer; no overflow warns either, and the test runs with warnings
+    as errors."""
+    phi = RealFunction(AB, {"a": 800.0, "b": 1.0})
     c = Capacity(AB, np.array([0.0, 0.0, 0.5, 1.0]))  # c({a}) = 0, c({b}) = 0.5
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert repr(shilkret_integral(c, RealFunction(AB, {"a": 800.0, "b": 1.0}))) == repr(math.e)
+    assert repr(shilkret_integral(c, phi)) == repr(math.e)
+    c = Capacity(AB, np.array([0.0, 0.3, 0.5, 1.0]))  # c({a}) = 0.3: exp(800) * 0.3
+    assert shilkret_integral(c, phi) == math.inf
     c = Capacity(AB, np.array([0.0, -0.0, 0.5, 1.0]))  # c({a}) = -0.0
     assert repr(shilkret_integral(c, RealFunction(AB, {"a": -800.0, "b": -900.0}))) == "0.0"
 

@@ -7,6 +7,7 @@ import pytest
 
 from idemkit import generate, laws
 from idemkit.capacities import MetaPossibility, PossibilityProfile
+from idemkit.convexity import index_space
 from idemkit.generate import (
     random_maxplus_density,
     random_maxtimes_density,
@@ -34,7 +35,7 @@ from idemkit.measures import (
 )
 from idemkit.seeding import trial_stream
 from idemkit.semiring import BOTTOM
-from idemkit.spaces import FiniteSpace
+from idemkit.spaces import FiniteSpace, RealFunction
 
 AB = FiniteSpace(("a", "b"))
 
@@ -246,6 +247,24 @@ def test_meta_generators_draw_in_the_recorded_order():
             got = getattr(generate, which)(new, space, **kwargs)
             assert repr(got) == repr(_drawn_as_before(old, space, which))
             assert new.random() == old.random()  # no draw more or less
+    # the real functions and the generator sets, and the metas on the
+    # index space of a generator set
+    for seed in range(25):
+        space, dim = FiniteSpace(tuple("abcdefgh"[: 1 + seed % 8])), 1 + seed % 4
+        for which, arg, before in (
+            ("random_real_function", space,
+             lambda rng: RealFunction.from_vector(space, rng.uniform(-5.0, 5.0, len(space)))),
+            ("random_generator_set", dim,
+             lambda rng: rng.uniform(-4.0, 4.0, (int(rng.integers(2, 6)), dim))),
+            ("random_meta_on_generators", 1 + seed % 5,
+             lambda rng: _drawn_as_before(rng, index_space(1 + seed % 5), "random_meta")),
+        ):
+            new, old = trial_stream(8801, seed), trial_stream(8801, seed)
+            got, ref = getattr(generate, which)(new, arg), before(old)
+            if which == "random_generator_set":  # an array's repr rounds
+                got, ref = got.points.tolist(), ref.tolist()
+            assert repr(got) == repr(ref)
+            assert new.random() == old.random()
     # the max-plus density is the draw of random_weight_vector
     space = FiniteSpace(tuple("abcde"))
     f = random_maxplus_density(trial_stream(8802, 0), space, -3.0, 0.5)
