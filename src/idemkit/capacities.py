@@ -70,6 +70,9 @@ from .spaces import (
 # full subset tables grow as 2^n; beyond this the representation is unusable
 MAX_TABLE_POINTS = 20
 
+# the narrowest unsigned integer that holds a level-set mask of n points, by n
+_MASK_DTYPES = tuple(np.min_scalar_type((1 << n) - 1) for n in range(MAX_TABLE_POINTS + 1))
+
 TABLE_SLACK = 1e-12
 
 DEFAULT_RECOVERY_BOUND = 40.0
@@ -286,7 +289,7 @@ class IntegralFunctional:
             raise ValueError("capacity and function live on different spaces")
         vals = in_point_order(checked_block(space, block, "integral rows"), space, c.space)
         t = np.ascontiguousarray(vals.T)
-        masks = np.zeros(t.shape, dtype=np.min_scalar_type((1 << len(t)) - 1))
+        masks = np.zeros(t.shape, dtype=_MASK_DTYPES[len(t)])
         for row in t[::-1]:  # last point first, so point i ends on bit i
             masks += masks
             masks += row >= t

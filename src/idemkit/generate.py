@@ -13,16 +13,22 @@ A drawer's arithmetic splits at the library's one size rule,
 spaces.ARRAY_MIN_POINTS: below it, on the small spaces the law suites draw,
 it works on Python floats taken from its draws with `.tolist()`, which costs
 less than numpy's calls; from it on it stays in numpy.  Both bodies make the
-same Philox draws in the same order and give bitwise-equal floats, and the
-density is built by `PointValues._built`, through the label-dict constructor
-below the rule and `from_vector` from it on.  A meta level has one
-drawer, `_random_level`, which reads the meta's side and normalizes its
-few weights as Python floats alone, since the meta constructor reads them
-one by one.  random_space has one label per letter and refuses to draw a
-larger space.  A drawer's only parameters are the knobs some caller sets
-(tests/test_knobs.py checks it): random_space's point bounds, min_weight
-and bottom_rate of the max-plus drawers, zero_rate of the max-times ones,
-quantum of the profile drawers and random_meta's max_support.
+same Philox draws in the same order and give bitwise-equal floats.  The
+density is built from checked parts below the rule (`_drawn`, through
+`Density._from_checked`, which checks the peak alone): a drawer's weights
+lie in [bottom, peak] by how they are made, and numpy's `uniform` refuses a
+non-finite or inverted `min_weight` before any is.  From the rule on it is
+built by `from_vector`.  The quantized profile goes through the
+constructor (`PointValues._built`), since a caller's `quantum` can make a
+NaN.  A meta level has one drawer, `_random_level`, which reads the meta's
+side and normalizes its few weights as Python floats alone, since the meta
+constructor reads them one by one.  random_space has one label per letter,
+refuses to draw a larger space, and hands out one space per size
+(`spaces.shared_space`).  A drawer's only parameters are the knobs some
+caller sets (tests/test_knobs.py checks it): random_space's point bounds,
+min_weight and bottom_rate of the max-plus drawers, zero_rate of the
+max-times ones, quantum of the profile drawers and random_meta's
+max_support.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import numpy as np
 from .capacities import Capacity, MetaPossibility, PossibilityProfile
 from .convexity import GeneratorSet, index_space
 from .measures import (
+    Density,
     MaxPlusDensity,
     MaxTimesDensity,
     Meta,
@@ -45,7 +52,7 @@ from .measures import (
 )
 from .seeding import trial_stream
 from .semiring import BOTTOM
-from .spaces import ARRAY_MIN_POINTS, FiniteSpace, PointMap, RealFunction
+from .spaces import ARRAY_MIN_POINTS, FiniteSpace, PointMap, RealFunction, shared_space
 
 __all__ = [
     "trial_stream",
@@ -79,7 +86,7 @@ def random_space(rng: np.random.Generator, max_points: int = 5, min_points: int 
             f"random_space has {len(_LABELS)} labels, asked for up to {max_points} points"
         )
     size = int(rng.integers(min_points, max_points + 1))
-    return FiniteSpace(tuple(_LABELS[:size]))
+    return shared_space(tuple(_LABELS[:size]))
 
 
 def real_row(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -125,6 +132,16 @@ def random_comonotone_pair(
     return RealFunction.from_vector(space, phi), RealFunction.from_vector(space, psi)
 
 
+def _drawn(cls: type[Density], space: FiniteSpace, weights: list[float] | np.ndarray) -> Density:
+    """The density of a drawer's weights in point order, by the size rule:
+    below ARRAY_MIN_POINTS from checked parts (`Density._from_checked`,
+    which checks the peak alone), since a drawer's floats lie in [bottom,
+    peak] by how they are made, and through `from_vector` from it on."""
+    if len(space.points) < ARRAY_MIN_POINTS:
+        return cls._from_checked(space, dict(zip(space.points, weights)))
+    return cls.from_vector(space, weights)
+
+
 def _plus_weights(
     rng: np.random.Generator, n: int, min_weight: float, bottom_rate: float
 ) -> list[float] | np.ndarray:
@@ -153,7 +170,7 @@ def random_maxplus_density(
 ) -> MaxPlusDensity:
     """The density whose weights in point order are those of
     random_weight_vector."""
-    return MaxPlusDensity._built(space, _plus_weights(rng, len(space), min_weight, bottom_rate))
+    return _drawn(MaxPlusDensity, space, _plus_weights(rng, len(space), min_weight, bottom_rate))
 
 
 def _unit_weights(rng: np.random.Generator, n: int, zero_rate: float) -> list[float] | np.ndarray:
@@ -179,7 +196,7 @@ def _unit_weights(rng: np.random.Generator, n: int, zero_rate: float) -> list[fl
 def random_maxtimes_density(
     rng: np.random.Generator, space: FiniteSpace, zero_rate: float = 0.25
 ) -> MaxTimesDensity:
-    return MaxTimesDensity._built(space, _unit_weights(rng, len(space), zero_rate))
+    return _drawn(MaxTimesDensity, space, _unit_weights(rng, len(space), zero_rate))
 
 
 def _random_level(
@@ -237,7 +254,7 @@ def random_possibility_profile(
     multiple of 1/quantum so it lies on the matching threshold sweep grid."""
     n = len(space)
     if quantum is None:
-        return PossibilityProfile._built(space, _unit_weights(rng, n, zero_rate))
+        return _drawn(PossibilityProfile, space, _unit_weights(rng, n, zero_rate))
     draws = rng.integers(0, quantum + 1, n) / float(quantum)
     draws[int(rng.integers(0, n))] = 1.0
     return PossibilityProfile._built(space, draws.tolist())

@@ -11,7 +11,9 @@ one entry dropped, and a density with one point dropped, are built from
 the checked parts of the last witness through the private builders of
 idemkit.measures (`Meta._from_checked`, `Density._divided`), which skip the
 checks of each part; a meta that holds a new entry, shrunk or restricted,
-is built by its constructor.  Trial i of a suite always draws what
+is built by its constructor.  A point drop takes its smaller space from
+`spaces.shared_space`, one per points tuple, so shrinking a witness builds
+a space only the first time one is seen.  Trial i of a suite always draws what
 `trial_stream(seed, i, tag)` draws, so identical seeds give identical
 reports; `run_suite` re-keys one generator of its own per trial
 (`seeding.trial_streams`), and a trial must not keep it past its return.
@@ -116,7 +118,7 @@ from .measures import (
 )
 from .seeding import trial_stream, trial_streams
 from .semiring import check_integer, resolve_tolerance, score_eq
-from .spaces import FiniteSpace, PointMap, compose_maps
+from .spaces import FiniteSpace, PointMap, compose_maps, shared_space
 
 MUTATIONS = ("drop-weight",)
 
@@ -214,7 +216,7 @@ def _point_drops(x: Density | Meta) -> Iterator:
     if len(pts) > 1:
         for drop in pts:
             try:
-                yield _restrict(x, FiniteSpace(tuple(p for p in pts if p != drop)))
+                yield _restrict(x, shared_space(tuple(p for p in pts if p != drop)))
             except ValueError:
                 continue
 

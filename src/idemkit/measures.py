@@ -17,7 +17,7 @@ one vector and `rows` for a block, each checking the range (for a density
 the label dict (`weights`, `values`) or the vector in point order, whichever
 it was built from, and makes the other on first read; `PointValues._built`
 picks the constructor by the size rule, ARRAY_MIN_POINTS, for the results of
-density_from_functional, the bridge and the drawers.
+density_from_functional, the bridge and the quantized profile drawer.
 density_from_functional builds its probes in blocks of at most
 PROBE_BLOCK_CELLS values and hands each block to the probe layer of
 idemkit.spaces (`probe_values`), so an oracle with a `batch` form, such as
@@ -48,20 +48,29 @@ Bottom-weight entries are dropped from meta supports, and support entries
 equal within tolerance are merged by taking the larger weight.  The default
 tolerance (semiring.default_tolerance, which reads IDEMKIT_TOLERANCE) is
 read when a merge compares entries, that is when two or more are kept; a
-one-entry meta never reads it.
+one-entry meta never reads it.  The merge passes over two density entries
+whose stored label dicts differ by more than the tolerance at one label,
+the first point of the first entry's space, without calling `_close`,
+which would fail there; metas and vector-built densities are compared in
+full.
 The shrinker and the drop-weight mutation of idemkit.laws build a meta
-that holds a new entry with the constructor.  Where a candidate is made of
+that holds a new entry with the constructor.  Where a value is made of
 parts that are already checked, private builders skip the checks of each
-part and refuse with the constructors' texts: `Meta._from_checked` checks
-only the peak of a reweighted subsequence of one merged support (its
-entries are apart, from that merge), and `Density._from_checked` checks
-only the peak of weights that are in range by how they were made, which
-also builds multiply's result below ARRAY_MIN_POINTS and normalize's
-(through `Density._divided`).
+part and refuse with the constructors' texts.  `Meta._from_checked`
+checks only the peak of a reweighted subsequence of one merged support
+(its entries are apart, from that merge).  `Density._from_checked` checks
+only the peak of a label dict whose weights are in range by how they were
+made, and skips the range check of every weight.  It builds every
+`dirac` (the peak and bottom), the results of pushforward and multiply
+below ARRAY_MIN_POINTS (bottom, checked weights and their products),
+normalize's (through `Density._divided`), and below ARRAY_MIN_POINTS the
+densities the drawers of idemkit.generate draw.
+tests/test_function_forks.py pins these call sites.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import sys
 from dataclasses import dataclass
@@ -139,8 +148,8 @@ class Density(PointValues):
     def _from_checked(cls, space: FiniteSpace, weights: dict[str, float]) -> "Density":
         """The density of `weights`, floats by label in point order.  The
         caller guarantees that each lies in [bottom, peak] (products,
-        restrictions and quotients of checked weights do), so only the peak
-        is checked; a weight outside that range is not caught.  A peak that
+        restrictions and quotients of checked weights do, and so do the
+        drawers' weights and a unit's), so only the peak is checked; a weight outside that range is not caught.  A peak that
         misses goes through the constructor, which refuses it with the text
         of the first fault in its order.  This is the one builder beside the
         constructor that stores a label dict unchecked
@@ -280,15 +289,24 @@ class Meta(Frozen):
                 if other is not space and other != space:
                     raise ValueError("support entries live on different spaces")
             tol = resolve_tolerance(None)
-            merged = []
+            # each entry's weight at one label, where it reads in O(1): a
+            # density's stored label dict; NaN (a meta, a vector) rejects nothing
+            label = space.points[0]
+            merged, firsts = [], []
             for item, w in kept:
+                by_label = item.__dict__.get("weights")
+                first = math.nan if by_label is None else by_label[label]
                 for k, (other, v) in enumerate(merged):
+                    u = firsts[k]
+                    if first != u and abs(first - u) > tol:
+                        continue  # _close would refuse at that label
                     if _close(item, other, tol):
                         if w > v:
                             merged[k] = (other, w)
                         break
                 else:
                     merged.append((item, w))
+                    firsts.append(first)
             kept = merged
         self._store(kept)
 
@@ -444,7 +462,7 @@ def dirac(x: str, space: FiniteSpace, side: Side = MAXPLUS) -> Density:
     """Unit of the monad: the peak weight at x, bottom elsewhere."""
     if x not in space:
         raise ValueError(f"unknown point {x!r}")
-    return DENSITIES[side.kind](
+    return DENSITIES[side.kind]._from_checked(
         space, {p: side.peak if p == x else side.bottom for p in space.points}
     )
 
@@ -466,7 +484,8 @@ def pushforward(g: PointMap, f: Density) -> Density:
             y = assignment[x]
             if w > weights[y]:
                 weights[y] = w
-        return type(f)(g.target, weights)
+        # bottom or f's weights, its peak among them
+        return type(f)._from_checked(g.target, weights)
     # the target of each source point, in f's point order; building it
     # checks the map as validate_map does, given that f.space == g.source
     try:

@@ -2,7 +2,10 @@
 
 On a finite space every function is continuous and every subset is both
 closed and open, so no topology objects are needed: level sets, pushforwards
-and comonotonicity all reduce to exact finite computations.
+and comonotonicity all reduce to exact finite computations.  A space is
+frozen, so `shared_space` hands out one per points tuple to the drawers and
+the shrinker, which would otherwise build the same few spaces again and
+again.
 
 Every per-point type is built and stored by one class, `PointValues`: one
 label-dict constructor, `from_vector` (one vector in point order) and `rows`
@@ -38,6 +41,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import FrozenInstanceError, dataclass
+from functools import lru_cache
 from typing import ClassVar, Iterator, Mapping
 
 import numpy as np
@@ -53,6 +57,10 @@ COMONOTONE_SLACK = 1e-12
 # on 2 vCPUs lie at 48-64 points for multiply and near 100 for pushforward.
 # The law suites draw spaces of at most 5 points.
 ARRAY_MIN_POINTS = 64
+
+# the most spaces shared_space keeps: every subsequence of a 10-point
+# space, so the spaces of a 5-point witness and its shrinks all stay
+SHARED_SPACES = 1 << 10
 
 # the most values in one block of probes: 2**16 doubles, 512 KiB, which
 # stays in cache (one 1000 x 1000 block was about 2x slower)
@@ -132,6 +140,15 @@ class FiniteSpace:
             return label in self.label_set
         except TypeError:  # an unhashable label is in no space
             return False
+
+
+@lru_cache(maxsize=SHARED_SPACES)
+def shared_space(points: tuple[str, ...]) -> FiniteSpace:
+    """The space whose points, in this order, are `points`, labels that are
+    already strings: one object per tuple while it stays among the
+    SHARED_SPACES most recently asked for.  Keyed by the tuple, not the
+    label set, since the order of the points fixes the order of a report."""
+    return FiniteSpace(points)
 
 
 class PointValues(Frozen):

@@ -345,6 +345,15 @@ def test_integral_batch_is_the_scalar_integral_on_any_pooled_row(case):
     _assert_batch_is_the_scalar_integral(*case)
 
 
+def test_integral_batch_masks_are_the_narrowest_unsigned_integers():
+    # read by point count from a table made once, up to the largest capacity
+    dtypes = capacities._MASK_DTYPES
+    assert len(dtypes) == capacities.MAX_TABLE_POINTS + 1
+    for n, want in ((1, np.uint8), (8, np.uint8), (9, np.uint16), (16, np.uint16),
+                    (17, np.uint32), (20, np.uint32)):
+        assert dtypes[n] == np.dtype(want), n
+
+
 def test_integral_batch_takes_an_empty_block_and_leaves_its_input_alone():
     c = random_capacity(trial_stream(613, 0), ABC)
     functional = integral_functional(c)

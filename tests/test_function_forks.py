@@ -164,3 +164,59 @@ def test_the_check_sees_a_size_rule_read():
         "MIN_POINTS = 64\n"
     )
     assert size_rule_reads(source) == ["line 1", "line 2"]
+
+
+def unchecked_builds(source: str) -> list[str]:
+    """The enclosing function, by qualified name, of each call of a
+    `_from_checked` builder, in the order of the AST walk; `<module>` for a
+    call outside every function."""
+    calls = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "_from_checked"
+            ):
+                calls.append(".".join(scope) or "<module>")
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return calls
+
+
+def test_the_unchecked_builds_are_named():
+    # every call that skips a constructor's range checks, by the function it
+    # sits in; each caller keeps its weights in range, or its entries apart,
+    # by how it makes them (tests/test_checked_parts.py, test_shrink_builders.py)
+    calls = {
+        m: found
+        for m in MODULES
+        if (found := unchecked_builds((PACKAGE / m).read_text(encoding="utf-8")))
+    }
+    assert calls == {
+        "generate.py": ["_drawn"],
+        "laws.py": ["drop_weight.corrupted", "_meta_shrinks"],
+        "measures.py": ["Density._divided", "dirac", "pushforward", "multiply"],
+    }
+
+
+def test_the_check_sees_an_unchecked_build():
+    source = (
+        "x = Meta._from_checked(pairs)\n"
+        "class A:\n"
+        "    def f(self):\n"
+        "        def g():\n"
+        "            return type(self)._from_checked(s, w)\n"
+        "        return g\n"
+        "def h(cls):\n"
+        "    cls(s, w)\n"
+        "    return [cls._from_checked(s, w), cls._from_checked(t, v)]\n"
+        "def _from_checked(cls):\n"
+        "    return _from_checked\n"
+    )
+    assert unchecked_builds(source) == ["<module>", "A.f.g", "h", "h"]
