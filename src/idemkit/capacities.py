@@ -137,6 +137,18 @@ class Capacity:
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
+    @classmethod
+    def _from_checked(cls, space: FiniteSpace, table: np.ndarray) -> "Capacity":
+        """The capacity of `table`, a float64 array of 2**n entries in mask
+        order, n within MAX_TABLE_POINTS, that the caller owns and made
+        monotone, normalized and in [0, 1] (the maxitive expansion of a
+        profile, a monotone draw divided by its top): it is marked read-only
+        and not checked again."""
+        table.setflags(write=False)
+        obj = cls.__new__(cls)
+        obj.__dict__.update(space=space, table=table)
+        return obj
+
     @stored
     def log_table(self) -> np.ndarray:
         """log_bridge of every table entry, read-only: math.log of each
@@ -183,9 +195,14 @@ def _maxitive_table(values) -> np.ndarray:
 
 def capacity_from_profile(pi: PossibilityProfile) -> Capacity:
     """Expand a profile to its full maxitive table, once its size is
-    checked."""
+    checked.  A profile's values lie in [0, 1] with peak 1, within the slack
+    the constructor allows, so its expansion is a capacity by construction
+    and skips the constructor's checks; any other density keeps them."""
     _check_table_points(len(pi.space))
-    return Capacity(pi.space, _maxitive_table([pi.weights[p] for p in pi.space.points]))
+    table = _maxitive_table([pi.weights[p] for p in pi.space.points])
+    if isinstance(pi, MaxTimesDensity):
+        return Capacity._from_checked(pi.space, table)
+    return Capacity(pi.space, table)
 
 
 def is_possibility(c: Capacity, tol: float | None = None) -> bool:

@@ -21,6 +21,17 @@ contiguous row of points, and loses nothing where there are many
 generators or coordinates.  The public shapes stay one row per point or
 weight vector.
 
+That holds only while every operand is row-contiguous, and a boolean
+column selection, a[:, mask], returns its columns column-major: a leading
+axis reduction over it folds the short contiguous axis instead, tens of
+times slower per element.  So every selection of points goes through
+np.compress(mask, a, axis=1), which returns the selected columns
+row-contiguous.  A batch of one point, or a selection of one, has rows of
+one element, which numpy would reduce as one contiguous axis, folded in SIMD
+lanes; there the folds run as an accumulate (`_fold`), so a tie between
++0.0 and -0.0 goes the same way in every batch and one point gets the
+certificate of its row in any batch, sign bits included.
+
 Every verdict carries a certificate from that same residuation
 (`certify_members`).  A point that is in carries its weights, a max-plus
 density over the generators whose combination lands on it.  A point that is
@@ -133,6 +144,17 @@ def index_space(count: int) -> FiniteSpace:
     return FiniteSpace(tuple(f"g{i}" for i in range(count)))
 
 
+def _fold(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    # ufunc folded down the leading axis one row after another.  numpy's
+    # reduce does that when a row has several elements, but rows of one
+    # element collapse to one contiguous axis, which it folds in SIMD lanes,
+    # so a tie between +0.0 and -0.0 could go the other way than in a batch;
+    # accumulate has only the one order, and costs no Python call per row
+    if a.size == len(a):
+        return ufunc.accumulate(a, axis=0)[-1]
+    return ufunc.reduce(a, axis=0)
+
+
 def _max_combination(points: np.ndarray, lam: np.ndarray) -> np.ndarray:
     # the one max-combination expression, so every route that combines the
     # generators agrees bit for bit: the sums are laid out (generator,
@@ -140,7 +162,7 @@ def _max_combination(points: np.ndarray, lam: np.ndarray) -> np.ndarray:
     # vector gives a (d,) point, a (k, m) block of weight columns a (d, m)
     # block of point columns
     points = points.reshape(points.shape + (1,) * (lam.ndim - 1))
-    return (points + lam[:, None]).max(axis=0)
+    return _fold(np.maximum, points + lam[:, None])
 
 
 def combine(gens: GeneratorSet, lam) -> np.ndarray:
@@ -165,7 +187,7 @@ def _residual(columns: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     # give (k,) or (k, ...) weight columns
     x = gens.points.T
     x = x.reshape(x.shape + (1,) * (columns.ndim - 1))
-    return np.minimum(0.0, (columns[:, None] - x).min(axis=0))
+    return np.minimum(0.0, _fold(np.minimum, columns[:, None] - x))
 
 
 def residual_weights(p: np.ndarray, gens: GeneratorSet) -> np.ndarray:
@@ -215,12 +237,12 @@ def _verdicts(columns: np.ndarray, gens: GeneratorSet, tol: float):
     # members' weight columns shifted to peak 0, and every point's residual
     # weight column and its peak
     lam = _residual(columns, gens)
-    peak = lam.max(axis=0)
+    peak = _fold(np.maximum, lam)
     member = peak >= -tol
-    shifted = lam[:, member] - peak[member]
-    landed = _lands(columns[:, member], gens, shifted, tol)
+    shifted = np.compress(member, lam, axis=1) - peak[member]
+    landed = _lands(np.compress(member, columns, axis=1), gens, shifted, tol)
     member[member] = landed
-    return member, shifted[:, landed], lam, peak
+    return member, np.compress(landed, shifted, axis=1), lam, peak
 
 
 def _certify(columns: np.ndarray, gens: GeneratorSet, tol: float) -> HullVerdicts:
@@ -228,7 +250,8 @@ def _certify(columns: np.ndarray, gens: GeneratorSet, tol: float) -> HullVerdict
     # back to one row per point
     member, weights, lam, peak = _verdicts(columns, gens, tol)
     out = ~member
-    return HullVerdicts(member, weights.T, peak[out], _max_combination(gens.points, lam[:, out]).T)
+    projection = _max_combination(gens.points, np.compress(out, lam, axis=1))
+    return HullVerdicts(member, weights.T, peak[out], projection.T)
 
 
 def certify_members(points, gens: GeneratorSet, tol: float | None = None) -> HullVerdicts:
@@ -298,10 +321,10 @@ def _certificates_hold(columns: np.ndarray, gens: GeneratorSet, v: HullVerdicts,
     # one block of max-plus densities on the generator index space, and each
     # lands on its point: barycenter reachability itself
     block = checked_block(index_space(len(gens)), v.weights, "barycenter weights", MaxPlusDensity)
-    if not _lands(columns[:, v.member], gens, block.T, tol).all():
+    if not _lands(np.compress(v.member, columns, axis=1), gens, block.T, tol).all():
         return False
     x = gens.points.T[:, :, None]
-    outside = columns[:, ~v.member]
+    outside = np.compress(~v.member, columns, axis=1)
     q = v.projection.T
     # every generator lies in the half-space of every point that is out, laid
     # out (coordinate, generator, point); the right side comes from the

@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .capacities import Capacity, MetaPossibility, PossibilityProfile
+from .capacities import Capacity, MetaPossibility, PossibilityProfile, _check_table_points
 from .convexity import GeneratorSet, index_space
 from .measures import (
     Density,
@@ -233,15 +233,24 @@ def random_third_times(rng: np.random.Generator, space: FiniteSpace) -> ThirdLev
 
 def random_capacity(rng: np.random.Generator, space: FiniteSpace) -> Capacity:
     """Uniform draws made monotone, then normalized: each entry becomes the
-    max of the draws over its subsets, built in one pass per point."""
+    max of the draws over its subsets, built in one pass per point.  The
+    quotients by the top draw are monotone, in [0, 1], 0 on the empty set
+    and exactly 1 on the whole space, so they skip the constructor's checks
+    (`Capacity._from_checked`); a top draw of 0 has no such quotients, and
+    the constructor refuses them.  A space too large for a table is refused
+    before its 2**n draws are made."""
     n = len(space)
+    _check_table_points(n)
     vals = rng.uniform(0.0, 1.0, 1 << n)
     for i in range(n):
         # pairs[:, 1] are the masks with point i, pairs[:, 0] the same masks without it
         pairs = vals.reshape(-1, 2, 1 << i)
         np.maximum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
     vals[0] = 0.0
-    return Capacity(space, vals / vals[-1])
+    table = vals / vals[-1]
+    if vals[-1] > 0.0:
+        return Capacity._from_checked(space, table)
+    return Capacity(space, table)
 
 
 def random_possibility_profile(

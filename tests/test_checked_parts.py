@@ -1,7 +1,9 @@
 """The checks that the drawers, `dirac`, the small-space `pushforward` and
 the meta merge skip are implied by how their inputs are made: each builds
 what its checked counterpart builds, float for float, and raises where it
-raises.  The merge in `Meta.__init__` passes over a pair of density entries
+raises.  So do the two capacity builders, `random_capacity` and
+`capacity_from_profile`, whose tables the constructor would accept bit for
+bit.  The merge in `Meta.__init__` passes over a pair of density entries
 whose weights at one label are more than tol apart, where `_close` fails
 anyway; `plain_merge` is that merge without the shortcut."""
 
@@ -13,8 +15,9 @@ import numpy as np
 import pytest
 
 from idemkit import measures
-from idemkit.capacities import MetaPossibility, PossibilityProfile
+from idemkit.capacities import Capacity, MetaPossibility, PossibilityProfile, capacity_from_profile
 from idemkit.generate import (
+    random_capacity,
     random_maxplus_density,
     random_maxtimes_density,
     random_meta,
@@ -251,3 +254,61 @@ def test_small_pushforward_is_the_constructors():
     bad = PointMap(ABC, ABC, {"a": "a", "b": "z", "c": "a"})
     with pytest.raises(ValueError, match="invalid point map"):
         pushforward(bad, densities[0])
+
+
+def _same_table(got: Capacity, want: Capacity) -> bool:
+    return (
+        got.space == want.space
+        and got.table.dtype == want.table.dtype
+        and got.table.tobytes() == want.table.tobytes()
+        and not got.table.flags.writeable
+    )
+
+
+def test_capacities_from_checked_parts_are_the_constructors():
+    # random_capacity and capacity_from_profile skip the table checks; the
+    # constructor accepts each table they build and keeps it bit for bit
+    for n in range(1, 17):
+        space = FiniteSpace(tuple(f"p{i}" for i in range(n)))
+        for seed in range(2):
+            rng = trial_stream(seed, n, tag=33)
+            c = random_capacity(rng, space)
+            assert _same_table(c, Capacity(space, c.table))
+            for profile in (
+                random_possibility_profile(rng, space),
+                random_possibility_profile(rng, space, quantum=4),
+            ):
+                c = capacity_from_profile(profile)
+                assert _same_table(c, Capacity(space, c.table))
+    # a peak within the slack, and a signed zero
+    within = PossibilityProfile(ABC, {"a": 1.0 - 1e-13, "b": -0.0, "c": 0.5})
+    c = capacity_from_profile(within)
+    assert _same_table(c, Capacity(ABC, c.table))
+    assert c.table[-1] == 1.0 - 1e-13
+
+
+class _ZeroDraws:
+    """A generator whose uniform draws are all 0."""
+
+    def uniform(self, low, high, size):
+        return np.zeros(size)
+
+
+def test_a_capacity_draw_at_0_still_raises():
+    # every draw 0 leaves no top to divide by: the constructor refuses the
+    # quotients, as it did before the draws skipped it
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"^capacity values must lie in \[0, 1\]$"):
+        random_capacity(_ZeroDraws(), ABC)
+    with pytest.raises(RuntimeWarning, match="invalid value encountered in divide"):
+        random_capacity(_ZeroDraws(), ABC)
+
+
+def test_only_a_profile_skips_the_capacity_checks():
+    # another density's expansion is not a capacity; the constructor says so
+    with pytest.raises(ValueError, match=r"^capacity of the whole space is 0.0, expected 1$"):
+        capacity_from_profile(MaxPlusDensity(ABC, {"a": 0.0, "b": -1.0, "c": -math.inf}))
+
+
+def test_a_capacity_too_large_is_refused_before_its_draws():
+    with pytest.raises(ValueError, match=r"^capacity tables support at most 20 points$"):
+        random_capacity(None, FiniteSpace(tuple(f"p{i}" for i in range(21))))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from idemkit import convexity
 from idemkit.cli import main
 from idemkit.convexity import (
     GeneratorSet,
@@ -612,6 +613,85 @@ def test_axis_first_kernels_match_the_last_axis_formulas_bit_for_bit(shapes, tie
     # members and points that are out; ties are rare
     assert seen == {True, False}
     assert tied <= points // 20
+
+
+def _batch_row(v, i):
+    # the certificate of point i within the batch verdicts v
+    if v.member[i]:
+        return True, v.weights[np.count_nonzero(v.member[:i])]
+    j = np.count_nonzero(~v.member[:i])
+    return False, v.peak[j], v.projection[j]
+
+
+def _many_signed_zero_generators(rng, k, d):
+    # k distinct integer generators on a range just wide enough to hold them,
+    # in random order, the origin at +0.0 among them and every other zero of
+    # random sign; their combinations under integer weights with a
+    # signed-zero peak, the generators and their negatives, and integer
+    # points near the origin.  The point at -0.0 ties the origin's weight
+    # -0.0 with the +0.0 of every generator below it
+    side = 2 * (int(np.ceil(k ** (1 / d))) + 2) + 1
+    origin = side**d // 2
+    cells = rng.choice(side**d - 1, k - 1, replace=False)
+    cells = rng.permutation(np.append(cells + (cells >= origin), origin))
+    x = np.stack(np.unravel_index(cells, (side,) * d), axis=1) - float(side // 2)
+    flip = (x == 0.0) & (rng.random(x.shape) < 0.5) & (cells != origin)[:, None]
+    x = np.where(flip, -0.0, x)
+    lam = _signed_integers(rng, (k, k), -(side // 2), 1)
+    lam[np.arange(k), rng.integers(0, k, k)] = np.where(rng.random(k) < 0.5, -0.0, 0.0)
+    near = np.concatenate([np.full((1, d), -0.0), _signed_integers(rng, (60, d), -1, 2)])
+    return GeneratorSet(x), np.concatenate([_reference_combination(x, lam), x, -x, near])
+
+
+@pytest.mark.parametrize("k", [9, 17, 33, 64])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_one_point_gets_the_certificate_of_its_batch_row(k, d):
+    # a batch of one point has weight rows of one element, which numpy
+    # would fold in SIMD lanes from k = 9 on; ties between +0.0 and -0.0 in
+    # the peak must still go the way they go in the batch
+    rng = trial_stream(416, 10 * k + d)
+    ties = 0
+    for _ in range(2):
+        gens, probes = _many_signed_zero_generators(rng, k, d)
+        lam = _reference_residual(probes, gens.points)
+        ties += int(np.count_nonzero(_signed_zero_tie(lam, lam.max(axis=-1, keepdims=True))))
+        for tol in (None, 0.0):
+            v = certify_members(probes, gens, tol)
+            for i, p in enumerate(probes):
+                one = certify_members(p[None], gens, tol)
+                want = _batch_row(v, i)
+                assert bool(one.member[0]) == want[0]
+                got = (one.weights[0],) if want[0] else (one.peak[0], one.projection[0])
+                assert all(_same_bits(a, b) for a, b in zip(got, want[1:]))
+    assert ties > 0
+
+
+def test_hull_kernels_get_row_contiguous_point_columns(monkeypatch):
+    # every kernel operand that carries the point axis, the last one, must be
+    # row-contiguous, so its leading-axis reductions run over contiguous rows
+    # of points; a boolean column selection a[:, mask] would be column-major
+    gens = GeneratorSet(np.array([[0.0, 0.0, 0.0], [3.0, 1.0, 0.0], [1.0, 4.0, 2.0], [2.0, 2.0, 5.0]]))
+    grid = bounding_grid(gens, per_axis=11)
+    seen = {}
+
+    def spy(name):
+        kernel = getattr(convexity, name)
+
+        def spied(*args):
+            for a in args:
+                if isinstance(a, np.ndarray) and a.ndim in (2, 3) and a.shape[-1] > 1 and a is not gens.points:
+                    seen.setdefault(name, []).append(a.flags.c_contiguous)
+            return kernel(*args)
+
+        monkeypatch.setattr(convexity, name, spied)
+
+    for name in ("_lands", "_max_gap", "_max_combination"):
+        spy(name)
+    v = certify_members(grid, gens)
+    assert 1 < np.count_nonzero(v.member) < len(grid) - 1
+    assert check_convexity_equivalence(gens, grid)
+    assert set(seen) == {"_lands", "_max_gap", "_max_combination"}
+    assert all(all(flags) for flags in seen.values()), seen
 
 
 def test_hull_member_explain_output_is_pinned(tmp_path, capsys):

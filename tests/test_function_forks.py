@@ -117,7 +117,8 @@ def test_the_builders_past_the_constructors_are_named():
     # Density._from_checked stores a label dict of weights its callers
     # keep in range and checks only the peak, the one label-dict builder
     # beside PointValues.__init__; Meta._from_checked stores a subsequence
-    # of one merged support through the constructor's peak check
+    # of one merged support through the constructor's peak check; and
+    # Capacity._from_checked keeps a table its callers made a capacity
     builders = {
         m: found
         for m in MODULES
@@ -126,6 +127,7 @@ def test_the_builders_past_the_constructors_are_named():
     assert builders == {
         "spaces.py": {"PointValues.from_vector", "row_views"},
         "measures.py": {"Density._from_checked", "Meta._from_checked"},
+        "capacities.py": {"Capacity._from_checked"},
     }
     trusted = vars(measures.Density)["_from_checked"]
     for cls in (MaxPlusDensity, MaxTimesDensity, PossibilityProfile):
@@ -199,7 +201,8 @@ def test_the_unchecked_builds_are_named():
         if (found := unchecked_builds((PACKAGE / m).read_text(encoding="utf-8")))
     }
     assert calls == {
-        "generate.py": ["_drawn"],
+        "capacities.py": ["capacity_from_profile"],
+        "generate.py": ["_drawn", "random_capacity"],
         "laws.py": ["drop_weight.corrupted", "_meta_shrinks"],
         "measures.py": ["Density._divided", "dirac", "pushforward", "multiply"],
     }
