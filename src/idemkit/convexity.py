@@ -65,6 +65,7 @@ that is out lies beyond a half-space that holds every barycenter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -97,11 +98,13 @@ class GeneratorSet:
         if not np.all(np.isfinite(pts)):
             raise ValueError("generator coordinates must be finite")
         # each row against the rows after it, so the first pair (i, j) found
-        # is the first in (i, j) order
-        for i in range(len(pts) - 1):
-            near = np.flatnonzero(np.abs(pts[i + 1:] - pts[i]).max(axis=1) <= POINT_SLACK)
-            if near.size:
-                raise ValueError(f"generators {i} and {i + 1 + int(near[0])} coincide")
+        # is the first in (i, j) order; a difference that overflows is
+        # infinite, and such a pair is apart
+        with np.errstate(over="ignore"):
+            for i in range(len(pts) - 1):
+                near = np.flatnonzero(np.abs(pts[i + 1:] - pts[i]).max(axis=1) <= POINT_SLACK)
+                if near.size:
+                    raise ValueError(f"generators {i} and {i + 1 + int(near[0])} coincide")
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -300,14 +303,17 @@ def barycenter_member(point, gens: GeneratorSet, tol: float | None = None) -> bo
 def check_algebra(gens: GeneratorSet, N: MetaDensity, tol: float | None = None) -> bool:
     """Barycenter absorbs the monad multiplication.
 
-    Left: barycenter of the multiplied meta.  Right: map every support
+    Left: barycenter of the multiplied meta, the combination of the
+    generators under the weights of `multiply(N)`.  That density is already
+    checked, so its vector goes straight to the combination `barycenter`
+    ends in, with no copy and no second check.  Right: map every support
     density to its barycenter point and combine those images under the
     meta's weights.  The two must agree coordinatewise.
     """
     tol = resolve_tolerance(tol)
     if N.space != index_space(len(gens)):
         raise ValueError("meta density must live on the generator index space")
-    left = barycenter(gens, density_weights(multiply(N)))
+    left = _max_combination(gens.points, multiply(N).vector)
     # one column of weights per support density, combined in one call
     images = _max_combination(gens.points, np.stack([f.vector for f, _ in N.support], axis=1))
     outer = np.array([w for _, w in N.support])
@@ -355,12 +361,21 @@ def check_convexity_equivalence(
 
 
 def bounding_grid(gens: GeneratorSet, per_axis: int = 11) -> np.ndarray:
-    """Regular grid spanning the generators' bounding box."""
+    """Regular grid spanning the generators' bounding box: per_axis**d
+    points, one per row, whose coordinate t runs through
+    np.linspace(lo_t, hi_t, per_axis), the first axis slowest.  Each axis
+    is written once into one (per_axis,)*d + (d,) array by broadcasting,
+    and the reshape to rows copies nothing.  A box wider than a double on
+    some axis raises ValueError naming it."""
     per_axis = check_integer("per_axis", per_axis)
     if per_axis < 1:
         raise ValueError("per_axis must be positive")
     lo = gens.points.min(axis=0)
     hi = gens.points.max(axis=0)
-    axes = [np.linspace(lo[t], hi[t], per_axis) for t in range(gens.dimension)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    d = gens.dimension
+    grid = np.empty((per_axis,) * d + (d,))
+    for t in range(d):
+        if not math.isfinite(float(hi[t]) - float(lo[t])):
+            raise ValueError(f"the generators' bounding box is wider than a double on axis {t}")
+        grid[..., t] = np.linspace(lo[t], hi[t], per_axis).reshape((per_axis,) + (1,) * (d - 1 - t))
+    return grid.reshape(-1, d)

@@ -155,6 +155,21 @@ def capacity_to_doc(c: Capacity) -> dict:
     return {"kind": "capacity", "sets": dict(zip(_mask_keys(c.space), c.table.tolist()))}
 
 
+def _plain_table(keys: list[str], sets: dict) -> np.ndarray | None:
+    """The table in mask order when `sets` holds every key of `keys`, the
+    canonical keys in mask order, each with a plain finite int or float;
+    otherwise None.  One lookup per key and one conversion of every value,
+    which rounds an int as float() does."""
+    raws = list(map(sets.get, keys))  # None for a key the document lacks
+    if not set(map(type, raws)) <= {int, float}:
+        return None
+    try:
+        table = np.array(raws, dtype=float)
+    except OverflowError:  # an int beyond the range of a double
+        return None
+    return table if np.isfinite(table).all() else None
+
+
 def capacity_from_doc(doc, space: FiniteSpace) -> Capacity:
     doc = _require_mapping(doc, "capacity")
     if doc.get("kind") != "capacity":
@@ -168,9 +183,15 @@ def capacity_from_doc(doc, space: FiniteSpace) -> Capacity:
     # a key as capacity_to_doc writes it is looked up; any other is parsed,
     # and so is every key where an empty label or one holding the separator
     # makes keys ambiguous
-    canonical = {}
+    keys = []
     if all(label and "|" not in label for label in space.points):
-        canonical = {key: mask for mask, key in enumerate(_mask_keys(space))}
+        keys = _mask_keys(space)
+        table = _plain_table(keys, sets)
+        if table is not None:
+            return Capacity(space, table)
+    # any other document goes key by key, in its own order, so the first
+    # fault is the one reported
+    canonical = {key: mask for mask, key in enumerate(keys)}
     table = np.zeros(1 << n)
     seen = set()
     for key, raw in sets.items():

@@ -4,7 +4,8 @@ A suite is one trial function `trial(rng, run)`, registered by the `_suite`
 decorator above it with its name, its stream tag and the law it checks;
 `SUITES` lists the suites in the order they are registered.  A trial draws
 seeded instances, evaluates one law, and returns None or a failure with a
-minimized witness.  While the failure persists, the shrinker takes the first
+minimized witness; it builds the witness document only on the path that
+returns it, so a passing trial encodes nothing.  While the failure persists, the shrinker takes the first
 candidate that still fails: the witness with one support entry dropped,
 one nested entry shrunk, or one point of the space dropped.  A meta with
 one entry dropped, and a density with one point dropped, are built from
@@ -367,21 +368,24 @@ def _functor(rng, run: Run):
     h = random_point_map(rng, X, Y)
     k = random_point_map(rng, Y, Z)
     F = random_meta(rng, X)
-    witness = {"density": density_to_doc(f), "inner_map": h.assignment, "outer_map": k.assignment}
+
+    def witness() -> dict:
+        return {"density": density_to_doc(f), "inner_map": h.assignment, "outer_map": k.assignment}
+
     sides = (("", f), ("max-times ", g))
     for side, d in sides:
         if not density_close(pushforward(PointMap.identity(X), d), d, 1e-12):
-            return f"identity pushforward changes a {side}density", witness
+            return f"identity pushforward changes a {side}density", witness()
     for side, d in sides:
         if not density_close(
             pushforward(compose_maps(k, h), d), pushforward(k, pushforward(h, d)), 1e-12
         ):
-            return f"{side}pushforward does not respect composition", witness
+            return f"{side}pushforward does not respect composition", witness()
     x = X.points[int(rng.integers(0, len(X)))]
     if not density_close(pushforward(h, dirac(x, X)), dirac(h.assignment[x], Y), 1e-12):
-        return "pushforward does not commute with units", witness
+        return "pushforward does not commute with units", witness()
     if not density_close(multiply(meta_pushforward(h, F)), pushforward(h, multiply(F)), run.tol):
-        return "multiplication is not natural in the map", {**witness, "meta": meta_to_doc(F)}
+        return "multiplication is not natural in the map", {**witness(), "meta": meta_to_doc(F)}
     return None
 
 
@@ -537,17 +541,20 @@ def _possmult(rng, run: Run):
 def _convexity(rng, run: Run):
     dim = 2 if rng.random() < 0.5 else 3
     gens = random_generator_set(rng, dim)
-    witness = {"generators": generators_to_doc(gens)}
+
+    def witness() -> dict:
+        return {"generators": generators_to_doc(gens)}
+
     grid = bounding_grid(gens, per_axis=11)
     if not check_convexity_equivalence(gens, grid, run.tol):
-        return "a hull verdict has no valid certificate", witness
+        return "a hull verdict has no valid certificate", witness()
     N = random_meta_on_generators(rng, len(gens))
     if not check_algebra(gens, N, run.tol):
-        return "barycenter does not absorb multiplication", {**witness, "meta": meta_to_doc(N)}
+        return "barycenter does not absorb multiplication", {**witness(), "meta": meta_to_doc(N)}
     i = int(rng.integers(0, len(gens)))
     unit = dirac(f"g{i}", N.space)
     if not np.array_equal(barycenter(gens, density_weights(unit)), gens.points[i]):
-        return "barycenter of a unit misses its generator", witness
+        return "barycenter of a unit misses its generator", witness()
     return None
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from idemkit.generate import (
     trial_stream,
 )
 from idemkit.laws import run_suite
-from idemkit.measures import MaxPlusDensity, MetaDensity, dirac
+from idemkit.measures import MaxPlusDensity, MetaDensity, dirac, multiply
 from idemkit.semiring import BOTTOM, default_tolerance
 
 GENS = GeneratorSet(np.array([[0.0, 3.0], [2.0, 0.0]]))
@@ -61,6 +63,19 @@ def test_generator_set_names_the_first_coinciding_pair():
     with pytest.raises(ValueError, match=r"^generators 2 and 3 coincide$"):
         GeneratorSet(np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [2.0, 2.0]]))
     assert len(GeneratorSet(np.array([[0.0, 0.0], [0.0, 2e-9]]))) == 2
+
+
+def test_generators_whose_difference_overflows_are_apart():
+    # 1e308 - (-1e308) overflows to inf, which is no coincidence; the
+    # overflow must not warn, since a warning raises where warnings are errors
+    rows = [[1e308, -1e308], [-1e308, 1e308]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(GeneratorSet(np.array(rows))) == 2
+        with pytest.raises(ValueError, match=r"^generators 0 and 2 coincide$"):
+            GeneratorSet(np.array(rows + [[1e308, -1e308]]))
+        with pytest.raises(ValueError, match=r"^generators 1 and 2 coincide$"):
+            GeneratorSet(np.array(rows + [[-1e308, 1e308 - 1e-10]]))
 
 
 def test_an_int_beyond_a_double_is_a_value_error_naming_the_field():
@@ -261,6 +276,32 @@ def test_check_algebra_worked_and_random():
         gens = random_generator_set(rng, 2 if i % 2 else 3)
         meta = random_meta_on_generators(rng, len(gens))
         assert check_algebra(gens, meta)
+
+
+def test_check_algebra_left_side_is_the_barycenter_of_the_multiplied_meta(monkeypatch):
+    # the left side is the one combination of the generators themselves
+    # under a 1-d weight vector; it must equal the public barycenter of the
+    # multiplied meta bit for bit
+    kernel = convexity._max_combination
+    lefts = []
+
+    def spy(points, lam):
+        out = kernel(points, lam)
+        if lam.ndim == 1 and points is gens.points:
+            lefts.append(out)
+        return out
+
+    for i in range(60):
+        rng = trial_stream(409, i)
+        gens = random_generator_set(rng, 2 if i % 2 else 3)
+        meta = random_meta_on_generators(rng, len(gens))
+        expected = barycenter(gens, density_weights(multiply(meta)))
+        lefts.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(convexity, "_max_combination", spy)
+            assert check_algebra(gens, meta)
+        assert len(lefts) == 1
+        assert lefts[0].tobytes() == expected.tobytes()
 
 
 def test_check_algebra_rejects_foreign_space():
@@ -504,6 +545,65 @@ def test_bounding_grid_shape():
     assert grid.shape == (121, 2)
     assert np.all(grid.min(axis=0) == GENS.points.min(axis=0))
     assert np.all(grid.max(axis=0) == GENS.points.max(axis=0))
+
+
+def _meshgrid_reference(gens, per_axis):
+    # the grid built from np.meshgrid and stacked ravelled copies, kept as
+    # the reference for bounding_grid's one-buffer build
+    lo, hi = gens.points.min(axis=0), gens.points.max(axis=0)
+    axes = [np.linspace(lo[t], hi[t], per_axis) for t in range(gens.dimension)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def _grid_generator_sets():
+    # drawn sets in 1-4 dimensions and, in each, a set with an axis every
+    # generator shares (a degenerate span; one generator in 1 dimension),
+    # and from 2 dimensions on a subnormal span; the last axis keeps the
+    # generators apart, and from 3 dimensions on a second axis is shared at
+    # -0.0 or spans subnormals too
+    rng = np.random.default_rng(2033)
+    yield GeneratorSet(np.array([[-1.25]]))
+    for d in (1, 2, 3, 4):
+        yield GeneratorSet(rng.uniform(-5.0, 5.0, size=(int(rng.integers(2, 6)), d)))
+        if d == 1:
+            continue
+        shared = rng.uniform(-5.0, 5.0, size=(3, d))
+        shared[:, 0] = -1.25
+        shared[:, 1] = -0.0
+        shared[:, -1] = [0.0, 1.0, 2.0]
+        yield GeneratorSet(shared)
+        tiny = rng.uniform(-5.0, 5.0, size=(3, d))
+        tiny[:, 0] = [0.0, 5e-324, 7 * 5e-324]
+        tiny[:, -1] = [0.0, 1.0, 2.0]
+        if d > 2:
+            tiny[:, 1] = [-1e-310, -2e-310, 0.0]
+        yield GeneratorSet(tiny)
+
+
+def test_bounding_grid_is_byte_equal_to_the_meshgrid_build():
+    for gens in _grid_generator_sets():
+        for per_axis in range(1, 14):
+            grid = bounding_grid(gens, per_axis)
+            reference = _meshgrid_reference(gens, per_axis)
+            assert grid.shape == reference.shape == (per_axis**gens.dimension, gens.dimension)
+            assert grid.dtype == reference.dtype
+            assert grid.tobytes() == reference.tobytes(), (gens.points, per_axis)
+
+
+def test_bounding_grid_refuses_a_box_wider_than_a_double():
+    wide = GeneratorSet(np.array([[0.0, 1e308], [1.0, -1e308]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for per_axis in (1, 3):
+            with pytest.raises(
+                ValueError, match=r"^the generators' bounding box is wider than a double on axis 1$"
+            ):
+                bounding_grid(wide, per_axis)
+        # as wide as a double still is: a finite grid
+        top = np.finfo(float).max
+        grid = bounding_grid(GeneratorSet(np.array([[0.0, top], [1.0, 0.0]])), 3)
+        assert np.isfinite(grid).all() and grid[:, 1].max() == top
 
 
 # the last-axis formulas of the layout with one row per point and the

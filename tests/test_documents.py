@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from idemkit.capacities import Capacity, PossibilityProfile, capacity_from_profile
+from idemkit.capacities import Capacity, PossibilityProfile, capacity_from_profile, subset_bits
 from idemkit.convexity import GeneratorSet
 from idemkit.generate import random_capacity, trial_stream
 from idemkit.documents import (
@@ -199,6 +199,52 @@ def test_capacity_from_doc_keeps_its_error_texts_and_order():
     doc["sets"]["b"] = float("nan")
     with pytest.raises(ValueError, match=r"^not a finite number: nan$"):
         capacity_from_doc(doc, ABC)
+
+
+def _decoded_key_by_key(doc, space):
+    # every key parsed and every value decoded one at a time: the reference
+    # for the one-pass read of a document with canonical keys and plain values
+    table = np.zeros(1 << len(space))
+    for key, raw in doc["sets"].items():
+        table[subset_bits(space, key.split("|") if key else [])] = decode_number(raw)
+    return Capacity(space, table)
+
+
+def _outcome(decode, *args):
+    try:
+        return decode(*args).table.tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_capacity_from_doc_reads_plain_documents_as_the_key_by_key_decoder():
+    cases = [(_abc_doc(), ABC), (_abc_doc(**{"a|b": "b|a"}), ABC)]
+    # ints, a negative zero, and values both decoders refuse, in documents
+    # with canonical keys and with one respelled key
+    for key, raw in [("", 0), ("", -0.0), ("a|b|c", 1), ("b", True), ("", False),
+                     ("c", 10**400), ("c", -(10**400)), ("b", float("inf")), ("b", "0.5"),
+                     ("b", None)]:
+        for renamed in ({}, {"a|b": "b|a"}):
+            doc = _abc_doc(**renamed)
+            doc["sets"][key] = raw
+            cases.append((doc, ABC))
+    rng = trial_stream(2033, 0)
+    for n in range(1, 7):
+        space = FiniteSpace(tuple(f"x{i}" for i in reversed(range(n))))
+        cases.append((capacity_to_doc(random_capacity(rng, space)), space))
+    outcomes = set()
+    for doc, space in cases:
+        got = _outcome(capacity_from_doc, doc, space)
+        assert got == _outcome(_decoded_key_by_key, doc, space), doc
+        outcomes.add(got if isinstance(got, str) else "table")
+    assert outcomes >= {
+        "table",
+        "not a number: True",
+        "not a number: False",
+        "not a finite number: " + str(10**400),
+        "not a finite number: inf",
+        "not a number: '0.5'",
+    }
 
 
 def test_capacity_from_doc_parses_keys_where_labels_make_them_ambiguous():

@@ -50,6 +50,24 @@ def test_every_suite_passes_a_short_run():
         assert report.trials == 10
 
 
+def test_passing_trials_build_no_witness(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a passing trial built a witness document")
+
+    with monkeypatch.context() as patch:
+        for encoder in ("generators_to_doc", "density_to_doc", "meta_to_doc"):
+            patch.setattr(laws, encoder, refuse)
+        for name in ("convexity", "functor"):
+            assert run_suite(name, trials=40, seed=0).ok, name
+    # a failing trial still carries its witness: convexity fails at tol 0
+    # on boundary points, and functor where its comparisons are forced false
+    failures = run_suite("convexity", trials=20, seed=0, tol=0).failures
+    assert failures and all(set(f.witness) == {"generators"} for f in failures)
+    monkeypatch.setattr(laws, "density_close", lambda *args: False)
+    failures = run_suite("functor", trials=3, seed=0).failures
+    assert [set(f.witness) for f in failures] == [{"density", "inner_map", "outer_map"}] * 3
+
+
 def test_reports_are_deterministic_per_seed():
     a = run_suite("assoc", trials=15, seed=42)
     b = run_suite("assoc", trials=15, seed=42)
